@@ -37,18 +37,16 @@ def static_allocation(m: Morphology) -> np.ndarray:
     drag torque along the thrust axis (sign per rotor spin).
     """
     c_f = m.rotor.c_f
-    c_d = m.rotor.c_d
-    a = np.zeros((6, 2 * m.n_rotors))
-    for r in range(m.n_rotors):
-        arm = m.arms[int(m.arm_of_rotor[r])]
-        spin = m.spins[r]
-        lat = arm.lateral_dir()
-        vert = arm.vertical_dir()
-        pos = arm.length * arm.axis()
-        a[:3, 2 * r] = c_f * lat
-        a[3:, 2 * r] = c_f * (np.cross(pos, lat) - spin * c_d * lat)
-        a[:3, 2 * r + 1] = c_f * vert
-        a[3:, 2 * r + 1] = c_f * (np.cross(pos, vert) - spin * c_d * vert)
+    arms = [m.arms[i] for i in m.arm_of_rotor]
+    pos = np.array([arm.length * arm.axis() for arm in arms])
+    drag = (m.spins * m.rotor.c_d)[:, None]
+    lat = np.array([arm.lateral_dir() for arm in arms])
+    vert = np.array([arm.vertical_dir() for arm in arms])
+    a = np.empty((6, 2 * m.n_rotors))
+    a[:3, 0::2] = (c_f * lat).T
+    a[3:, 0::2] = (c_f * (np.cross(pos, lat) - drag * lat)).T
+    a[:3, 1::2] = (c_f * vert).T
+    a[3:, 1::2] = (c_f * (np.cross(pos, vert) - drag * vert)).T
     return a
 
 

@@ -42,13 +42,17 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config in {path} must be a JSON object, "
+                          f"got {type(config).__name__}")
+    return config
 
 
 def _config_hash(config: dict) -> str:

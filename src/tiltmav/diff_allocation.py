@@ -93,23 +93,19 @@ def build_diff_allocation(a: np.ndarray, omega_c: np.ndarray, alpha_c: np.ndarra
     return a @ d_a, d_a
 
 
-def jerk_to_wrench_rate(u: np.ndarray, params: RigidBodyParams) -> np.ndarray:
-    """[f_dot; tau_dot] = blkdiag(m I, J) [j_B; zeta_B]."""
-    u = np.asarray(u, dtype=float)
-    return np.concatenate([params.mass * u[:3], params.inertia @ u[3:]])
-
-
 def exact_wrench_rate(j_w_des: np.ndarray, psi_dot_des_b: np.ndarray, state,
                       params: RigidBodyParams, wrench: np.ndarray) -> np.ndarray:
     """Coordinate body-wrench rates realizing the desired jerks exactly.
 
-    The allocation Jacobian produces plain time derivatives of the
-    body-frame wrench components, so the desired world jerk and body
+    This is the one jerk -> wrench-rate map of the closed loop. The
+    allocation Jacobian produces plain time derivatives of the body-frame
+    wrench about the body origin, so the desired world jerk and body
     angular-acceleration rate are inverted through the differentiated
-    Newton-Euler equations:
+    Newton-Euler equations with torques about the center of mass
+    (tau_C = tau - r_com x f):
 
         f_dot = m R' j_des - omega x f        (gravity is world-constant)
-        tau_dot = J psi_dot_des + psi x (J omega) + omega x (J psi)
+        tau_dot = J psi_dot_des + psi x (J omega) + omega x (J psi) + r_com x f_dot
 
     Without the coupling terms an integrating allocation keeps the stored
     wrench body-fixed while the vehicle rotates, which loses the gravity
@@ -121,7 +117,8 @@ def exact_wrench_rate(j_w_des: np.ndarray, psi_dot_des_b: np.ndarray, state,
         - np.cross(om, wrench[:3])
     tau_dot = (jj @ np.asarray(psi_dot_des_b, dtype=float)
                + np.cross(state.psi, jj @ om)
-               + np.cross(om, jj @ state.psi))
+               + np.cross(om, jj @ state.psi)
+               + np.cross(params.r_com, f_dot))
     return np.concatenate([f_dot, tau_dot])
 
 

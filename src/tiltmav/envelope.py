@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
+from .allocation import static_allocation
 from .vehicle import GRAVITY, Morphology
 
 
@@ -95,19 +96,13 @@ def arm_wrench_blocks(m: Morphology) -> tuple[np.ndarray, np.ndarray]:
 
     blocks[a] maps the arm-aggregated (lateral, vertical) squared-speed
     components to the body wrench; radii[a] bounds their Euclidean norm.
+    Rotors on one arm share its tilt angle, so at equal speeds each block is
+    the per-arm mean of the static allocation's lateral and vertical columns
+    (counter-rotating pairs cancel their drag torque).
     """
-    c_f = m.rotor.c_f
-    c_d = m.rotor.c_d
     rpa = m.rotor.rotors_per_arm
-    blocks = np.zeros((m.n_arms, 6, 2))
-    for a, arm in enumerate(m.arms):
-        lat, vert = arm.lateral_dir(), arm.vertical_dir()
-        pos = arm.length * arm.axis()
-        drag = 0.0 if rpa == 2 else float(arm.spins[0]) * c_d
-        blocks[a, :3, 0] = c_f * lat
-        blocks[a, 3:, 0] = c_f * (np.cross(pos, lat) - drag * lat)
-        blocks[a, :3, 1] = c_f * vert
-        blocks[a, 3:, 1] = c_f * (np.cross(pos, vert) - drag * vert)
+    a = static_allocation(m).reshape(6, m.n_arms, rpa, 2)
+    blocks = a.mean(axis=2).transpose(1, 0, 2)
     radii = np.full(m.n_arms, rpa * m.rotor.omega_max**2)
     return blocks, radii
 
@@ -126,8 +121,6 @@ def pinv_radii(m: Morphology, directions: np.ndarray, mode: str = "force",
     the per-direction force (or torque) efficiency index of the attained
     point comes along.
     """
-    from .allocation import static_allocation
-
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     a_inv = np.linalg.pinv(static_allocation(m))
     w_max2 = m.rotor.omega_max**2

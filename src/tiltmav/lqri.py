@@ -3,10 +3,12 @@
 The 24-state tracking error stacks, in order, position, position integral,
 velocity, and acceleration errors (world frame) and attitude, attitude
 integral, angular velocity, and angular acceleration errors (body frame).
-Feedback linearization turns the force/torque derivative commands into a
-virtual input u_bar that renders the error dynamics a pair of integrator
-chains; the constant (A, B) pair below is that linearization evaluated at
-zero attitude error, and the gain comes from the associated CARE.
+The constant (A, B) pair below renders the error dynamics a pair of
+integrator chains driven by a virtual input u_bar, and the gain comes from
+the associated CARE. Each tick turns u_bar into a world jerk and a body
+angular-acceleration rate; ``diff_allocation.exact_wrench_rate`` then
+feedback-linearizes those through the rigid-body model, as it does for the
+PID controller.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .riccati import lqr_gain, solve_care
 from .rigid_body import RigidBodyState
 from .so3 import attitude_error
 from .trajectory import TrajectorySample
-from .vehicle import RigidBodyParams
 
 N_ERR = 24
 BLOCKS = ("p", "p_i", "v", "a", "R", "R_i", "omega", "psi")
@@ -146,95 +147,6 @@ def compute_error_state(
     return err, e_p_i, e_r_i
 
 
-def feedback_linearize(
-    u_bar: np.ndarray,
-    state: RigidBodyState,
-    ref: TrajectorySample,
-    params: RigidBodyParams,
-    force_b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Force/torque derivative commands cancelling the jerk-level couplings.
-
-    The returned pair (f_dot, tau_dot), pushed through the rigid-body jerk
-    dynamics, leaves e_a_dot = u_bar[0:3] (world frame) and
-    e_psi_dot = u_bar[3:6] (body frame).
-    """
-    r = state.r_wb
-    r_bw = r.T
-    omega = state.omega
-    psi = state.psi
-    j = params.inertia
-    m = params.mass
-
-    g_b = r_bw @ (m * params.gravity_w)
-    f_dot = np.cross(omega, g_b) + m * (r_bw @ (ref.j + u_bar[0:3]))
-
-    omega_d_b = r_bw @ (ref.r_wb @ ref.omega_b)
-    psi_d_b = r_bw @ (ref.r_wb @ ref.psi_b)
-    zeta_d_b = r_bw @ (ref.r_wb @ ref.zeta_b)
-    j_omega = j @ omega
-    tau_dot = (
-        np.cross(np.cross(omega, params.r_com), force_b)
-        + np.cross(params.r_com, f_dot)
-        + 2.0 * np.cross(omega, j @ psi)
-        + np.cross(psi, j_omega)
-        + np.cross(omega, np.cross(omega, j_omega))
-        + j @ (
-            -np.cross(omega, psi)
-            - np.cross(psi, omega_d_b)
-            + np.cross(omega, np.cross(omega, omega_d_b))
-            - 2.0 * np.cross(omega, psi_d_b)
-            + zeta_d_b
-            + u_bar[3:6]
-        )
-    )
-    return f_dot, tau_dot
-
-
-def plant_jerk_errors(
-    f_dot: np.ndarray,
-    tau_dot: np.ndarray,
-    state: RigidBodyState,
-    ref: TrajectorySample,
-    params: RigidBodyParams,
-    force_b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Error-acceleration derivatives produced by the plant jerk dynamics.
-
-    Independent of ``feedback_linearize``: this is the expanded error
-    dynamics of the differentiated Newton-Euler model, used to verify the
-    cancellation identity.
-    """
-    r = state.r_wb
-    r_bw = r.T
-    omega = state.omega
-    psi = state.psi
-    j = params.inertia
-    m = params.mass
-
-    g_b = r_bw @ (m * params.gravity_w)
-    e_a_dot = (r @ (f_dot - np.cross(omega, g_b))) / m - ref.j
-
-    omega_d_b = r_bw @ (ref.r_wb @ ref.omega_b)
-    psi_d_b = r_bw @ (ref.r_wb @ ref.psi_b)
-    zeta_d_b = r_bw @ (ref.r_wb @ ref.zeta_b)
-    j_omega = j @ omega
-    e_psi_dot = (
-        np.linalg.solve(j, tau_dot
-                        - np.cross(np.cross(omega, params.r_com), force_b)
-                        - np.cross(params.r_com, f_dot)
-                        - 2.0 * np.cross(omega, j @ psi)
-                        - np.cross(psi, j_omega)
-                        - np.cross(omega, np.cross(omega, j_omega)))
-        + np.cross(omega, psi)
-        + np.cross(psi, omega_d_b)
-        - np.cross(omega, np.cross(omega, omega_d_b))
-        + 2.0 * np.cross(omega, psi_d_b)
-        - zeta_d_b
-    )
-    return e_a_dot, e_psi_dot
-
-
 def stability_condition(q, r, p, b, e_vec, e_omega) -> tuple[float, float, bool]:
     """Sufficient asymptotic-stability test of the Lyapunov analysis.
 
@@ -261,10 +173,7 @@ def stability_rhs(q, r, p, b) -> float:
 class LqriController:
     """Stateful wrapper: integrators plus the precomputed CARE gain."""
 
-    params: RigidBodyParams
     gains: LqriGains = field(default_factory=LqriGains)
-    u_clamp: float | None = None
-    recompute_gain_each_step: bool = False
     windup_p: float = 2.0
     windup_r: float = 1.0
 
@@ -283,30 +192,31 @@ class LqriController:
         self._prev_e_p: np.ndarray | None = None
         self._prev_e_r: np.ndarray | None = None
 
-    def step(self, state: RigidBodyState, ref: TrajectorySample, force_b: np.ndarray,
-             dt: float) -> dict:
-        """One control tick: error state, virtual input, wrench-rate command."""
+    def step(self, state: RigidBodyState, ref: TrajectorySample, dt: float) -> dict:
+        """One control tick: error state, virtual input, jerk targets.
+
+        The targets render e_a_dot = u_bar[:3] (world frame) and
+        e_psi_dot = u_bar[3:] with e_psi = psi - R' psi_d_world (body frame).
+        """
         err, self.e_p_i, self.e_r_i = compute_error_state(
             state, ref, self.e_p_i, self.e_r_i, self._prev_e_p, self._prev_e_r,
             dt, self.windup_p, self.windup_r)
         self._prev_e_p = err.e_p
         self._prev_e_r = err.e_r
-        if self.recompute_gain_each_step:
-            self.p_care = solve_care(self.a_sys, self.b_sys, self.q, self.r)
-            self.k = lqr_gain(self.p_care, self.b_sys, self.r)
         e_vec = err.vector()
         u_bar = -self.k @ e_vec
-        if self.u_clamp is not None:
-            u_bar = np.clip(u_bar, -self.u_clamp, self.u_clamp)
-        f_dot, tau_dot = feedback_linearize(u_bar, state, ref, self.params, force_b)
+        r_t = state.r_wb.T
+        psi_d_w = ref.r_wb @ ref.psi_b
+        psi_d_w_dot = ref.r_wb @ (ref.zeta_b + np.cross(ref.omega_b, ref.psi_b))
+        psi_dot = u_bar[3:] + r_t @ psi_d_w_dot - np.cross(state.omega, r_t @ psi_d_w)
         e_norm = float(np.linalg.norm(e_vec))
         lhs = (STABILITY_COEFF * float(np.linalg.norm(err.e_omega)) / e_norm
                if e_norm > 0.0 else 0.0)
         return {
-            "u_bar": u_bar,
-            "wrench_rate": np.concatenate([f_dot, tau_dot]),
-            "error": err,
-            "stability_lhs": lhs,
-            "stability_rhs": self._stab_rhs,
-            "stability_ok": lhs < self._stab_rhs,
+            "j_w": ref.j + u_bar[:3],
+            "psi_dot": psi_dot,
+            "e_p": err.e_p,
+            "e_r": err.e_r,
+            "u": u_bar,
+            "stab": (lhs, self._stab_rhs, lhs < self._stab_rhs),
         }

@@ -1,9 +1,11 @@
-"""Benchmark PID controller emitting body-jerk commands.
+"""Benchmark PID controller emitting jerk commands.
 
 Acceleration commands come from proportional/integral/derivative action on
 the pose error (errors taken as reference minus state so positive gains are
-stabilizing); jerk is their backward difference, with the linear part
-rotated into the body frame. The first step returns zero jerk.
+stabilizing); jerk is their backward difference. Like the LQRI controller,
+the step emits the world jerk and the body angular-acceleration rate; its
+logged input ``u`` holds the linear jerk rotated into the body frame. The
+first step returns zero jerk.
 """
 
 from __future__ import annotations
@@ -96,12 +98,17 @@ class PidController:
         else:
             self._applied_psi = psi_cmd
 
+        # The world jerk handed on is the rotation of the logged body jerk, so
+        # the allocator acts on exactly the logged input.
         j_b = state.r_wb.T @ j_w
         return {
+            "j_w": state.r_wb @ j_b,
+            "psi_dot": zeta_b,
+            "e_p": -e_p,   # logged in the state-minus-reference convention
+            "e_r": -e_r,
             "u": np.concatenate([j_b, zeta_b]),
+            "stab": (np.nan, np.nan, True),   # no stability test for the PID
             "a_cmd": self._applied_a.copy(),
             "psi_cmd": self._applied_psi.copy(),
             "a_target": a_cmd,
-            "e_p": -e_p,   # logged in the state-minus-reference convention
-            "e_r": -e_r,
         }

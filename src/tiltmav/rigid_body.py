@@ -44,44 +44,31 @@ class Wrench:
         if not (np.all(np.isfinite(self.force)) and np.all(np.isfinite(self.torque))):
             raise ValueError("wrench must be finite")
 
-    @staticmethod
-    def from_vector(w) -> "Wrench":
-        w = np.asarray(w, dtype=float)
-        return Wrench(w[:3], w[3:])
-
     def vector(self) -> np.ndarray:
         return np.concatenate([self.force, self.torque])
 
 
-def eom_forward(state: RigidBodyState, wrench: Wrench,
-                params: RigidBodyParams) -> tuple[np.ndarray, np.ndarray]:
-    """Body-frame accelerations from the Newton-Euler equations.
+def com_torque(force_b: np.ndarray, torque_b: np.ndarray,
+               params: RigidBodyParams) -> np.ndarray:
+    """Torque about the center of mass of a wrench given about the body origin."""
+    if not params.r_com.any():
+        return torque_b   # centered CoM: skip the cross product, the plant's costliest op
+    return torque_b - np.cross(params.r_com, force_b)
 
-        m vdot_B = -omega x (m v_B) + f_B + m g_B
-        J wdot_B = -omega x (J omega) + tau_B
 
-    Returns (vdot_B, omegadot_B).
+def accelerations(r_wb: np.ndarray, omega: np.ndarray, force_b: np.ndarray,
+                  torque_c: np.ndarray, params: RigidBodyParams) -> tuple[np.ndarray, np.ndarray]:
+    """Newton-Euler law: world-frame CoM acceleration, body angular acceleration.
+
+        a_W = R f_B / m + g_W
+        J psi_B = tau_C - omega x (J omega)
+
+    ``torque_c`` is taken about the center of mass (see ``com_torque``) and J
+    is the inertia about it.
     """
-    r = state.r_wb
-    omega = state.omega
-    v_b = r.T @ state.v
-    g_b = r.T @ params.gravity_w
-    v_dot = (-np.cross(omega, params.mass * v_b) + wrench.force) / params.mass + g_b
-    j_omega = params.inertia @ omega
-    try:
-        omega_dot = np.linalg.solve(params.inertia, -np.cross(omega, j_omega) + wrench.torque)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular inertia matrix") from exc
-    return v_dot, omega_dot
-
-
-def accelerations(state: RigidBodyState, wrench: Wrench,
-                  params: RigidBodyParams) -> tuple[np.ndarray, np.ndarray]:
-    """World-frame linear acceleration and body-frame angular acceleration."""
-    r = state.r_wb
-    a_w = r @ (wrench.force / params.mass) + params.gravity_w
-    j_omega = params.inertia @ state.omega
-    psi = np.linalg.solve(params.inertia, -np.cross(state.omega, j_omega) + wrench.torque)
+    a_w = r_wb @ (force_b / params.mass) + params.gravity_w
+    psi = np.linalg.solve(params.inertia,
+                          torque_c - np.cross(omega, params.inertia @ omega))
     return a_w, psi
 
 

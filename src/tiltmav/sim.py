@@ -3,9 +3,15 @@
 The plant integrates the rigid body with classical RK4 (exponential-map
 attitude update) at dt_physics while tilt angles follow their exact
 first-order response and rotor speeds slew toward the references. The
-controller and differential allocation run at dt_control with zero-order
-hold in between. Acceleration feedback defaults to ground truth; the
-Savitzky-Golay estimator path is opt-in.
+actuator wrench acts about the body origin; p is the center of mass, which
+sits at r_com in the body frame, and the inertia is taken about it.
+
+The controller and differential allocation run at dt_control with
+zero-order hold in between. Either controller emits a world jerk and a body
+angular-acceleration rate, ``exact_wrench_rate`` maps them to body wrench
+rates, and the allocator integrates those into actuator commands.
+Acceleration feedback defaults to ground truth; the Savitzky-Golay
+estimator path is opt-in.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .diff_allocation import (AllocationConfig, BiasConfig, DifferentialAllocato
                               exact_wrench_rate)
 from .lqri import LqriController, LqriGains
 from .pid import PidController, PidGains
-from .rigid_body import RigidBodyState, Wrench, accelerations
+from .rigid_body import RigidBodyState, Wrench, accelerations, com_torque, tilt_step
 from .sgfilter import SavitzkyGolay
 from .simlog import SimLog
 from .so3 import exp_so3, project_to_so3
@@ -47,9 +53,12 @@ class SimConfig:
     sg_order: int = 1
     rotor_slew: float = 1e4
     divergence_limit: float = 10.0
-    log_every_control_step: int = 1
 
     def __post_init__(self):
+        for name in ("dt_physics", "dt_control"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.dt_physics > self.dt_control:
             raise ValueError("dt_physics must not exceed dt_control")
         if self.sg_window % 2 == 0:
@@ -85,34 +94,32 @@ class Plant:
         return Wrench(w[:3], w[3:])
 
     def refresh_accelerations(self) -> None:
-        a_w, psi = accelerations(self.state, self.wrench(), self.morphology.body)
-        self.state.a = a_w
-        self.state.psi = psi
+        w = self.wrench()
+        body = self.morphology.body
+        self.state.a, self.state.psi = accelerations(
+            self.state.r_wb, self.state.omega, w.force,
+            com_torque(w.force, w.torque, body), body)
 
     def step(self, alpha_ref: np.ndarray, omega_ref: np.ndarray, dt: float) -> None:
         """Advance actuators and rigid body by dt (RK4, exp-map attitude)."""
         m = self.morphology
-        tau = m.tilt.tau
+        body = m.body
         # Actuators move first; the step uses their midpoint wrench.
-        alpha_mid = alpha_ref + (self.alpha - alpha_ref) * np.exp(-0.5 * dt / tau)
-        alpha_end = alpha_ref + (self.alpha - alpha_ref) * np.exp(-dt / tau)
+        alpha_mid = tilt_step(self.alpha, alpha_ref, m.tilt.tau, 0.5 * dt)
+        alpha_end = tilt_step(self.alpha, alpha_ref, m.tilt.tau, dt)
         d_omega = np.clip(omega_ref - self.omega, -self.rotor_slew * dt, self.rotor_slew * dt)
         omega_mid = self.omega + 0.5 * d_omega
         omega_end = self.omega + d_omega
         w_mid = instantaneous_allocation(self._a, alpha_mid, self._arm_of_rotor) @ omega_mid**2
-        force_b, tau_b = w_mid[:3], w_mid[3:]
-
-        body = m.body
-        mass, inertia = body.mass, body.inertia
-        g_w = body.gravity_w
+        force_b = w_mid[:3]
+        torque_c = com_torque(force_b, w_mid[3:], body)
         r0 = self.state.r_wb
 
         def deriv(y):
             # y = [p, v, rotation increment, omega]
-            delta, omega = y[6:9], y[9:12]
-            r = r0 @ exp_so3(delta)
-            acc = r @ (force_b / mass) + g_w
-            omega_dot = np.linalg.solve(inertia, tau_b - np.cross(omega, inertia @ omega))
+            omega = y[9:12]
+            acc, omega_dot = accelerations(r0 @ exp_so3(y[6:9]), omega, force_b,
+                                           torque_c, body)
             return np.concatenate([y[3:6], acc, omega, omega_dot])
 
         y0 = np.concatenate([self.state.p, self.state.v, np.zeros(3), self.state.omega])
@@ -137,18 +144,22 @@ class Plant:
 
 
 def hover_trim(m: Morphology, r_wb=None) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, omega) holding the vehicle static at attitude r_wb."""
+    """(alpha, omega) holding the vehicle static at attitude r_wb.
+
+    The thrust cancels gravity and its torque about the body origin is
+    r_com x f, so no torque acts about the center of mass.
+    """
     r = np.eye(3) if r_wb is None else np.asarray(r_wb, dtype=float)
     f_b = -m.body.mass * (r.T @ m.body.gravity_w)
-    wrench = np.concatenate([f_b, np.zeros(3)])
+    wrench = np.concatenate([f_b, np.cross(m.body.r_com, f_b)])
     alpha, omega, _ = invert_static(static_allocation(m), wrench, m)
     return alpha, omega
 
 
-def _make_controller(config: SimConfig, m: Morphology, gains: dict | None):
+def _make_controller(config: SimConfig, gains: dict | None):
     gains = gains or {}
     if config.controller == "lqri":
-        return LqriController(m.body, LqriGains.from_dict(gains.get("lqri", {})))
+        return LqriController(LqriGains.from_dict(gains.get("lqri", {})))
     if config.controller == "pid":
         pid = gains.get("pid", {})
         # Slew-limited differencing keeps command levels inside the actuator
@@ -192,7 +203,7 @@ def run(
     plant.omega = omega_trim.copy()
     plant.refresh_accelerations()
 
-    controller = _make_controller(config, morphology, gains)
+    controller = _make_controller(config, gains)
     allocator = DifferentialAllocator(
         morphology, alloc or AllocationConfig(), bias or BiasConfig(), unwind=unwind)
     allocator.set_commands(alpha_trim, omega_trim)
@@ -204,7 +215,6 @@ def run(
     steps_per_tick = int(round(config.dt_control / config.dt_physics))
     n_ticks = max(int(round(trajectory.duration / config.dt_control)), 0) + 1
     c_f = morphology.rotor.c_f
-    is_lqri = config.controller == "lqri"
 
     alpha_ref, omega_ref = alpha_trim.copy(), omega_trim.copy()
     diverged = False
@@ -222,31 +232,9 @@ def run(
             est_state.omega = estimator_w.value()
             est_state.psi = estimator_w.derivative(config.dt_control)
 
-        wrench_cmd = allocator.current_wrench()
-        r_t = est_state.r_wb.T
-        if is_lqri:
-            out = controller.step(est_state, ref, wrench_cmd[:3], config.dt_control)
-            u_bar = out["u_bar"]
-            # Desired error-dynamics: e_a_dot = u_bar[:3] (world) and
-            # e_psi_dot = u_bar[3:] with e_psi = psi - R' psi_d_world.
-            j_w_des = ref.j + u_bar[:3]
-            psi_d_w = ref.r_wb @ ref.psi_b
-            psi_d_w_dot = ref.r_wb @ (ref.zeta_b + np.cross(ref.omega_b, ref.psi_b))
-            psi_dot_des = u_bar[3:] + r_t @ psi_d_w_dot \
-                - np.cross(est_state.omega, r_t @ psi_d_w)
-            err_p, err_r = out["error"].e_p, out["error"].e_r
-            stab = (out["stability_lhs"], out["stability_rhs"], out["stability_ok"])
-            u_cmd = u_bar
-        else:
-            out = controller.step(est_state, ref, config.dt_control)
-            j_w_des = est_state.r_wb @ out["u"][:3]
-            psi_dot_des = out["u"][3:]
-            err_p, err_r = out["e_p"], out["e_r"]
-            stab = (np.nan, np.nan, True)
-            u_cmd = out["u"]
-
-        w_dot = exact_wrench_rate(j_w_des, psi_dot_des, est_state,
-                                  morphology.body, wrench_cmd)
+        out = controller.step(est_state, ref, config.dt_control)
+        w_dot = exact_wrench_rate(out["j_w"], out["psi_dot"], est_state,
+                                  morphology.body, allocator.current_wrench())
         alloc_out = allocator.step(w_dot, config.dt_control)
         alpha_ref = alloc_out["command"].alpha_ref
         omega_ref = alloc_out["command"].omega_ref
@@ -254,16 +242,16 @@ def run(
         thrusts = c_f * plant.omega**2
         force_net = plant.wrench().force
         eta = float(np.linalg.norm(force_net) / max(thrusts.sum(), 1e-30))
-        if tick % config.log_every_control_step == 0:
-            log.append(
-                t=t, state=plant.state, ref=ref, e_p=err_p, e_r=err_r,
-                alpha_cmd=alpha_ref, omega_cmd=omega_ref,
-                alpha_act=plant.alpha, omega_act=plant.omega,
-                u=u_cmd, eta_f=min(eta, 1.0), kappa=alloc_out["kappa"],
-                residual=alloc_out["residual"], regularized=alloc_out["regularized"],
-                stab_lhs=stab[0], stab_rhs=stab[1], stab_ok=stab[2],
-            )
-        if np.linalg.norm(err_p) > config.divergence_limit:
+        stab_lhs, stab_rhs, stab_ok = out["stab"]
+        log.append(
+            t=t, state=plant.state, ref=ref, e_p=out["e_p"], e_r=out["e_r"],
+            alpha_cmd=alpha_ref, omega_cmd=omega_ref,
+            alpha_act=plant.alpha, omega_act=plant.omega,
+            u=out["u"], eta_f=min(eta, 1.0), kappa=alloc_out["kappa"],
+            residual=alloc_out["residual"], regularized=alloc_out["regularized"],
+            stab_lhs=stab_lhs, stab_rhs=stab_rhs, stab_ok=stab_ok,
+        )
+        if np.linalg.norm(out["e_p"]) > config.divergence_limit:
             diverged = True
             if raise_on_divergence:
                 raise SimulationDiverged(t, log)

@@ -188,13 +188,6 @@ class Trajectory:
         return TrajectorySample(t=t, p=p, v=v, a=a, j=jj, r_wb=r,
                                 omega_b=omega, psi_b=psi, zeta_b=zeta)
 
-    def sample_times(self, rate_hz: float = 100.0) -> np.ndarray:
-        n = int(round(self.duration * rate_hz))
-        return self.times[0] + np.arange(n + 1) / rate_hz
-
-
-def polynomial_trajectory(waypoints: list[Waypoint]) -> Trajectory:
-    return Trajectory(waypoints)
 
 
 def load_waypoints(path) -> Trajectory:

@@ -74,6 +74,10 @@ class TiltParams:
 
 @dataclass(frozen=True)
 class RigidBodyParams:
+    """Mass properties. The rotor wrench is expressed about the body origin
+    (the geometric center); r_com locates the center of mass in the body
+    frame and the inertia is taken about it."""
+
     mass: float
     inertia: np.ndarray
     r_com: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -90,10 +94,6 @@ class RigidBodyParams:
             raise ValueError("inertia must be a symmetric 3x3 matrix")
         if np.any(np.linalg.eigvalsh(j) <= 0.0):
             raise ValueError("inertia must be positive definite")
-
-    @property
-    def inertia_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.inertia)
 
 
 @dataclass(frozen=True)

@@ -79,3 +79,38 @@ def max_wrench_alpha_grid(m, direction, mode="force", hover_force=None,
     for _, alpha in scored[:max(refine, 1) * 3]:
         best_val = max(best_val, coordinate_descent(alpha))
     return best_val
+
+
+def _hat(w):
+    return np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+
+
+def lqri_error_rates(state, ref, params, force_b, wrench_rate, h=1e-30):
+    """(e_a_dot, e_psi_dot) that a body wrench rate produces, by forward model.
+
+    Independent of ``exact_wrench_rate``: the Newton-Euler law with torques
+    about the center of mass (tau_C = tau - r_com x f, J about the CoM) is
+    evaluated along the first-order motion
+
+        R(t) = R (I + t [omega]x),  omega(t) = omega + t psi,
+        [f; tau](t) = [f; tau] + t wrench_rate,
+
+    with the reference moved the same way, and the LQRI acceleration errors
+    e_a = a - a_d and e_psi = psi - R' R_d psi_d are differentiated by complex
+    step (t = i h), which is exact to rounding. The origin torque tau is the
+    one for which the law reproduces ``state.psi``.
+    """
+    m, jj, r_com = params.mass, params.inertia, params.r_com
+    om, psi = state.omega, state.psi
+    tau = jj @ psi + np.cross(om, jj @ om) + np.cross(r_com, force_b)
+    t = 1j * h
+    r = state.r_wb @ (np.eye(3) + t * _hat(om))
+    om_t = om + t * psi
+    f = force_b + t * wrench_rate[:3]
+    tau_c = tau + t * wrench_rate[3:] - np.cross(r_com, f)
+    a_w = r @ f / m + params.gravity_w
+    psi_t = np.linalg.solve(jj, tau_c - np.cross(om_t, jj @ om_t))
+    r_d = ref.r_wb @ (np.eye(3) + t * _hat(ref.omega_b))
+    e_a = a_w - (ref.a + t * ref.j)
+    e_psi = psi_t - r.T @ (r_d @ (ref.psi_b + t * ref.zeta_b))
+    return e_a.imag / h, e_psi.imag / h

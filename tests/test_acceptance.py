@@ -12,16 +12,18 @@ import pytest
 from tiltmav.allocation import instantaneous_allocation, omega_tilde, static_allocation
 from tiltmav.cli import main as cli_main
 from tiltmav.design import DesignProblem, beta_sweep, optimize
-from tiltmav.diff_allocation import build_diff_allocation, condition_scan, solve
+from tiltmav.diff_allocation import (build_diff_allocation, condition_scan,
+                                     exact_wrench_rate, solve)
 from tiltmav.envelope import max_wrench_in_direction
-from tiltmav.lqri import (LqriGains, feedback_linearize, linearized_system,
-                          plant_jerk_errors)
+from tiltmav.lqri import LqriController, LqriGains, linearized_system
 from tiltmav.riccati import care_residual, kleinman_newton, lqr_gain, solve_care
 from tiltmav.rigid_body import RigidBodyState
 from tiltmav.sim import SimConfig, hover_trim, run
 from tiltmav.so3 import random_rotation
 from tiltmav.trajectory import TrajectorySample, Trajectory, Waypoint, named_trajectory
 from tiltmav.vehicle import RigidBodyParams, prototype_morphology
+
+from oracles import lqri_error_rates
 
 _results = []
 
@@ -129,8 +131,12 @@ def test_criterion_05_care_correctness():
 
 
 def test_criterion_06_feedback_linearization_identity():
+    # The closed loop's map: LQRI u_bar -> (j_w, psi_dot) -> exact_wrench_rate,
+    # checked against a forward-differentiated Newton-Euler model with
+    # torques about an offset center of mass.
     t0 = time.perf_counter()
     rng = np.random.default_rng(106)
+    ctrl = LqriController()
     worst = 0.0
     for _ in range(1000):
         params = RigidBodyParams(mass=rng.uniform(0.5, 8.0),
@@ -143,10 +149,12 @@ def test_criterion_06_feedback_linearization_identity():
                                a=rng.normal(0, 1, 3), j=rng.normal(0, 2, 3),
                                r_wb=random_rotation(rng), omega_b=rng.normal(0, 2, 3),
                                psi_b=rng.normal(0, 2, 3), zeta_b=rng.normal(0, 2, 3))
-        u_bar = rng.normal(0, 3, 6)
-        f_b = rng.normal(0, 10, 3)
-        fd, td = feedback_linearize(u_bar, st, ref, params, f_b)
-        ea, ep = plant_jerk_errors(fd, td, st, ref, params, f_b)
+        wrench = rng.normal(0, 10, 6)
+        ctrl.reset()
+        out = ctrl.step(st, ref, 0.01)
+        u_bar = out["u"]
+        w_dot = exact_wrench_rate(out["j_w"], out["psi_dot"], st, params, wrench)
+        ea, ep = lqri_error_rates(st, ref, params, wrench[:3], w_dot)
         scale = np.linalg.norm(u_bar) + 1.0
         worst = max(worst, np.abs(ea - u_bar[:3]).max() / scale,
                     np.abs(ep - u_bar[3:]).max() / scale)

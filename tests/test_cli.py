@@ -49,6 +49,13 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+def test_non_object_config_exit_code(tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
 def test_missing_config_exit_code(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "none.json"),
                  "--out", str(tmp_path / "o")]) == 2

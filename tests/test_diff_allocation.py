@@ -6,8 +6,9 @@ from tiltmav.allocation import (condition_number, instantaneous_allocation,
 from tiltmav.diff_allocation import (AllocationConfig, BiasConfig,
                                      DifferentialAllocator, alpha_bias,
                                      build_diff_allocation, condition_scan,
-                                     jerk_to_wrench_rate, optimal_targets,
+                                     exact_wrench_rate, optimal_targets,
                                      saturate_integrate, solve)
+from tiltmav.rigid_body import RigidBodyState
 from tiltmav.sim import hover_trim
 from tiltmav.vehicle import RigidBodyParams, prototype_morphology
 
@@ -59,13 +60,17 @@ def test_build_rejects_negative_speed():
         build_diff_allocation(a, -np.ones(m.n_rotors), alpha, m.arm_of_rotor)
 
 
-def test_jerk_to_wrench_rate_block_diagonal():
+def test_exact_wrench_rate_block_diagonal_at_rest():
+    # omega = psi = 0 and R = I: [f_dot; tau_dot] = blkdiag(m I, J) [j; psi_dot].
     params = RigidBodyParams(mass=2.0, inertia=np.diag([1.0, 2.0, 3.0]))
-    assert np.allclose(jerk_to_wrench_rate(np.zeros(6), params), 0.0)
-    out = jerk_to_wrench_rate(np.array([1.0, 0, 0, 0, 0, 0]), params)
-    assert np.allclose(out, [2.0, 0, 0, 0, 0, 0])
-    out = jerk_to_wrench_rate(np.array([0, 0, 0, 1.0, 1.0, 1.0]), params)
-    assert np.allclose(out[3:], [1.0, 2.0, 3.0])
+    st, w = RigidBodyState(), np.array([0.0, 0.0, 20.0, 0.0, 0.0, 0.0])
+
+    def rate(u):
+        return exact_wrench_rate(u[:3], u[3:], st, params, w)
+
+    assert np.allclose(rate(np.zeros(6)), 0.0)
+    assert np.allclose(rate(np.array([1.0, 0, 0, 0, 0, 0])), [2.0, 0, 0, 0, 0, 0])
+    assert np.allclose(rate(np.array([0, 0, 0, 1.0, 1.0, 1.0]))[3:], [1.0, 2.0, 3.0])
 
 
 def test_solve_consistency_and_residual():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from tiltmav.diff_allocation import exact_wrench_rate
 from tiltmav.lqri import (LqriController, LqriGains, compute_error_state,
-                          feedback_linearize, linearized_system, plant_jerk_errors,
-                          stability_condition, stability_rhs, STABILITY_COEFF)
+                          linearized_system, stability_condition, stability_rhs,
+                          STABILITY_COEFF)
 from tiltmav.riccati import lqr_gain, solve_care
 from tiltmav.rigid_body import RigidBodyState
-from tiltmav.so3 import random_rotation, rot_x
+from tiltmav.so3 import rot_x
 from tiltmav.trajectory import TrajectorySample
 from tiltmav.vehicle import RigidBodyParams
 
@@ -17,19 +18,6 @@ def _ref(**kw):
                 zeta_b=np.zeros(3))
     base.update(kw)
     return TrajectorySample(**base)
-
-
-def _rand_state(rng):
-    return RigidBodyState(p=rng.normal(0, 1, 3), v=rng.normal(0, 2, 3),
-                          a=rng.normal(0, 3, 3), r_wb=random_rotation(rng),
-                          omega=rng.normal(0, 2, 3), psi=rng.normal(0, 3, 3))
-
-
-def _rand_ref(rng):
-    return _ref(p=rng.normal(0, 1, 3), v=rng.normal(0, 1, 3), a=rng.normal(0, 1, 3),
-                j=rng.normal(0, 2, 3), r_wb=random_rotation(rng),
-                omega_b=rng.normal(0, 2, 3), psi_b=rng.normal(0, 2, 3),
-                zeta_b=rng.normal(0, 2, 3))
 
 
 def test_linearized_system_structure():
@@ -85,7 +73,7 @@ def test_gain_sign_pattern():
 
 
 def test_lqri_control_linearity():
-    ctrl = LqriController(RigidBodyParams(mass=4.0, inertia=np.diag([0.07, 0.07, 0.14])))
+    ctrl = LqriController()
     e = np.random.default_rng(0).normal(size=24)
     u1 = -ctrl.k @ e
     u2 = -ctrl.k @ (2.0 * e)
@@ -132,40 +120,25 @@ def test_integrator_windup_clamp():
     assert np.abs(e_r_i).max() <= 1.0
 
 
-def test_feedback_linearization_identity():
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(1000):
-        params = RigidBodyParams(mass=rng.uniform(0.5, 8.0),
-                                 inertia=np.diag(rng.uniform(0.02, 0.5, 3)),
-                                 r_com=rng.normal(0, 0.02, 3))
-        st, ref = _rand_state(rng), _rand_ref(rng)
-        u_bar = rng.normal(0, 3, 6)
-        f_b = rng.normal(0, 10, 3)
-        fd, td = feedback_linearize(u_bar, st, ref, params, f_b)
-        ea_dot, epsi_dot = plant_jerk_errors(fd, td, st, ref, params, f_b)
-        scale = np.linalg.norm(u_bar) + 1.0
-        worst = max(worst, np.abs(ea_dot - u_bar[:3]).max() / scale,
-                    np.abs(epsi_dot - u_bar[3:]).max() / scale)
-    assert worst < 1e-8
-
-
 def test_hover_feedback_linearization_is_zero():
     params = RigidBodyParams(mass=4.27, inertia=np.diag([0.086, 0.088, 0.16]))
     st = RigidBodyState()
-    fd, td = feedback_linearize(np.zeros(6), st, _ref(), params,
-                                np.array([0.0, 0.0, 4.27 * 9.81]))
-    assert np.allclose(fd, 0.0) and np.allclose(td, 0.0)
+    out = LqriController().step(st, _ref(), 0.01)
+    w_dot = exact_wrench_rate(out["j_w"], out["psi_dot"], st, params,
+                              np.array([0.0, 0.0, 4.27 * 9.81, 0.0, 0.0, 0.0]))
+    assert np.allclose(w_dot, 0.0)
 
 
 def test_torque_rate_inertia_example():
     # r_com = 0, omega = psi = 0, refs zero: tau_dot = J u_bar[3:6]
     j = np.diag([0.1, 0.2, 0.3])
     params = RigidBodyParams(mass=2.0, inertia=j)
-    st = RigidBodyState()
-    u_bar = np.concatenate([np.zeros(3), [1.0, 0.0, 0.0]])
-    _, td = feedback_linearize(u_bar, st, _ref(), params, np.zeros(3))
-    assert np.allclose(td, j @ [1.0, 0.0, 0.0])
+    st = RigidBodyState(r_wb=rot_x(0.1))     # attitude error only
+    out = LqriController().step(st, _ref(), 0.01)
+    u_bar = out["u"]
+    assert np.abs(u_bar[3:]).max() > 0.0
+    w_dot = exact_wrench_rate(out["j_w"], out["psi_dot"], st, params, np.zeros(6))
+    assert np.allclose(w_dot[3:], j @ u_bar[3:])
 
 
 def test_lyapunov_decrease():
@@ -201,28 +174,16 @@ def test_stability_condition():
 
 def test_detectability_guard():
     with pytest.raises(ValueError):
-        LqriController(RigidBodyParams(mass=1.0, inertia=np.eye(3)),
-                       LqriGains(k_p=0.0, k_p_i=0.0, k_v=0.0, k_a=0.0,
+        LqriController(LqriGains(k_p=0.0, k_p_i=0.0, k_v=0.0, k_a=0.0,
                                  k_r=0.0, k_r_i=0.0, k_omega=0.0, k_psi=0.0))
 
 
 def test_controller_step_at_hover_outputs_zero():
-    params = RigidBodyParams(mass=4.27, inertia=np.diag([0.086, 0.088, 0.16]))
-    ctrl = LqriController(params)
+    ctrl = LqriController()
     st = RigidBodyState(p=np.array([0.0, 0.0, 1.3]))
     ref = _ref(p=np.array([0.0, 0.0, 1.3]))
-    out = ctrl.step(st, ref, np.array([0.0, 0.0, params.mass * 9.81]), 0.01)
-    assert np.allclose(out["u_bar"], 0.0)
-    assert np.allclose(out["wrench_rate"], 0.0, atol=1e-12)
-    assert out["stability_ok"]
-
-
-def test_gain_recompute_hook():
-    params = RigidBodyParams(mass=4.27, inertia=np.diag([0.086, 0.088, 0.16]))
-    ctrl = LqriController(params, recompute_gain_each_step=True)
-    k0 = ctrl.k.copy()
-    st = RigidBodyState(p=np.array([0.1, 0.0, 1.3]))
-    ref = _ref(p=np.array([0.0, 0.0, 1.3]))
-    out = ctrl.step(st, ref, np.array([0.0, 0.0, params.mass * 9.81]), 0.01)
-    assert np.allclose(ctrl.k, k0)          # constant (A, B): same gain
-    assert np.isfinite(out["u_bar"]).all()
+    out = ctrl.step(st, ref, 0.01)
+    assert np.allclose(out["u"], 0.0)
+    assert np.allclose(out["j_w"], 0.0, atol=1e-12)
+    assert np.allclose(out["psi_dot"], 0.0, atol=1e-12)
+    assert out["stab"][2]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tiltmav.rigid_body import (RigidBodyState, Wrench, accelerations, eom_forward,
+from tiltmav.rigid_body import (RigidBodyState, accelerations, com_torque,
                                 kinetic_energy, tilt_step)
 from tiltmav.vehicle import GRAVITY, RigidBodyParams
 
@@ -12,32 +12,38 @@ def _params(mass=2.0, j=(1.0, 2.0, 3.0)):
 
 def test_hover_equilibrium():
     p = _params()
-    state = RigidBodyState()
-    w = Wrench([0.0, 0.0, p.mass * GRAVITY], np.zeros(3))
-    v_dot, w_dot = eom_forward(state, w, p)
-    assert np.allclose(v_dot, 0.0, atol=1e-12)
-    assert np.allclose(w_dot, 0.0)
+    a_w, psi = accelerations(np.eye(3), np.zeros(3), np.array([0.0, 0.0, p.mass * GRAVITY]),
+                             np.zeros(3), p)
+    assert np.allclose(a_w, 0.0, atol=1e-12)
+    assert np.allclose(psi, 0.0)
 
 
 def test_free_fall_sign_convention():
     p = _params()
-    v_dot, _ = eom_forward(RigidBodyState(), Wrench(np.zeros(3), np.zeros(3)), p)
-    assert np.allclose(v_dot, [0.0, 0.0, -GRAVITY])
+    a_w, _ = accelerations(np.eye(3), np.zeros(3), np.zeros(3), np.zeros(3), p)
+    assert np.allclose(a_w, [0.0, 0.0, -GRAVITY])
 
 
 def test_euler_equations_hand_value():
     p = _params()
-    state = RigidBodyState(omega=np.ones(3))
-    _, w_dot = eom_forward(state, Wrench(np.zeros(3), np.zeros(3)), p)
-    assert np.allclose(w_dot, [-1.0, 1.0, -1.0 / 3.0])
+    _, psi = accelerations(np.eye(3), np.ones(3), np.zeros(3), np.zeros(3), p)
+    assert np.allclose(psi, [-1.0, 1.0, -1.0 / 3.0])
 
 
 def test_accelerations_world_frame():
     p = _params()
-    state = RigidBodyState()
-    a_w, psi = accelerations(state, Wrench([0, 0, p.mass * GRAVITY], [0.3, 0, 0]), p)
+    a_w, psi = accelerations(np.eye(3), np.zeros(3), np.array([0, 0, p.mass * GRAVITY]),
+                             np.array([0.3, 0, 0]), p)
     assert np.allclose(a_w, 0.0, atol=1e-12)
     assert np.allclose(psi, [0.3, 0, 0])
+
+
+def test_com_torque_subtracts_the_thrust_moment():
+    p = RigidBodyParams(mass=2.0, inertia=np.eye(3), r_com=[0.02, 0.0, 0.0])
+    # 10 N of thrust along z at the origin, CoM 2 cm along +x: the thrust
+    # pitches the body about the CoM by -(r_com x f) = (0, 0.2, 0) N m.
+    tau_c = com_torque(np.array([0.0, 0.0, 10.0]), np.zeros(3), p)
+    assert np.allclose(tau_c, [0.0, 0.2, 0.0])
 
 
 def test_tilt_step_initial_rate():

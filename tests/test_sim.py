@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+
+from tiltmav.cli import main as cli_main
 
 from tiltmav.rigid_body import RigidBodyState, kinetic_energy
 from tiltmav.sim import Plant, SimConfig, hover_trim, run
@@ -82,6 +86,35 @@ def test_rotation_stays_orthonormal_100k_steps():
     assert is_rotation(r)
 
 
+def test_offset_com_turns_origin_thrust_into_torque():
+    body = RigidBodyParams(mass=4.27, inertia=np.diag([0.086, 0.088, 0.16]),
+                           r_com=[0.02, 0.0, 0.0])
+    m = hexarotor(body=body)
+    # Trim of the centered body: thrust m g along z, zero torque about the origin.
+    alpha, omega = hover_trim(prototype_morphology())
+    plant = Plant(m)
+    plant.alpha, plant.omega = alpha, omega
+    plant.refresh_accelerations()
+    w = plant.wrench()
+    assert np.abs(w.torque).max() < 1e-9
+    expected = np.linalg.solve(body.inertia, -np.cross(body.r_com, w.force))
+    assert np.abs(expected[1]) > 1.0
+    assert np.allclose(plant.state.psi, expected, atol=1e-9)
+
+
+def test_offset_com_hover_and_step_recovery():
+    body = RigidBodyParams(mass=4.27, inertia=np.diag([0.086, 0.088, 0.16]),
+                           r_com=[0.02, -0.01, 0.03])
+    m = hexarotor(body=body)
+    for ctrl in ("pid", "lqri"):
+        hover = run(SimConfig(controller=ctrl), m, _hover_traj())
+        assert not hover.diverged
+        assert np.linalg.norm(hover.block("e_p"), axis=1).max() < 1e-12, ctrl
+        step = run(SimConfig(controller=ctrl), m, _hover_traj(6.0), p_offset=[0.1, 0, 0])
+        e = np.linalg.norm(step.block("e_p"), axis=1)
+        assert e[step.column("t") <= 5.0].min() < 1e-3, ctrl
+
+
 def test_run_hover_both_controllers():
     m = prototype_morphology()
     for ctrl in ("pid", "lqri"):
@@ -140,13 +173,22 @@ def test_estimator_path_runs():
     assert e.max() < 0.05   # noisy but stable
 
 
-def test_sim_config_validation():
+def test_sim_config_validation(tmp_path):
     with pytest.raises(ValueError):
         SimConfig(dt_physics=0.02, dt_control=0.01)
     with pytest.raises(ValueError):
         SimConfig(sg_window=10)
     with pytest.raises(ValueError):
         SimConfig(dt_control=0.0095)
+    for dt in (-0.001, 0.0):
+        with pytest.raises(ValueError, match="dt_physics"):
+            SimConfig(dt_physics=dt)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sim": {"dt_physics": dt}}))
+        assert cli_main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+    with pytest.raises(ValueError, match="dt_control"):
+        SimConfig(dt_control=float("inf"))
 
 
 def test_divergence_raises_when_requested():

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from tiltmav.so3 import exp_so3, log_so3, vee
-from tiltmav.trajectory import (Trajectory, Waypoint, load_waypoints,
-                                named_trajectory, polynomial_trajectory)
+from tiltmav.trajectory import Trajectory, Waypoint, load_waypoints, named_trajectory
 
 
 def test_constant_trajectory():
-    traj = polynomial_trajectory([Waypoint(t=0.0, p=[1.0, 2.0, 3.0]),
+    traj = Trajectory([Waypoint(t=0.0, p=[1.0, 2.0, 3.0]),
                                   Waypoint(t=2.0, p=[1.0, 2.0, 3.0])])
     for t in np.linspace(0, 2, 11):
         s = traj.sample(t)
@@ -20,7 +19,7 @@ def test_constant_trajectory():
 
 
 def test_straight_line_profile():
-    traj = polynomial_trajectory([Waypoint(t=0.0, p=[0.0, 0.0, 0.0]),
+    traj = Trajectory([Waypoint(t=0.0, p=[0.0, 0.0, 0.0]),
                                   Waypoint(t=2.0, p=[1.0, 0.0, 0.0])])
     v_mid = traj.sample(1.0).v[0]
     assert v_mid > 0.8   # velocity peaks mid-segment (septic: 2.1875 * L/T)
@@ -42,7 +41,7 @@ def test_derivatives_match_finite_differences():
     wps = [Waypoint(t=0.0, p=[0, 0, 0]),
            Waypoint(t=1.5, p=[1.0, -0.5, 0.3], r_wb=exp_so3([0.4, 0.2, 0.0])),
            Waypoint(t=3.2, p=[0.2, 0.8, -0.1], r_wb=exp_so3([-0.3, 0.5, 0.2]))]
-    traj = polynomial_trajectory(wps)
+    traj = Trajectory(wps)
     dt = 1e-4
     rng = np.random.default_rng(31)
     for t in rng.uniform(0.01, 3.19, 25):
@@ -65,7 +64,7 @@ def test_rotation_runs_are_continuous():
     wps = [Waypoint(t=0.0, p=np.zeros(3)),
            Waypoint(t=2.0, p=np.zeros(3), r_wb=exp_so3(axis * np.pi / 2)),
            Waypoint(t=4.0, p=np.zeros(3), r_wb=exp_so3(axis * np.pi))]
-    traj = polynomial_trajectory(wps)
+    traj = Trajectory(wps)
     assert np.linalg.norm(traj.sample(2.0).omega_b) > 0.1
     # And the full turn is reached.
     assert np.allclose(traj.sample(4.0).r_wb, exp_so3(axis * np.pi), atol=1e-9)
@@ -73,10 +72,10 @@ def test_rotation_runs_are_continuous():
 
 def test_duplicate_times_rejected():
     with pytest.raises(ValueError):
-        polynomial_trajectory([Waypoint(t=0.0, p=np.zeros(3)),
+        Trajectory([Waypoint(t=0.0, p=np.zeros(3)),
                                Waypoint(t=0.0, p=np.ones(3))])
     with pytest.raises(ValueError):
-        polynomial_trajectory([Waypoint(t=0.0, p=np.zeros(3))])
+        Trajectory([Waypoint(t=0.0, p=np.zeros(3))])
 
 
 def test_named_durations():
