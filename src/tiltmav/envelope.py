@@ -408,11 +408,8 @@ def torque_efficiency(tau_d, rotor_thrusts, arm_length: float) -> float:
     return float(np.linalg.norm(tau_d) / (arm_length * total))
 
 
-def min_total_thrust(m: Morphology, wrench, n_polygon: int = 128) -> float:
-    """Least summed rotor thrust that realizes the given body wrench.
-
-    Returns inf when the wrench is unreachable.
-    """
+def _min_thrust_lp(m: Morphology, n_polygon: int) -> dict:
+    """Every part of the minimum-thrust LP except b_eq, the target wrench."""
     blocks, radii = arm_wrench_blocks(m)
     n_arms = blocks.shape[0]
     cols, costs = [], []
@@ -421,16 +418,26 @@ def min_total_thrust(m: Morphology, wrench, n_polygon: int = 128) -> float:
         cols.append(blocks[a] @ poly.T)
         costs.append(np.full(n_polygon, m.rotor.c_f * radii[a]))
     big = np.concatenate(cols, axis=1)
-    c = np.concatenate(costs)
     a_ub = np.zeros((n_arms, big.shape[1]))
     for a in range(n_arms):
         a_ub[a, a * n_polygon:(a + 1) * n_polygon] = 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=np.ones(n_arms), A_eq=big,
-                  b_eq=np.asarray(wrench, dtype=float),
-                  bounds=[(0, None)] * big.shape[1], method="highs")
+    return {"c": np.concatenate(costs), "A_ub": a_ub, "b_ub": np.ones(n_arms),
+            "A_eq": big, "bounds": [(0, None)] * big.shape[1]}
+
+
+def _solve_min_thrust(lp: dict, wrench) -> float:
+    res = linprog(b_eq=np.asarray(wrench, dtype=float), method="highs", **lp)
     if not res.success:
         return np.inf
     return float(res.fun)
+
+
+def min_total_thrust(m: Morphology, wrench, n_polygon: int = 128) -> float:
+    """Least summed rotor thrust that realizes the given body wrench.
+
+    Returns inf when the wrench is unreachable.
+    """
+    return _solve_min_thrust(_min_thrust_lp(m, n_polygon), wrench)
 
 
 def hover_sphere(m: Morphology, n_dirs: int = 320) -> dict:
@@ -443,8 +450,9 @@ def hover_sphere(m: Morphology, n_dirs: int = 320) -> dict:
     mg = m.body.mass * GRAVITY
     feasible = np.zeros(len(dirs), dtype=bool)
     eta = np.zeros(len(dirs))
+    lp = _min_thrust_lp(m, n_polygon=128)
     for i, d in enumerate(dirs):
-        total = min_total_thrust(m, np.concatenate([mg * d, np.zeros(3)]))
+        total = _solve_min_thrust(lp, np.concatenate([mg * d, np.zeros(3)]))
         if np.isfinite(total) and total > 0.0:
             feasible[i] = True
             eta[i] = mg / total

@@ -6,6 +6,14 @@ first-order response and rotor speeds slew toward the references. The
 actuator wrench acts about the body origin; p is the center of mass, which
 sits at r_com in the body frame, and the inertia is taken about it.
 
+The RK4 stages run on plain Python floats (``rigid_body.newton_euler`` and
+the closed-form ``so3.rodrigues``): each numpy call costs microseconds of
+overhead, far more than the arithmetic on one 3-vector, and the stages make
+dozens of them per physics step. Numpy is left with the actuator wrench
+and the end-of-step rotation product. A plant state that turns non-finite
+raises FloatingPointError; ``run`` ends such a run as diverged with its
+partial log, which the command line reports with exit code 3.
+
 The controller and differential allocation run at dt_control with
 zero-order hold in between. Either controller emits a world jerk and a body
 angular-acceleration rate, ``exact_wrench_rate`` maps them to body wrench
@@ -16,6 +24,7 @@ estimator path is opt-in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,17 +34,19 @@ from .diff_allocation import (AllocationConfig, BiasConfig, DifferentialAllocato
                               exact_wrench_rate)
 from .lqri import LqriController, LqriGains
 from .pid import PidController, PidGains
-from .rigid_body import RigidBodyState, Wrench, accelerations, com_torque, tilt_step
+from .rigid_body import (BodyConstants, RigidBodyState, Wrench, com_torque, newton_euler,
+                         tilt_step)
 from .sgfilter import SavitzkyGolay
 from .simlog import SimLog
-from .so3 import exp_so3, project_to_so3
+from .so3 import project_to_so3, rodrigues
 from .trajectory import Trajectory
 from .vehicle import Morphology
 
 
 class SimulationDiverged(RuntimeError):
-    def __init__(self, t: float, log: "SimLog"):
-        super().__init__(f"position error exceeded the divergence limit at t={t:.3f}s")
+    def __init__(self, t: float, log: "SimLog",
+                 cause: str = "position error exceeded the divergence limit"):
+        super().__init__(f"{cause} at t={t:.3f}s")
         self.t = t
         self.log = log
 
@@ -86,60 +97,79 @@ class Plant:
             self.omega = np.zeros(m.n_rotors)
         self._a = static_allocation(m)
         self._arm_of_rotor = m.arm_of_rotor
+        self._body = BodyConstants.of(m.body)
         self._renorm_counter = 0
 
+    def _wrench_at(self, alpha: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        """[f; tau] about the body origin at tilt angles alpha, rotor speeds omega."""
+        return instantaneous_allocation(self._a, alpha, self._arm_of_rotor) @ omega**2
+
     def wrench(self) -> Wrench:
-        a_inst = instantaneous_allocation(self._a, self.alpha, self._arm_of_rotor)
-        w = a_inst @ self.omega**2
+        w = self._wrench_at(self.alpha, self.omega)
         return Wrench(w[:3], w[3:])
 
+    def _force_and_com_torque(self, alpha, omega) -> tuple[list, list]:
+        w = self._wrench_at(alpha, omega)
+        return w[:3].tolist(), com_torque(w[:3], w[3:], self.morphology.body).tolist()
+
     def refresh_accelerations(self) -> None:
-        w = self.wrench()
-        body = self.morphology.body
-        self.state.a, self.state.psi = accelerations(
-            self.state.r_wb, self.state.omega, w.force,
-            com_torque(w.force, w.torque, body), body)
+        force_b, torque_c = self._force_and_com_torque(self.alpha, self.omega)
+        a_w, psi = newton_euler(self.state.r_wb.ravel().tolist(), self.state.omega.tolist(),
+                                force_b, torque_c, self._body)
+        self.state.a = np.array(a_w)
+        self.state.psi = np.array(psi)
 
     def step(self, alpha_ref: np.ndarray, omega_ref: np.ndarray, dt: float) -> None:
-        """Advance actuators and rigid body by dt (RK4, exp-map attitude)."""
+        """Advance actuators and rigid body by dt (RK4, exp-map attitude).
+
+        Raises FloatingPointError, leaving the state as it was, when the
+        step would make it non-finite.
+        """
         m = self.morphology
-        body = m.body
         # Actuators move first; the step uses their midpoint wrench.
         alpha_mid = tilt_step(self.alpha, alpha_ref, m.tilt.tau, 0.5 * dt)
         alpha_end = tilt_step(self.alpha, alpha_ref, m.tilt.tau, dt)
         d_omega = np.clip(omega_ref - self.omega, -self.rotor_slew * dt, self.rotor_slew * dt)
         omega_mid = self.omega + 0.5 * d_omega
         omega_end = self.omega + d_omega
-        w_mid = instantaneous_allocation(self._a, alpha_mid, self._arm_of_rotor) @ omega_mid**2
-        force_b = w_mid[:3]
-        torque_c = com_torque(force_b, w_mid[3:], body)
-        r0 = self.state.r_wb
+        force_b, torque_c = self._force_and_com_torque(alpha_mid, omega_mid)
+        body = self._body
+        r0 = self.state.r_wb.ravel().tolist()
+        fx, fy, fz = force_b
 
         def deriv(y):
-            # y = [p, v, rotation increment, omega]
-            omega = y[9:12]
-            acc, omega_dot = accelerations(r0 @ exp_so3(y[6:9]), omega, force_b,
-                                           torque_c, body)
-            return np.concatenate([y[3:6], acc, omega, omega_dot])
+            # y = [p, v, rotation increment phi, omega]; R = r0 exp(phi), and
+            # R f = r0 (exp(phi) f) saves the matrix product.
+            e00, e01, e02, e10, e11, e12, e20, e21, e22 = rodrigues(y[6], y[7], y[8])
+            f_inc = (e00 * fx + e01 * fy + e02 * fz,
+                     e10 * fx + e11 * fy + e12 * fz,
+                     e20 * fx + e21 * fy + e22 * fz)
+            acc, omega_dot = newton_euler(r0, y[9:12], f_inc, torque_c, body)
+            return (*y[3:6], *acc, *y[9:12], *omega_dot)
 
-        y0 = np.concatenate([self.state.p, self.state.v, np.zeros(3), self.state.omega])
+        y0 = (*self.state.p.tolist(), *self.state.v.tolist(), 0.0, 0.0, 0.0,
+              *self.state.omega.tolist())
+        half = 0.5 * dt
         k1 = deriv(y0)
-        k2 = deriv(y0 + 0.5 * dt * k1)
-        k3 = deriv(y0 + 0.5 * dt * k2)
-        k4 = deriv(y0 + dt * k3)
-        y1 = y0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = deriv([a + half * b for a, b in zip(y0, k1)])
+        k3 = deriv([a + half * b for a, b in zip(y0, k2)])
+        k4 = deriv([a + dt * b for a, b in zip(y0, k3)])
+        sixth = dt / 6.0
+        y1 = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+              for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
+        if not math.isfinite(sum(y1)):
+            raise FloatingPointError(f"non-finite plant state: {y1}")
 
-        self.state.p = y1[0:3]
-        self.state.v = y1[3:6]
-        self.state.r_wb = r0 @ exp_so3(y1[6:9])
-        self.state.omega = y1[9:12]
+        r1 = self.state.r_wb @ np.array(rodrigues(*y1[6:9])).reshape(3, 3)
+        self.state.p = np.array(y1[0:3])
+        self.state.v = np.array(y1[3:6])
+        self.state.omega = np.array(y1[9:12])
         self.alpha = alpha_end
         self.omega = omega_end
         self._renorm_counter += 1
         if self._renorm_counter % 256 == 0:
-            self.state.r_wb = project_to_so3(self.state.r_wb)
-        if not np.all(np.isfinite(y1)):
-            raise FloatingPointError(f"non-finite plant state: {y1}")
+            r1 = project_to_so3(r1)
+        self.state.r_wb = r1
         self.refresh_accelerations()
 
 
@@ -186,10 +216,14 @@ def run(
 
     ``alpha0`` overrides the trim tilt-angle commands (e.g. wound-up arms at
     2 pi); ``p_offset`` displaces the initial position for step-recovery
-    studies. Divergence (position error beyond the configured limit) stops
-    the run and returns the partial log flagged as diverged, or raises when
-    ``raise_on_divergence`` is set.
+    studies. Divergence (position error beyond the configured limit or not
+    finite, or a plant state that turned non-finite) stops the run and
+    returns the partial log flagged as diverged, or raises
+    ``SimulationDiverged`` when ``raise_on_divergence`` is set.
     """
+    for name, value in (("alpha0", alpha0), ("p_offset", p_offset)):
+        if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     rng = np.random.default_rng(config.seed)
     ref0 = trajectory.sample(trajectory.t0)
     alpha_trim, omega_trim = hover_trim(morphology, ref0.r_wb)
@@ -217,7 +251,7 @@ def run(
     c_f = morphology.rotor.c_f
 
     alpha_ref, omega_ref = alpha_trim.copy(), omega_trim.copy()
-    diverged = False
+    divergence = None   # (time, cause) once the run diverges
     for tick in range(n_ticks):
         t = trajectory.t0 + tick * config.dt_control
         ref = trajectory.sample(t)
@@ -251,15 +285,19 @@ def run(
             residual=alloc_out["residual"], regularized=alloc_out["regularized"],
             stab_lhs=stab_lhs, stab_rhs=stab_rhs, stab_ok=stab_ok,
         )
-        if np.linalg.norm(out["e_p"]) > config.divergence_limit:
-            diverged = True
-            if raise_on_divergence:
-                raise SimulationDiverged(t, log)
+        if not np.linalg.norm(out["e_p"]) <= config.divergence_limit:
+            divergence = (t, "position error exceeded the divergence limit")
             break
         if tick == n_ticks - 1:
             break
-        for _ in range(steps_per_tick):
-            plant.step(alpha_ref, omega_ref, config.dt_physics)
+        try:
+            for k in range(steps_per_tick):
+                plant.step(alpha_ref, omega_ref, config.dt_physics)
+        except FloatingPointError:
+            divergence = (t + (k + 1) * config.dt_physics, "plant state turned non-finite")
+            break
 
-    log.finalize(diverged=diverged)
+    log.finalize(diverged=divergence is not None)
+    if divergence is not None and raise_on_divergence:
+        raise SimulationDiverged(divergence[0], log, divergence[1])
     return log

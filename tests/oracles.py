@@ -8,6 +8,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from tiltmav.allocation import instantaneous_allocation, static_allocation
+from tiltmav.rigid_body import RigidBodyState, com_torque, tilt_step
+from tiltmav.so3 import skew
 
 
 def max_wrench_alpha_grid(m, direction, mode="force", hover_force=None,
@@ -114,3 +116,63 @@ def lqri_error_rates(state, ref, params, force_b, wrench_rate, h=1e-30):
     e_a = a_w - (ref.a + t * ref.j)
     e_psi = psi_t - r.T @ (r_d @ (ref.psi_b + t * ref.zeta_b))
     return e_a.imag / h, e_psi.imag / h
+
+
+def _accelerations_np(r_wb, omega, force_b, torque_c, params):
+    a_w = r_wb @ (force_b / params.mass) + params.gravity_w
+    psi = np.linalg.solve(params.inertia,
+                          torque_c - np.cross(omega, params.inertia @ omega))
+    return a_w, psi
+
+
+def _exp_so3_np(phi):
+    phi = np.asarray(phi, dtype=float)
+    angle = np.linalg.norm(phi)
+    if angle < 1e-12:
+        k = skew(phi)
+        return np.eye(3) + k + 0.5 * (k @ k)
+    axis = phi / angle
+    k = skew(axis)
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def rk4_step_reference(m, state, alpha, omega, alpha_ref, omega_ref, dt, rotor_slew):
+    """One plant step on numpy arrays: (state, alpha, omega) after dt.
+
+    The array-per-stage RK4 with exp-map attitude that ``Plant.step``
+    replaced, kept with its own numpy Newton-Euler law and Rodrigues map. The
+    returned state carries the accelerations at the new state, as
+    ``Plant.refresh_accelerations`` leaves them. No SO(3) re-projection.
+    """
+    body = m.body
+    a = static_allocation(m)
+    alpha_mid = tilt_step(alpha, alpha_ref, m.tilt.tau, 0.5 * dt)
+    alpha_end = tilt_step(alpha, alpha_ref, m.tilt.tau, dt)
+    d_omega = np.clip(omega_ref - omega, -rotor_slew * dt, rotor_slew * dt)
+    omega_mid = omega + 0.5 * d_omega
+    omega_end = omega + d_omega
+    w_mid = instantaneous_allocation(a, alpha_mid, m.arm_of_rotor) @ omega_mid**2
+    force_b = w_mid[:3]
+    torque_c = com_torque(force_b, w_mid[3:], body)
+    r0 = state.r_wb
+
+    def deriv(y):
+        # y = [p, v, rotation increment, omega]
+        om = y[9:12]
+        acc, omega_dot = _accelerations_np(r0 @ _exp_so3_np(y[6:9]), om, force_b,
+                                           torque_c, body)
+        return np.concatenate([y[3:6], acc, om, omega_dot])
+
+    y0 = np.concatenate([state.p, state.v, np.zeros(3), state.omega])
+    k1 = deriv(y0)
+    k2 = deriv(y0 + 0.5 * dt * k1)
+    k3 = deriv(y0 + 0.5 * dt * k2)
+    k4 = deriv(y0 + dt * k3)
+    y1 = y0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    out = RigidBodyState(p=y1[0:3], v=y1[3:6], r_wb=r0 @ _exp_so3_np(y1[6:9]),
+                         omega=y1[9:12])
+    w_end = instantaneous_allocation(a, alpha_end, m.arm_of_rotor) @ omega_end**2
+    out.a, out.psi = _accelerations_np(out.r_wb, out.omega, w_end[:3],
+                                       com_torque(w_end[:3], w_end[3:], body), body)
+    return out, alpha_end, omega_end

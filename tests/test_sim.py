@@ -217,3 +217,101 @@ def test_lqri_leans_harder_on_acceleration_estimates():
         e_n = np.median(np.linalg.norm(noisy.block("e_p"), axis=1))
         ratios[ctrl] = e_n / max(e_i, 1e-12)
     assert ratios["lqri"] > ratios["pid"]
+
+
+def test_plant_step_matches_numpy_reference():
+    from oracles import rk4_step_reference
+    from tiltmav.so3 import random_rotation
+
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        q = random_rotation(rng)
+        inertia = q @ np.diag(rng.uniform(0.05, 0.3, 3)) @ q.T
+        body = RigidBodyParams(mass=rng.uniform(2.0, 6.0), inertia=inertia,
+                               r_com=rng.normal(0.0, 0.02, 3))
+        m = hexarotor(body=body)
+        plant = Plant(m, rotor_slew=rng.choice([1e4, 1e5]))
+        plant.state.p = rng.normal(size=3)
+        plant.state.v = rng.normal(size=3)
+        plant.state.r_wb = random_rotation(rng)
+        w = rng.normal(size=3)
+        plant.state.omega = w / np.linalg.norm(w) * rng.uniform(0.0, 20.0)
+        plant.alpha = rng.uniform(-np.pi, np.pi, m.n_arms)
+        plant.omega = rng.uniform(0.0, m.rotor.omega_max, m.n_rotors)
+        alpha_ref = rng.uniform(-np.pi, np.pi, m.n_arms)
+        omega_ref = rng.uniform(0.0, m.rotor.omega_max, m.n_rotors)
+        ref, alpha, omega = rk4_step_reference(m, plant.state.copy(), plant.alpha,
+                                               plant.omega, alpha_ref, omega_ref,
+                                               1e-3, plant.rotor_slew)
+        plant.step(alpha_ref, omega_ref, 1e-3)
+        for name in ("p", "v", "omega", "r_wb", "a", "psi"):
+            got, want = getattr(plant.state, name), getattr(ref, name)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+        assert np.array_equal(plant.alpha, alpha)
+        assert np.array_equal(plant.omega, omega)
+
+
+def test_step_from_infinite_spin_raises_floating_point_error():
+    m = prototype_morphology()
+    plant = Plant(m)
+    plant.state.omega = np.array([np.inf, 0.0, 0.0])
+    before = plant.state.copy()
+    with pytest.raises(FloatingPointError):
+        plant.step(np.zeros(6), np.zeros(12), 1e-3)
+    for name in ("p", "v", "r_wb", "omega"):
+        assert np.array_equal(getattr(plant.state, name), getattr(before, name)), name
+
+
+def _fail_after(n_calls, original=Plant.step):
+    calls = []
+
+    def step(self, *args):
+        calls.append(None)
+        if len(calls) > n_calls:
+            raise FloatingPointError("non-finite plant state")
+        return original(self, *args)
+    return step
+
+
+def test_non_finite_plant_state_is_a_divergence(monkeypatch, tmp_path):
+    from tiltmav.sim import SimulationDiverged
+    m = prototype_morphology()
+    monkeypatch.setattr(Plant, "step", _fail_after(205))
+    log = run(SimConfig(), m, _hover_traj(2.0))
+    assert log.diverged
+    assert len(log) == 21 and log.column("t")[-1] == pytest.approx(0.2)
+
+    monkeypatch.setattr(Plant, "step", _fail_after(205))
+    with pytest.raises(SimulationDiverged, match="non-finite") as exc:
+        run(SimConfig(), m, _hover_traj(2.0), raise_on_divergence=True)
+    assert len(exc.value.log) == 21 and exc.value.t == pytest.approx(0.206)
+    assert exc.value.log.diverged
+
+    traj = tmp_path / "hover.json"
+    traj.write_text(json.dumps([{"t": 0.0, "p": [0, 0, 1.3]}, {"t": 2.0, "p": [0, 0, 1.3]}]))
+    monkeypatch.setattr(Plant, "step", _fail_after(205))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--traj", str(traj), "--out", str(out)]) == 3
+    lines = (out / "simlog.csv").read_text().splitlines()
+    assert "diverged=1" in lines[0] and len(lines) == 2 + 21
+
+
+def test_non_finite_position_error_is_a_divergence(monkeypatch):
+    from tiltmav.pid import PidController
+    original = PidController.step
+
+    def step(self, *args):
+        out = original(self, *args)
+        out["e_p"] = np.full(3, np.nan)
+        return out
+    monkeypatch.setattr(PidController, "step", step)
+    log = run(SimConfig(controller="pid"), prototype_morphology(), _hover_traj(1.0))
+    assert log.diverged and len(log) == 1
+
+
+def test_run_rejects_non_finite_start():
+    m = prototype_morphology()
+    with pytest.raises(ValueError, match="p_offset"):
+        run(SimConfig(), m, _hover_traj(1.0), p_offset=[np.nan, 0.0, 0.0])
+    with pytest.raises(ValueError, match="alpha0"):
+        run(SimConfig(), m, _hover_traj(1.0), alpha0=[np.inf] + [0.0] * 5)

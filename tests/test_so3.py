@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltmav.so3 import (attitude_error, exp_so3, is_rotation, log_so3,
                          project_to_so3, random_rotation, rot_x, rot_z, skew, vee)
@@ -34,6 +36,30 @@ def test_exp_log_roundtrip():
         r = exp_so3(phi)
         assert is_rotation(r)
         assert np.allclose(log_so3(r), phi, atol=1e-8)
+
+
+_UNIT_AXES = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
+# Dense near pi, where arccos((tr R - 1) / 2) loses half the digits, and
+# near 0, where the axis is ill-defined.
+_ANGLES = st.one_of(
+    st.floats(0.0, np.pi),
+    st.floats(0.0, 1e-4),
+    st.floats(np.pi - 1e-3, np.pi),
+    st.tuples(st.floats(1.0, 10.0), st.integers(3, 15)).map(lambda t: np.pi - t[0] * 10.0**-t[1]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(axis=_UNIT_AXES, angle=_ANGLES)
+def test_exp_log_roundtrip_up_to_pi(axis, angle):
+    r = exp_so3(angle * axis)
+    assert np.abs(exp_so3(log_so3(r)) - r).max() < 1e-8
+
+
+def test_exp_so3_rejects_non_finite():
+    with pytest.raises(FloatingPointError):
+        exp_so3([np.inf, 0.0, 0.0])
 
 
 def test_attitude_error_zero_at_identity():
