@@ -94,10 +94,9 @@ def _morphology_from_config(config: dict) -> Morphology:
 
 
 def _write_envelope_csv(path: Path, metrics) -> None:
-    eta = metrics.eta if metrics.eta is not None else np.ones_like(metrics.values)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("dir_x,dir_y,dir_z,value,eta\n")
-        for d, v, e in zip(metrics.directions, metrics.values, eta):
+        for d, v, e in zip(metrics.directions, metrics.values, metrics.eta):
             fh.write(f"{d[0]:.17g},{d[1]:.17g},{d[2]:.17g},{v:.17g},{e:.17g}\n")
 
 

@@ -13,11 +13,19 @@ Two radial models are provided per direction:
   v_a = (lateral, vertical) of summed squared-speed components with
   ||v_a|| <= rotors_per_arm * omega_max^2. Counter-rotating pairs cancel
   drag at equal speeds and a single rotor carries its spin sign, so the
-  wrench is linear in the v_a and the maximum is a small linear program
-  over polygonized discs. The flat hexarotor's optimal ratio is sqrt(3).
+  reachable wrench set is the Minkowski sum of the arm discs mapped by
+  their 6x2 blocks B_a. The flat hexarotor's optimal ratio is sqrt(3).
 
-A batched support-function dual accelerates min-over-directions queries of
-the optimal model.
+One linear program answers every query of that set. Each disc is replaced
+by its inscribed regular N-gon, whose vertices p_ak become the columns
+B_a p_ak with weights mu_ak >= 0, sum_k mu_ak <= 1 per arm, and thrust cost
+c_f R_a mu_ak. The radial value maximizes lambda with sum mu B p = lambda d
+(plus the hover force in torque mode); the minimum thrust minimizes the
+cost with sum mu B p equal to the wrench. Each N-gon lies inside its disc
+and holds cos(pi/N) of it, so the radial value never exceeds the disc
+optimum and, without a hover offset, lies at most 1 - cos(pi/N) below it
+(1.2e-3 at N = 64, 3.0e-4 at N = 128); the minimum thrust never falls below
+the disc's.
 """
 
 from __future__ import annotations
@@ -162,21 +170,81 @@ def pinv_radii(m: Morphology, directions: np.ndarray, mode: str = "force",
 
 
 # ---------------------------------------------------------------------------
-# Per-direction maximum wrench (polygonal LP)
+# The polygonal disc LP (optimal allocation)
 # ---------------------------------------------------------------------------
 
-def _polygon(radius: float, n_vertices: int) -> np.ndarray:
+# Vertices per arm disc in envelope sweeps, which solve one LP per direction
+# (1,280 in a full sweep): a 128-gon LP costs about 1.65x as much.
+_SWEEP_VERTICES = 64
+# Vertices per arm disc in point queries and the hover sphere: with 64, the
+# flat hexarotor's best hover efficiency next to +z drops to 0.99885.
+_POINT_VERTICES = 128
+
+
+def _disc_lp(m: Morphology, n_vertices: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns, budget rows and column radii of the polygonized disc LP.
+
+    Returns (cols, budget, radius): cols (6, n_arms*N) stacks each arm's
+    block B_a applied to the vertices of the N-gon inscribed in its disc,
+    budget (n_arms, n_arms*N) holds the rows of sum_k mu_ak <= 1, and
+    radius[k] is column k's disc radius, so its thrust cost is c_f*radius[k].
+    """
+    blocks, radii = arm_wrench_blocks(m)
     ang = 2.0 * np.pi * np.arange(n_vertices) / n_vertices
-    return radius * np.stack([np.sin(ang), np.cos(ang)], axis=1)
+    unit = np.stack([np.sin(ang), np.cos(ang)], axis=1)
+    cols = np.concatenate([b @ (r * unit).T for b, r in zip(blocks, radii)], axis=1)
+    budget = np.kron(np.eye(len(radii)), np.ones(n_vertices))
+    return cols, budget, np.repeat(radii, n_vertices)
 
 
-def max_wrench_in_direction(
-    m: Morphology,
-    direction,
-    mode: str = "force",
-    hover_force=None,
-    n_polygon: int = 128,
-) -> float:
+def _optimal_radii(m: Morphology, dirs: np.ndarray, mode: str, hover_force,
+                   n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
+    """Largest attainable magnitude and its efficiency index per direction.
+
+    Infeasible directions get 0 for both.
+    """
+    if mode == "force":
+        rows, b_eq = slice(0, 3), np.zeros(6)
+    elif mode == "torque":
+        hover = np.zeros(3) if hover_force is None else np.asarray(hover_force, dtype=float)
+        rows, b_eq = slice(3, 6), np.concatenate([hover, np.zeros(3)])
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    cols, budget, radius = _disc_lp(m, n_vertices)
+    a_ub = np.concatenate([budget, np.zeros((len(budget), 1))], axis=1)
+    c = np.zeros(cols.shape[1] + 1)
+    c[-1] = -1.0
+    lever = 1.0 if mode == "force" else m.arms[0].length
+    values = np.zeros(len(dirs))
+    eta = np.zeros(len(dirs))
+    for i, d in enumerate(dirs):
+        d6 = np.zeros(6)
+        d6[rows] = d
+        res = linprog(c, A_ub=a_ub, b_ub=np.ones(len(budget)),
+                      A_eq=np.concatenate([cols, -d6[:, None]], axis=1), b_eq=b_eq,
+                      bounds=(0, None), method="highs")
+        if res.success:
+            values[i] = res.x[-1]
+            thrust = m.rotor.c_f * float((res.x[:-1] * radius).sum())
+            eta[i] = min(values[i] / max(lever * thrust, 1e-300), 1.0)
+    return values, eta
+
+
+def _min_thrusts(m: Morphology, wrenches: np.ndarray) -> np.ndarray:
+    """Least summed rotor thrust per wrench row; inf where unreachable."""
+    cols, budget, radius = _disc_lp(m, _POINT_VERTICES)
+    cost = m.rotor.c_f * radius
+    totals = np.full(len(wrenches), np.inf)
+    for i, w in enumerate(wrenches):
+        res = linprog(cost, A_ub=budget, b_ub=np.ones(len(budget)), A_eq=cols, b_eq=w,
+                      bounds=(0, None), method="highs")
+        if res.success:
+            totals[i] = res.fun
+    return totals
+
+
+def max_wrench_in_direction(m: Morphology, direction, mode: str = "force",
+                            hover_force=None) -> float:
     """Largest magnitude lambda with wrench lambda*direction attainable.
 
     Force mode requires zero torque; torque mode requires the force rows to
@@ -185,126 +253,16 @@ def max_wrench_in_direction(
     direction = np.asarray(direction, dtype=float)
     if abs(np.linalg.norm(direction) - 1.0) > 1e-8:
         raise ValueError("direction must be a unit vector")
-    blocks, radii = arm_wrench_blocks(m)
-    value, _ = _radial_lp(blocks, radii, direction, mode, hover_force, n_polygon)
-    return value
+    values, _ = _optimal_radii(m, direction[None, :], mode, hover_force, _POINT_VERTICES)
+    return float(values[0])
 
 
-def _radial_lp(blocks, radii, direction, mode, hover_force, n_polygon) -> float:
-    n_arms = blocks.shape[0]
-    cols = []
-    for a in range(n_arms):
-        cols.append(blocks[a] @ _polygon(radii[a], n_polygon).T)  # 6 x K
-    big = np.concatenate(cols, axis=1)  # 6 x (n_arms*K)
-    n_var = big.shape[1]
+def min_total_thrust(m: Morphology, wrench) -> float:
+    """Least summed rotor thrust that realizes the given body wrench.
 
-    if mode == "force":
-        dir6 = np.concatenate([direction, np.zeros(3)])
-        b_eq = np.zeros(6)
-    elif mode == "torque":
-        hover = np.zeros(3) if hover_force is None else np.asarray(hover_force, dtype=float)
-        dir6 = np.concatenate([np.zeros(3), direction])
-        b_eq = np.concatenate([hover, np.zeros(3)])
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    a_eq = np.concatenate([big, -dir6[:, None]], axis=1)
-    # Per-arm convex-combination budgets sum_k mu_ak <= 1.
-    a_ub = np.zeros((n_arms, n_var + 1))
-    for a in range(n_arms):
-        a_ub[a, a * n_polygon:(a + 1) * n_polygon] = 1.0
-    b_ub = np.ones(n_arms)
-    c = np.zeros(n_var + 1)
-    c[-1] = -1.0
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * (n_var + 1), method="highs")
-    if not res.success:
-        return 0.0, 0.0
-    value = float(res.x[-1])
-    # Squared-speed budget of the attained point (thrust sum = c_f * units).
-    mu = res.x[:-1].reshape(n_arms, n_polygon)
-    thrust_units = float((mu * radii[:, None]).sum())
-    return value, thrust_units
-
-
-# ---------------------------------------------------------------------------
-# Batched support function (dual) for min-metrics
-# ---------------------------------------------------------------------------
-
-def support_values(
-    m: Morphology,
-    directions: np.ndarray,
-    mode: str = "force",
-    hover_force=None,
-    smoothing: float = 1e-9,
-    iterations: int = 60,
-) -> np.ndarray:
-    """Support function h(u) = max u . (force|torque) over the reachable set.
-
-    Force mode maximizes u.f subject to tau = 0; torque mode maximizes
-    u.tau subject to f = hover_force. Evaluated for all rows of
-    ``directions`` at once with a damped-Newton solve of the 3-variable dual
-
-        h(u) = min_mu  sum_a R_a ||B_a^T u + C_a^T mu||  (+ mu . hover),
-
-    where B_a/C_a are the primal/constrained blocks of each arm map.
-    min over sampled u of h(u) upper-bounds the envelope minimum and
-    converges to it with direction resolution.
+    Returns inf when the wrench is unreachable.
     """
-    blocks, radii = arm_wrench_blocks(m)
-    u = np.asarray(directions, dtype=float)
-    if u.ndim == 1:
-        u = u[None, :]
-    n_dir = u.shape[0]
-
-    if mode == "force":
-        b_blk = blocks[:, :3, :]   # objective rows
-        c_blk = blocks[:, 3:, :]   # constrained rows (tau = 0)
-        lin = np.zeros((n_dir, 3))
-    elif mode == "torque":
-        b_blk = blocks[:, 3:, :]
-        c_blk = blocks[:, :3, :]
-        hover = np.zeros(3) if hover_force is None else np.asarray(hover_force, dtype=float)
-        lin = np.broadcast_to(hover, (n_dir, 3))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    scale = max(float(np.abs(blocks).max() * radii.max()), 1e-30)
-    eps = smoothing * scale
-    mu = np.zeros((n_dir, 3))
-    # fixed terms xi0_a = B_a^T u per direction
-    xi0 = np.einsum("aij,dj->dai", np.transpose(b_blk, (0, 2, 1)), u)  # (d, arms, 2)
-    ct = np.transpose(c_blk, (0, 2, 1))  # (arms, 2, 3)
-
-    lam = np.full(n_dir, 1e-8)
-    value = None
-    for _ in range(iterations):
-        xi = xi0 + np.einsum("aij,dj->dai", ct, mu)          # (d, a, 2)
-        norms = np.sqrt((xi**2).sum(axis=2) + eps**2)        # (d, a)
-        value = (radii[None, :] * norms).sum(axis=1) + (lin * mu).sum(axis=1)
-        w = radii[None, :] / norms                           # (d, a)
-        grad = np.einsum("da,aij,dai->dj", w, ct, xi) + lin
-        # Gauss-Newton Hessian: sum_a w_a ct_a' (I - xi xi^T / s^2) ct_a
-        outer = np.einsum("dai,dal->dail", xi, xi) / (norms**2)[:, :, None, None]
-        core = np.eye(2)[None, None] - outer
-        h = np.einsum("da,aij,dail,alk->djk", w, ct, core, ct)
-        h = h + lam[:, None, None] * np.eye(3)[None]
-        try:
-            step = np.linalg.solve(h, grad[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = grad
-        mu_new = mu - step
-        xi_new = xi0 + np.einsum("aij,dj->dai", ct, mu_new)
-        val_new = (radii[None, :] * np.sqrt((xi_new**2).sum(axis=2) + eps**2)).sum(axis=1) \
-            + (lin * mu_new).sum(axis=1)
-        improved = val_new <= value + 1e-12 * scale
-        mu = np.where(improved[:, None], mu_new, mu)
-        lam = np.where(improved, np.maximum(lam * 0.5, 1e-10), lam * 10.0)
-        if np.abs(np.where(improved, value - val_new, 0.0)).max() < 1e-12 * scale:
-            value = np.where(improved, val_new, value)
-            break
-        value = np.where(improved, val_new, value)
-    return value
+    return float(_min_thrusts(m, np.asarray(wrench, dtype=float)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +278,7 @@ class EnvelopeMetrics:
     volume: float
     directions: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-    eta: np.ndarray = field(repr=False, default=None)
+    eta: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if not (self.min <= self.mean <= self.max):
@@ -333,35 +291,21 @@ def envelope(
     n_dirs: int = 1280,
     hover_force=None,
     allocation: str = "pinv",
-    n_polygon: int = 64,
-    radial_fn=None,
 ) -> EnvelopeMetrics:
     """Radial envelope metrics over icosphere face-centroid directions.
 
     The volume triangulates the radial surface: each face contributes the
     origin tetrahedron of its unit triangle scaled by its centroid radius.
-    ``allocation`` selects the radial model ("pinv" or "optimal");
-    ``radial_fn(direction) -> float`` overrides it (used for synthetic
-    checks).
+    ``allocation`` selects the radial model ("pinv" or "optimal").
     """
     if n_dirs < 100:
         raise ValueError("n_dirs must be >= 100")
     dirs, verts, faces = sample_directions(n_dirs)
-    if radial_fn is not None:
-        values = np.array([radial_fn(d) for d in dirs])
-        eta = np.ones_like(values)
-    elif allocation == "pinv":
+    if allocation == "pinv":
         values, eta = pinv_radii(m, dirs, mode=mode, hover_force=hover_force,
                                  return_eta=True)
     elif allocation == "optimal":
-        blocks, radii = arm_wrench_blocks(m)
-        values = np.empty(len(dirs))
-        eta = np.empty(len(dirs))
-        lever = 1.0 if mode == "force" else m.arms[0].length
-        for i, d in enumerate(dirs):
-            values[i], units = _radial_lp(blocks, radii, d, mode, hover_force, n_polygon)
-            thrust = m.rotor.c_f * units
-            eta[i] = min(values[i] / max(lever * thrust, 1e-300), 1.0)
+        values, eta = _optimal_radii(m, dirs, mode, hover_force, _SWEEP_VERTICES)
     else:
         raise ValueError(f"unknown allocation {allocation!r}")
 
@@ -371,15 +315,6 @@ def envelope(
     return EnvelopeMetrics(mode=mode, min=float(values.min()), max=float(values.max()),
                            mean=float(values.mean()), volume=volume,
                            directions=dirs, values=values, eta=eta)
-
-
-def min_radius(m: Morphology, mode: str = "force", n_dirs: int = 320,
-               hover_force=None, allocation: str = "pinv") -> float:
-    """Fast envelope minimum (batched pinv feed, or the support dual)."""
-    dirs, _, _ = sample_directions(n_dirs)
-    if allocation == "pinv":
-        return float(pinv_radii(m, dirs, mode=mode, hover_force=hover_force).min())
-    return float(support_values(m, dirs, mode=mode, hover_force=hover_force).min())
 
 
 # ---------------------------------------------------------------------------
@@ -408,38 +343,6 @@ def torque_efficiency(tau_d, rotor_thrusts, arm_length: float) -> float:
     return float(np.linalg.norm(tau_d) / (arm_length * total))
 
 
-def _min_thrust_lp(m: Morphology, n_polygon: int) -> dict:
-    """Every part of the minimum-thrust LP except b_eq, the target wrench."""
-    blocks, radii = arm_wrench_blocks(m)
-    n_arms = blocks.shape[0]
-    cols, costs = [], []
-    for a in range(n_arms):
-        poly = _polygon(radii[a], n_polygon)
-        cols.append(blocks[a] @ poly.T)
-        costs.append(np.full(n_polygon, m.rotor.c_f * radii[a]))
-    big = np.concatenate(cols, axis=1)
-    a_ub = np.zeros((n_arms, big.shape[1]))
-    for a in range(n_arms):
-        a_ub[a, a * n_polygon:(a + 1) * n_polygon] = 1.0
-    return {"c": np.concatenate(costs), "A_ub": a_ub, "b_ub": np.ones(n_arms),
-            "A_eq": big, "bounds": [(0, None)] * big.shape[1]}
-
-
-def _solve_min_thrust(lp: dict, wrench) -> float:
-    res = linprog(b_eq=np.asarray(wrench, dtype=float), method="highs", **lp)
-    if not res.success:
-        return np.inf
-    return float(res.fun)
-
-
-def min_total_thrust(m: Morphology, wrench, n_polygon: int = 128) -> float:
-    """Least summed rotor thrust that realizes the given body wrench.
-
-    Returns inf when the wrench is unreachable.
-    """
-    return _solve_min_thrust(_min_thrust_lp(m, n_polygon), wrench)
-
-
 def hover_sphere(m: Morphology, n_dirs: int = 320) -> dict:
     """Static-hover feasibility and best force efficiency per direction.
 
@@ -448,12 +351,8 @@ def hover_sphere(m: Morphology, n_dirs: int = 320) -> dict:
     """
     dirs, _, _ = sample_directions(n_dirs)
     mg = m.body.mass * GRAVITY
-    feasible = np.zeros(len(dirs), dtype=bool)
+    totals = _min_thrusts(m, np.concatenate([mg * dirs, np.zeros((len(dirs), 3))], axis=1))
+    feasible = np.isfinite(totals) & (totals > 0.0)
     eta = np.zeros(len(dirs))
-    lp = _min_thrust_lp(m, n_polygon=128)
-    for i, d in enumerate(dirs):
-        total = _solve_min_thrust(lp, np.concatenate([mg * d, np.zeros(3)]))
-        if np.isfinite(total) and total > 0.0:
-            feasible[i] = True
-            eta[i] = mg / total
+    eta[feasible] = mg / totals[feasible]
     return {"directions": dirs, "feasible": feasible, "eta_f": np.minimum(eta, 1.0)}

@@ -1,9 +1,7 @@
 """Continuous-time algebraic Riccati equation solvers.
 
 ``solve_care`` extracts the stable invariant subspace of the Hamiltonian
-matrix through an ordered real Schur decomposition. ``kleinman_newton`` is
-an independent iteration (Lyapunov solves via the Kronecker identity,
-initialized by Bass's stabilizing-gain construction) used to cross-check it.
+matrix through an ordered real Schur decomposition.
 """
 
 from __future__ import annotations
@@ -69,46 +67,3 @@ def lqr_gain(p, b, r) -> np.ndarray:
     if b.ndim == 1:
         b = b[:, None]
     return np.linalg.solve(np.atleast_2d(np.asarray(r, dtype=float)), b.T @ p)
-
-
-def solve_lyapunov_kron(m, rhs) -> np.ndarray:
-    """Solve M' X + X M = -RHS via the Kronecker-product linear system."""
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    eye = np.eye(n)
-    lhs = np.kron(eye, m.T) + np.kron(m.T, eye)
-    x = np.linalg.solve(lhs, -np.asarray(rhs, dtype=float).reshape(n * n, order="F"))
-    x = x.reshape((n, n), order="F")
-    return 0.5 * (x + x.T)
-
-
-def bass_stabilizing_gain(a, b) -> np.ndarray:
-    """Stabilizing K for controllable (A, B): K = B' Z^-1 with
-    (A + beta I) Z + Z (A + beta I)' = 2 B B', beta > spectral abscissa."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        b = b[:, None]
-    beta = float(np.abs(np.linalg.eigvals(a)).max() + 1.0)
-    m = a + beta * np.eye(a.shape[0])
-    z = solve_lyapunov_kron(-m.T, 2.0 * b @ b.T)
-    if np.any(np.linalg.eigvalsh(z) <= 0.0):
-        raise CareError("Bass initialization failed: (A, B) not controllable")
-    return b.T @ np.linalg.inv(z)
-
-
-def kleinman_newton(a, b, q, r, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
-    """Kleinman's Newton iteration for the stabilizing CARE solution."""
-    a, b, q, r = _validate(a, b, q, r)
-    k = bass_stabilizing_gain(a, b)
-    p_prev = None
-    for _ in range(max_iter):
-        acl = a - b @ k
-        if np.any(np.linalg.eigvals(acl).real >= 0.0):
-            raise CareError("Kleinman-Newton iterate lost stability")
-        p = solve_lyapunov_kron(acl, q + k.T @ r @ k)
-        k = np.linalg.solve(r, b.T @ p)
-        if p_prev is not None and np.linalg.norm(p - p_prev) <= tol * max(np.linalg.norm(p), 1.0):
-            return p
-        p_prev = p
-    raise CareError("Kleinman-Newton did not converge")

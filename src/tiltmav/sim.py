@@ -70,6 +70,12 @@ class SimConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("sigma_a", "sigma_omega"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+        if not (np.isfinite(self.rotor_slew) and self.rotor_slew > 0.0):
+            raise ValueError(f"rotor_slew must be positive and finite, got {self.rotor_slew!r}")
         if self.dt_physics > self.dt_control:
             raise ValueError("dt_physics must not exceed dt_control")
         if self.sg_window % 2 == 0:

@@ -220,16 +220,16 @@ class Morphology:
         rotor = RotorParams(
             c_f=r["c_f"],
             c_d=r["c_d"],
-            omega_min=r.get("omega_min", 0.0),
+            omega_min=r.get("omega_min", RotorParams.omega_min),
             omega_max=r["omega_max"],
-            rotors_per_arm=r.get("rotors_per_arm", 2),
+            rotors_per_arm=r.get("rotors_per_arm", RotorParams.rotors_per_arm),
         )
         t = data["tilt"]
         limits = t.get("rate_limits", {})
         tilt = TiltParams(
             tau=t["tau"],
-            alpha_rate_max=limits.get("alpha_dot", 3.0),
-            omega_accel_max=limits.get("omega_dot", 2000.0),
+            alpha_rate_max=limits.get("alpha_dot", TiltParams.alpha_rate_max),
+            omega_accel_max=limits.get("omega_dot", TiltParams.omega_accel_max),
         )
         b = data["body"]
         inertia = np.asarray(b["J"], dtype=float)

@@ -8,6 +8,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from tiltmav.allocation import instantaneous_allocation, static_allocation
+from tiltmav.riccati import CareError, _validate
 from tiltmav.rigid_body import RigidBodyState, com_torque, tilt_step
 from tiltmav.so3 import skew
 
@@ -176,3 +177,46 @@ def rk4_step_reference(m, state, alpha, omega, alpha_ref, omega_ref, dt, rotor_s
     out.a, out.psi = _accelerations_np(out.r_wb, out.omega, w_end[:3],
                                        com_torque(w_end[:3], w_end[3:], body), body)
     return out, alpha_end, omega_end
+
+
+def solve_lyapunov_kron(m, rhs) -> np.ndarray:
+    """Solve M' X + X M = -RHS via the Kronecker-product linear system."""
+    m = np.asarray(m, dtype=float)
+    n = m.shape[0]
+    eye = np.eye(n)
+    lhs = np.kron(eye, m.T) + np.kron(m.T, eye)
+    x = np.linalg.solve(lhs, -np.asarray(rhs, dtype=float).reshape(n * n, order="F"))
+    x = x.reshape((n, n), order="F")
+    return 0.5 * (x + x.T)
+
+
+def bass_stabilizing_gain(a, b) -> np.ndarray:
+    """Stabilizing K for controllable (A, B): K = B' Z^-1 with
+    (A + beta I) Z + Z (A + beta I)' = 2 B B', beta > spectral abscissa."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if b.ndim == 1:
+        b = b[:, None]
+    beta = float(np.abs(np.linalg.eigvals(a)).max() + 1.0)
+    m = a + beta * np.eye(a.shape[0])
+    z = solve_lyapunov_kron(-m.T, 2.0 * b @ b.T)
+    if np.any(np.linalg.eigvalsh(z) <= 0.0):
+        raise CareError("Bass initialization failed: (A, B) not controllable")
+    return b.T @ np.linalg.inv(z)
+
+
+def kleinman_newton(a, b, q, r, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
+    """Kleinman's Newton iteration for the stabilizing CARE solution."""
+    a, b, q, r = _validate(a, b, q, r)
+    k = bass_stabilizing_gain(a, b)
+    p_prev = None
+    for _ in range(max_iter):
+        acl = a - b @ k
+        if np.any(np.linalg.eigvals(acl).real >= 0.0):
+            raise CareError("Kleinman-Newton iterate lost stability")
+        p = solve_lyapunov_kron(acl, q + k.T @ r @ k)
+        k = np.linalg.solve(r, b.T @ p)
+        if p_prev is not None and np.linalg.norm(p - p_prev) <= tol * max(np.linalg.norm(p), 1.0):
+            return p
+        p_prev = p
+    raise CareError("Kleinman-Newton did not converge")

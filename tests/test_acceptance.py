@@ -16,14 +16,14 @@ from tiltmav.diff_allocation import (build_diff_allocation, condition_scan,
                                      exact_wrench_rate, solve)
 from tiltmav.envelope import max_wrench_in_direction
 from tiltmav.lqri import LqriController, LqriGains, linearized_system
-from tiltmav.riccati import care_residual, kleinman_newton, lqr_gain, solve_care
+from tiltmav.riccati import care_residual, lqr_gain, solve_care
 from tiltmav.rigid_body import RigidBodyState
 from tiltmav.sim import SimConfig, hover_trim, run
 from tiltmav.so3 import random_rotation
 from tiltmav.trajectory import TrajectorySample, Trajectory, Waypoint, named_trajectory
 from tiltmav.vehicle import RigidBodyParams, prototype_morphology
 
-from oracles import lqri_error_rates
+from oracles import kleinman_newton, lqri_error_rates
 
 _results = []
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from tiltmav.design import DesignProblem, build_candidate
 from tiltmav.envelope import (envelope, force_efficiency, hover_sphere, icosphere,
                               max_wrench_in_direction, min_total_thrust, pinv_radii,
-                              min_radius, sample_directions, support_values,
                               torque_efficiency)
 from tiltmav.vehicle import GRAVITY, RotorParams, hexarotor, prototype_morphology
 
@@ -18,10 +18,12 @@ def test_icosphere_counts():
     assert np.allclose(np.linalg.norm(verts, axis=1), 1.0)
 
 
-def test_synthetic_sphere_volume():
+def test_synthetic_sphere_volume(monkeypatch):
     m = prototype_morphology()
     rho = 2.5
-    metrics = envelope(m, n_dirs=1280, radial_fn=lambda d: rho)
+    monkeypatch.setattr("tiltmav.envelope.pinv_radii",
+                        lambda m, dirs, **kw: (np.full(len(dirs), rho), np.ones(len(dirs))))
+    metrics = envelope(m, n_dirs=1280)
     exact = 4.0 / 3.0 * np.pi * rho**3
     assert abs(metrics.volume - exact) / exact < 0.02
     assert metrics.min == metrics.max == rho
@@ -77,17 +79,29 @@ def test_envelope_volume_monotone_in_omega_max():
     assert vols[0] < vols[1] < vols[2]
 
 
-def test_support_and_radial_agree_on_minimum():
+def test_max_wrench_and_min_thrust_agree():
+    # Both queries solve the same polygonal LP, so the largest wrench along a
+    # direction is exactly where the minimum thrust stops being finite.
+    octahedral = build_candidate(DesignProblem(), np.zeros(6),
+                                 np.arctan(1.0 / np.sqrt(2.0)) * (-1.0) ** np.arange(6))
+    dirs = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.6, 0.0, 0.8], [-0.48, 0.6, -0.64]])
+    for m in (prototype_morphology(), octahedral):
+        hover = m.body.mass * GRAVITY * np.array([0.0, 0.0, 1.0])
+        for d in dirs:
+            lam = max_wrench_in_direction(m, d)
+            assert lam > 0.0
+            assert np.isfinite(min_total_thrust(m, np.r_[0.999 * lam * d, np.zeros(3)]))
+            assert np.isinf(min_total_thrust(m, np.r_[1.001 * lam * d, np.zeros(3)]))
+            lam = max_wrench_in_direction(m, d, mode="torque", hover_force=hover)
+            assert lam > 0.0
+            assert np.isfinite(min_total_thrust(m, np.r_[hover, 0.999 * lam * d]))
+            assert np.isinf(min_total_thrust(m, np.r_[hover, 1.001 * lam * d]))
+    # Along +z every prototype rotor thrusts straight up, so eta = 1 and the
+    # least thrust for f_z is f_z itself.
     m = prototype_morphology()
-    dirs, _, _ = sample_directions(320)
-    sup = support_values(m, dirs)
-    blocks_min = min_radius(m, n_dirs=320, allocation="optimal")
-    assert abs(sup.min() - blocks_min) / blocks_min < 0.01
-    # support function dominates the radial value along each direction
-    for d in dirs[::40]:
-        radial = max_wrench_in_direction(m, d, n_polygon=64)
-        h = support_values(m, d)[0]
-        assert h >= radial - 1e-6 * abs(h)
+    f_z = max_wrench_in_direction(m, [0.0, 0.0, 1.0])
+    assert abs(f_z - 133.125) < 1e-6
+    assert abs(min_total_thrust(m, [0.0, 0.0, f_z, 0.0, 0.0, 0.0]) - f_z) < 1e-6
 
 
 def test_force_efficiency_examples():

@@ -173,7 +173,7 @@ def test_estimator_path_runs():
     assert e.max() < 0.05   # noisy but stable
 
 
-def test_sim_config_validation(tmp_path):
+def test_sim_config_validation(tmp_path, capsys):
     with pytest.raises(ValueError):
         SimConfig(dt_physics=0.02, dt_control=0.01)
     with pytest.raises(ValueError):
@@ -189,6 +189,18 @@ def test_sim_config_validation(tmp_path):
                          "--out", str(tmp_path / "o")]) == 2
     with pytest.raises(ValueError, match="dt_control"):
         SimConfig(dt_control=float("inf"))
+    for name in ("sigma_a", "sigma_omega"):
+        for value in (float("nan"), float("inf"), -0.01):
+            with pytest.raises(ValueError, match=name):
+                SimConfig(**{name: value})
+    for value in (0.0, -1e4, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rotor_slew"):
+            SimConfig(rotor_slew=value)
+    # JSON NaN parses; unchecked, it reached the allocator's SVD.
+    cfg.write_text('{"sim": {"use_estimator": true, "sigma_a": NaN}}')
+    assert cli_main(["simulate", "--config", str(cfg), "--controller", "lqri",
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "sigma_a" in capsys.readouterr().err
 
 
 def test_divergence_raises_when_requested():

@@ -90,3 +90,13 @@ def test_from_dict_accepts_diagonal_inertia():
     data["body"]["J"] = [0.086, 0.088, 0.16]
     m2 = Morphology.from_dict(data)
     assert np.allclose(m2.body.inertia, np.diag([0.086, 0.088, 0.16]))
+
+
+def test_from_dict_defaults_match_the_dataclasses():
+    m = prototype_morphology()
+    data = m.to_dict()
+    del data["tilt"]["rate_limits"]
+    del data["rotor"]["omega_min"], data["rotor"]["rotors_per_arm"]
+    m2 = Morphology.from_dict(data)
+    assert m2.tilt == m.tilt
+    assert m2.rotor == m.rotor
