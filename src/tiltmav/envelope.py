@@ -26,6 +26,14 @@ and holds cos(pi/N) of it, so the radial value never exceeds the disc
 optimum and, without a hover offset, lies at most 1 - cos(pi/N) below it
 (1.2e-3 at N = 64, 3.0e-4 at N = 128); the minimum thrust never falls below
 the disc's.
+
+Each query builds one HiGHS model of its LP, through the binding that
+scipy's own HiGHS ``linprog`` method drives, and re-solves it once per
+direction or wrench: only the -d column or the equality right-hand side
+moves, and the dual simplex starts from the previous basis. At the largest
+lambda the optimal mu is in general not unique, so the efficiency index of
+the optimal envelope is defined by the least total thrust that attains
+lambda*d, which a second warm model finds.
 """
 
 from __future__ import annotations
@@ -33,7 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import sparse
+# Unused here: bound because perfbench/tracer.py TARGETS and its tests look up envelope.linprog.
+from scipy.optimize import linprog  # noqa: F401
+from scipy.optimize._highspy import _core as _highs
 
 from .allocation import static_allocation
 from .vehicle import GRAVITY, Morphology
@@ -173,8 +184,8 @@ def pinv_radii(m: Morphology, directions: np.ndarray, mode: str = "force",
 # The polygonal disc LP (optimal allocation)
 # ---------------------------------------------------------------------------
 
-# Vertices per arm disc in envelope sweeps, which solve one LP per direction
-# (1,280 in a full sweep): a 128-gon LP costs about 1.65x as much.
+# Vertices per arm disc in envelope sweeps (1,280 directions in a full
+# sweep): a 128-gon sweep costs about 2.4x as much.
 _SWEEP_VERTICES = 64
 # Vertices per arm disc in point queries and the hover sphere: with 64, the
 # flat hexarotor's best hover efficiency next to +z drops to 0.99885.
@@ -182,65 +193,166 @@ _POINT_VERTICES = 128
 
 
 def _disc_lp(m: Morphology, n_vertices: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns, budget rows and column radii of the polygonized disc LP.
+    """Columns, budget rows and column thrust costs of the polygonized disc LP.
 
-    Returns (cols, budget, radius): cols (6, n_arms*N) stacks each arm's
-    block B_a applied to the vertices of the N-gon inscribed in its disc,
-    budget (n_arms, n_arms*N) holds the rows of sum_k mu_ak <= 1, and
-    radius[k] is column k's disc radius, so its thrust cost is c_f*radius[k].
+    Returns (cols, budget, cost): cols (6, n_arms*N) stacks each arm's block
+    B_a applied to the vertices of the N-gon inscribed in its disc, budget
+    (n_arms, n_arms*N) holds the rows of sum_k mu_ak <= 1, and cost[k] is
+    column k's thrust, c_f times its disc radius.
     """
     blocks, radii = arm_wrench_blocks(m)
     ang = 2.0 * np.pi * np.arange(n_vertices) / n_vertices
     unit = np.stack([np.sin(ang), np.cos(ang)], axis=1)
     cols = np.concatenate([b @ (r * unit).T for b, r in zip(blocks, radii)], axis=1)
     budget = np.kron(np.eye(len(radii)), np.ones(n_vertices))
-    return cols, budget, np.repeat(radii, n_vertices)
+    return cols, budget, m.rotor.c_f * np.repeat(radii, n_vertices)
+
+
+_DUAL_SIMPLEX = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+_PRIMAL_SIMPLEX = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal)
+
+
+class _WarmLp:
+    """One HiGHS model of min cost.x s.t. a_eq x = b_eq, budget x <= 1, x >= 0.
+
+    Between solves a caller moves one column (``set_column``) or the equality
+    right-hand side (``set_rhs``). With presolve off, each solve warm-starts
+    the dual simplex from the previous basis; a fresh model per query keeps
+    every result independent of what ran before the query. The solver's own
+    primal values carry update round-off (about 1e-11 relative) that depends
+    on the path to the final basis, so ``solve`` recomputes x from that basis
+    and a dense copy of the constraints.
+
+    ``ceiling`` must exceed every feasible objective value. The dual simplex
+    keeps a lower bound on the optimum, so once that passes the ceiling the
+    LP is infeasible: this certificate ends the many infeasible solves whose
+    dual ray HiGHS would otherwise fail to confirm ("Unknown" status).
+    """
+
+    def __init__(self, cost: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray,
+                 budget: np.ndarray, ceiling: float):
+        self.a = np.concatenate([a_eq, budget])
+        # Nonbasic rows sit at these values: b_eq, or the budget of 1.
+        self.bound = np.concatenate([b_eq, np.ones(len(budget))])
+        a = sparse.csc_array(self.a)
+        lp = _highs.HighsLp()
+        lp.num_row_, lp.num_col_ = a.shape
+        lp.col_cost_ = cost
+        lp.col_lower_ = np.zeros(a.shape[1])
+        lp.col_upper_ = np.full(a.shape[1], np.inf)
+        lp.row_lower_ = np.concatenate([b_eq, np.full(len(budget), -np.inf)])
+        lp.row_upper_ = self.bound.copy()
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
+        lp.a_matrix_.start_ = a.indptr
+        lp.a_matrix_.index_ = a.indices
+        lp.a_matrix_.value_ = a.data
+        self.model = _highs._Highs()
+        self.model.setOptionValue("output_flag", False)
+        self.model.setOptionValue("presolve", "off")
+        self.model.setOptionValue("objective_bound", ceiling)
+        self.model.passModel(lp)
+
+    def set_column(self, col: int, rows: range, values: np.ndarray) -> None:
+        for row, value in zip(rows, values):
+            self.model.changeCoeff(row, col, value)
+        self.a[rows, col] = values
+
+    def set_rhs(self, b_eq: np.ndarray) -> None:
+        for row, value in enumerate(b_eq):
+            self.model.changeRowBounds(row, value, value)
+        self.bound[:len(b_eq)] = b_eq
+
+    def solve(self) -> np.ndarray | None:
+        """The optimal x, or None if the LP is infeasible.
+
+        A solve that still ends "Unknown" is repeated once from a cold start
+        with the primal simplex. Any status other than optimal, infeasible or
+        the ceiling certificate raises RuntimeError.
+        """
+        status = self._run()
+        if status == _highs.HighsModelStatus.kUnknown:
+            self.model.clearSolver()
+            self.model.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
+            status = self._run()
+            self.model.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
+        if status in (_highs.HighsModelStatus.kInfeasible,
+                      _highs.HighsModelStatus.kObjectiveBound):
+            return None
+        if status != _highs.HighsModelStatus.kOptimal:
+            raise RuntimeError(f"disc LP solve ended with HiGHS model status "
+                               f"{self.model.modelStatusToString(status)!r}")
+        # Basic columns j >= 0 and basic rows -1-i, each in ascending order so
+        # that one basis always gives the same bits.
+        basic = np.sort(self.model.getBasicVariables()[1])
+        cols, rows = basic[basic >= 0], -1 - basic[basic < 0]
+        n_rows = len(self.a)
+        lhs = np.concatenate([self.a[:, cols], -np.eye(n_rows)[:, rows]], axis=1)
+        rhs = self.bound.copy()
+        rhs[rows] = 0.0
+        x = np.zeros(self.a.shape[1])
+        x[cols] = np.linalg.solve(lhs, rhs)[:len(cols)]
+        return x
+
+    def _run(self):
+        self.model.run()
+        return self.model.getModelStatus()
+
+
+def _min_thrusts(lp: tuple, wrenches: np.ndarray) -> np.ndarray:
+    """Least summed rotor thrust per wrench row of one disc LP; inf where unreachable."""
+    cols, budget, cost = lp
+    # No feasible point thrusts more than every arm at its costliest vertex.
+    model = _WarmLp(cost, cols, np.zeros(len(cols)), budget, 2.0 * len(budget) * cost.max())
+    totals = np.full(len(wrenches), np.inf)
+    for i, w in enumerate(wrenches):
+        model.set_rhs(w)
+        x = model.solve()
+        if x is not None:
+            totals[i] = cost @ x
+    return totals
 
 
 def _optimal_radii(m: Morphology, dirs: np.ndarray, mode: str, hover_force,
                    n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
     """Largest attainable magnitude and its efficiency index per direction.
 
-    Infeasible directions get 0 for both.
+    The magnitude lambda is the largest weight of the -d column. At that
+    maximum the optimal mu is in general not unique, so the efficiency index
+    is defined by the least total thrust that attains lambda*d (plus the
+    hover force in torque mode), found by a second warm model:
+    eta = lambda / (lever * thrust), with lever 1 for force and the arm
+    length for torque. Infeasible directions get 0 for both.
     """
     if mode == "force":
-        rows, b_eq = slice(0, 3), np.zeros(6)
+        rows, b_eq = range(0, 3), np.zeros(6)
     elif mode == "torque":
         hover = np.zeros(3) if hover_force is None else np.asarray(hover_force, dtype=float)
-        rows, b_eq = slice(3, 6), np.concatenate([hover, np.zeros(3)])
+        rows, b_eq = range(3, 6), np.concatenate([hover, np.zeros(3)])
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    cols, budget, radius = _disc_lp(m, n_vertices)
-    a_ub = np.concatenate([budget, np.zeros((len(budget), 1))], axis=1)
-    c = np.zeros(cols.shape[1] + 1)
-    c[-1] = -1.0
-    lever = 1.0 if mode == "force" else m.arms[0].length
+    lp = _disc_lp(m, n_vertices)
+    cols, budget, _ = lp
+    n = cols.shape[1]
+    # Column n carries lambda; its entries in the equality rows are -d.
+    # The objective is -lambda <= 0; at a ceiling of 0 a feasible lambda of
+    # exactly 0 may read as infeasible, which gives the same 0.
+    model = _WarmLp(np.r_[np.zeros(n), -1.0], np.concatenate([cols, np.zeros((6, 1))], axis=1),
+                    b_eq, np.concatenate([budget, np.zeros((len(budget), 1))], axis=1), 0.0)
     values = np.zeros(len(dirs))
-    eta = np.zeros(len(dirs))
     for i, d in enumerate(dirs):
-        d6 = np.zeros(6)
-        d6[rows] = d
-        res = linprog(c, A_ub=a_ub, b_ub=np.ones(len(budget)),
-                      A_eq=np.concatenate([cols, -d6[:, None]], axis=1), b_eq=b_eq,
-                      bounds=(0, None), method="highs")
-        if res.success:
-            values[i] = res.x[-1]
-            thrust = m.rotor.c_f * float((res.x[:-1] * radius).sum())
-            eta[i] = min(values[i] / max(lever * thrust, 1e-300), 1.0)
+        model.set_column(n, rows, -d)
+        x = model.solve()
+        if x is not None:
+            values[i] = x[n]
+    reached = values > 0.0
+    d6 = np.zeros((reached.sum(), 6))
+    d6[:, rows] = values[reached, None] * dirs[reached]
+    thrust = _min_thrusts(lp, b_eq + d6)
+    lever = 1.0 if mode == "force" else m.arms[0].length
+    eta = np.zeros(len(dirs))
+    eta[reached] = np.minimum(values[reached] / (lever * thrust), 1.0)
     return values, eta
-
-
-def _min_thrusts(m: Morphology, wrenches: np.ndarray) -> np.ndarray:
-    """Least summed rotor thrust per wrench row; inf where unreachable."""
-    cols, budget, radius = _disc_lp(m, _POINT_VERTICES)
-    cost = m.rotor.c_f * radius
-    totals = np.full(len(wrenches), np.inf)
-    for i, w in enumerate(wrenches):
-        res = linprog(cost, A_ub=budget, b_ub=np.ones(len(budget)), A_eq=cols, b_eq=w,
-                      bounds=(0, None), method="highs")
-        if res.success:
-            totals[i] = res.fun
-    return totals
 
 
 def max_wrench_in_direction(m: Morphology, direction, mode: str = "force",
@@ -262,7 +374,8 @@ def min_total_thrust(m: Morphology, wrench) -> float:
 
     Returns inf when the wrench is unreachable.
     """
-    return float(_min_thrusts(m, np.asarray(wrench, dtype=float)[None, :])[0])
+    wrench = np.asarray(wrench, dtype=float)
+    return float(_min_thrusts(_disc_lp(m, _POINT_VERTICES), wrench[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +464,8 @@ def hover_sphere(m: Morphology, n_dirs: int = 320) -> dict:
     """
     dirs, _, _ = sample_directions(n_dirs)
     mg = m.body.mass * GRAVITY
-    totals = _min_thrusts(m, np.concatenate([mg * dirs, np.zeros((len(dirs), 3))], axis=1))
+    totals = _min_thrusts(_disc_lp(m, _POINT_VERTICES),
+                          np.concatenate([mg * dirs, np.zeros((len(dirs), 3))], axis=1))
     feasible = np.isfinite(totals) & (totals > 0.0)
     eta = np.zeros(len(dirs))
     eta[feasible] = mg / totals[feasible]

@@ -135,6 +135,13 @@ class ArmGeometry:
         return np.array([sp, -cp, 0.0])
 
 
+def _required(section: dict, key: str, prefix: str = ""):
+    """section[key], or a ValueError naming the missing key's path."""
+    if key not in section:
+        raise ValueError(f"morphology is missing required key {prefix}{key}")
+    return section[key]
+
+
 @dataclass(frozen=True)
 class Morphology:
     arms: tuple
@@ -205,37 +212,40 @@ class Morphology:
 
     @staticmethod
     def from_dict(data: dict) -> "Morphology":
+        """Build from ``to_dict`` output; a missing required key raises
+        ValueError naming its path (``tilt.tau``, ``arms[2].gamma``, ...)."""
         arms = tuple(
             ArmGeometry(
                 index=i,
-                gamma=a["gamma"],
+                gamma=_required(a, "gamma", f"arms[{i}]."),
                 theta=a.get("theta", 0.0),
                 beta=a.get("beta", 0.0),
-                length=a["length"],
-                spins=tuple(a["spins"]),
+                length=_required(a, "length", f"arms[{i}]."),
+                spins=tuple(_required(a, "spins", f"arms[{i}].")),
             )
-            for i, a in enumerate(data["arms"])
+            for i, a in enumerate(_required(data, "arms"))
         )
-        r = data["rotor"]
+        r = _required(data, "rotor")
         rotor = RotorParams(
-            c_f=r["c_f"],
-            c_d=r["c_d"],
+            c_f=_required(r, "c_f", "rotor."),
+            c_d=_required(r, "c_d", "rotor."),
             omega_min=r.get("omega_min", RotorParams.omega_min),
-            omega_max=r["omega_max"],
+            omega_max=_required(r, "omega_max", "rotor."),
             rotors_per_arm=r.get("rotors_per_arm", RotorParams.rotors_per_arm),
         )
-        t = data["tilt"]
+        t = _required(data, "tilt")
         limits = t.get("rate_limits", {})
         tilt = TiltParams(
-            tau=t["tau"],
+            tau=_required(t, "tau", "tilt."),
             alpha_rate_max=limits.get("alpha_dot", TiltParams.alpha_rate_max),
             omega_accel_max=limits.get("omega_dot", TiltParams.omega_accel_max),
         )
-        b = data["body"]
-        inertia = np.asarray(b["J"], dtype=float)
+        b = _required(data, "body")
+        inertia = np.asarray(_required(b, "J", "body."), dtype=float)
         if inertia.ndim == 1:
             inertia = np.diag(inertia)
-        body = RigidBodyParams(mass=b["m"], inertia=inertia, r_com=np.asarray(b.get("r_com", [0, 0, 0]), dtype=float))
+        body = RigidBodyParams(mass=_required(b, "m", "body."), inertia=inertia,
+                               r_com=np.asarray(b.get("r_com", [0, 0, 0]), dtype=float))
         return Morphology(arms=arms, rotor=rotor, tilt=tilt, body=body)
 
     def save(self, path) -> None:

@@ -8,6 +8,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from tiltmav.allocation import instantaneous_allocation, static_allocation
+from tiltmav.envelope import _disc_lp
 from tiltmav.riccati import CareError, _validate
 from tiltmav.rigid_body import RigidBodyState, com_torque, tilt_step
 from tiltmav.so3 import skew
@@ -82,6 +83,49 @@ def max_wrench_alpha_grid(m, direction, mode="force", hover_force=None,
     for _, alpha in scored[:max(refine, 1) * 3]:
         best_val = max(best_val, coordinate_descent(alpha))
     return best_val
+
+
+def optimal_radii_linprog(m, dirs, mode="force", hover_force=None, n_vertices=64):
+    """Cold per-direction linprog solves of the disc LP's radial problem.
+
+    Returns (values, eta) where eta is read off whichever optimal vertex
+    linprog returns; infeasible directions get 0 for both.
+    """
+    if mode == "force":
+        rows, b_eq = slice(0, 3), np.zeros(6)
+    else:
+        hover = np.zeros(3) if hover_force is None else np.asarray(hover_force, dtype=float)
+        rows, b_eq = slice(3, 6), np.concatenate([hover, np.zeros(3)])
+    cols, budget, cost = _disc_lp(m, n_vertices)
+    a_ub = np.concatenate([budget, np.zeros((len(budget), 1))], axis=1)
+    c = np.zeros(cols.shape[1] + 1)
+    c[-1] = -1.0
+    lever = 1.0 if mode == "force" else m.arms[0].length
+    values = np.zeros(len(dirs))
+    eta = np.zeros(len(dirs))
+    for i, d in enumerate(dirs):
+        d6 = np.zeros(6)
+        d6[rows] = d
+        res = linprog(c, A_ub=a_ub, b_ub=np.ones(len(budget)),
+                      A_eq=np.concatenate([cols, -d6[:, None]], axis=1), b_eq=b_eq,
+                      bounds=(0, None), method="highs")
+        if res.success:
+            values[i] = res.x[-1]
+            thrust = float((res.x[:-1] * cost).sum())
+            eta[i] = min(values[i] / max(lever * thrust, 1e-300), 1.0)
+    return values, eta
+
+
+def min_thrusts_linprog(m, wrenches, n_vertices=128):
+    """Cold per-wrench linprog solves of the disc LP's least thrust; inf where unreachable."""
+    cols, budget, cost = _disc_lp(m, n_vertices)
+    totals = np.full(len(wrenches), np.inf)
+    for i, w in enumerate(wrenches):
+        res = linprog(cost, A_ub=budget, b_ub=np.ones(len(budget)), A_eq=cols, b_eq=w,
+                      bounds=(0, None), method="highs")
+        if res.success:
+            totals[i] = res.fun
+    return totals
 
 
 def _hat(w):

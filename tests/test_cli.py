@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from tiltmav.cli import main
+from tiltmav.envelope import pinv_radii
+from tiltmav.vehicle import prototype_morphology
 
 HOVER_WPS = [{"t": 0.0, "p": [0.0, 0.0, 1.3]}, {"t": 2.0, "p": [0.0, 0.0, 1.3]}]
 
@@ -88,6 +90,32 @@ def test_envelope_command(tmp_path):
     lines = (out / "envelope_samples.csv").read_text().strip().splitlines()
     assert lines[0] == "dir_x,dir_y,dir_z,value,eta"
     assert len(lines) == 321
+
+
+def test_envelope_command_optimal_allocation(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"envelope": {"allocation": "optimal", "n_dirs": 320}}))
+    out = tmp_path / "env"
+    assert main(["envelope", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "envelope_samples.csv", delimiter=",", skiprows=1)
+    dirs, values, eta = rows[:, :3], rows[:, 3], rows[:, 4]
+    assert len(rows) == 320
+    assert np.all(eta > 0.0) and np.all(eta <= 1.0)
+    # The 64-gon LP holds cos(pi/64) of each disc and never loses to the
+    # pseudoinverse feed by more than that.
+    assert np.all(values >= np.cos(np.pi / 64) * pinv_radii(prototype_morphology(), dirs))
+    # The direction nearest +z (9.9 deg off the axis) is the most efficient one.
+    z_idx = np.argmax(dirs[:, 2])
+    assert eta[z_idx] > 0.98 and eta[z_idx] >= eta.max() - 1e-9
+
+
+def test_missing_morphology_key_names_its_path(tmp_path, capsys):
+    spec = prototype_morphology().to_dict()
+    del spec["tilt"]["tau"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"morphology": spec, "envelope": {"n_dirs": 320}}))
+    assert main(["envelope", "--config", str(cfg), "--out", str(tmp_path / "env")]) == 2
+    assert "tilt.tau" in capsys.readouterr().err
 
 
 def test_optimize_command_fast_config(tmp_path):

@@ -1,13 +1,27 @@
 import numpy as np
 import pytest
 
+from tiltmav import envelope as envelope_module
 from tiltmav.design import DesignProblem, build_candidate
 from tiltmav.envelope import (envelope, force_efficiency, hover_sphere, icosphere,
                               max_wrench_in_direction, min_total_thrust, pinv_radii,
                               torque_efficiency)
 from tiltmav.vehicle import GRAVITY, RotorParams, hexarotor, prototype_morphology
 
-from oracles import max_wrench_alpha_grid
+from oracles import max_wrench_alpha_grid, min_thrusts_linprog, optimal_radii_linprog
+
+
+def _parity_morphology(name):
+    if name == "prototype":
+        return prototype_morphology()
+    if name == "flat_hex":
+        return hexarotor(body=prototype_morphology().body)
+    theta, beta = np.random.default_rng(7).uniform(-0.6, 0.6, size=(2, 6))
+    return build_candidate(DesignProblem(), theta, beta)
+
+
+PARITY_CASES = [(name, mode) for name in ("prototype", "candidate", "flat_hex")
+                for mode in ("force", "torque")]
 
 
 def test_icosphere_counts():
@@ -61,6 +75,69 @@ def test_optimal_matches_alpha_grid_oracle():
         mine = max_wrench_in_direction(m3, d)
         oracle = max_wrench_alpha_grid(m3, d, n_grid=12, refine=2)
         assert abs(mine - oracle) / max(oracle, 1e-12) < 0.01, (d, mine, oracle)
+
+
+@pytest.mark.parametrize("name,mode", PARITY_CASES)
+def test_optimal_sweep_matches_cold_linprog_oracle(name, mode):
+    # The sweep re-solves one warm model; every 8th direction is checked
+    # against a cold linprog solve of the same polygonal LP.
+    m = _parity_morphology(name)
+    lever = 1.0 if mode == "force" else m.arms[0].length
+    hover = m.body.mass * GRAVITY * np.array([0.0, 0.0, 1.0]) if mode == "torque" else None
+    metrics = envelope(m, mode, n_dirs=320, hover_force=hover, allocation="optimal")
+    dirs = metrics.directions[::8]
+    values, eta = metrics.values[::8], metrics.eta[::8]
+    oracle, vertex_eta = optimal_radii_linprog(m, dirs, mode, hover)
+    assert np.all(oracle > 0.0)
+    assert np.max(np.abs(values - oracle) / oracle) < 1e-9
+    # eta is defined by the least thrust that attains lambda*d (plus hover),
+    # so it is never below the index read off any optimal vertex.
+    wrenches = np.zeros((len(dirs), 6))
+    wrenches[:, :3] = 0.0 if hover is None else hover
+    wrenches[:, slice(0, 3) if mode == "force" else slice(3, 6)] += values[:, None] * dirs
+    least = min_thrusts_linprog(m, wrenches, n_vertices=64)
+    assert np.max(np.abs(eta - np.minimum(values / (lever * least), 1.0))) < 1e-9
+    assert np.all(eta >= vertex_eta - 1e-9)
+
+
+@pytest.mark.parametrize("name,mode", PARITY_CASES)
+def test_optimal_sweep_is_order_independent(name, mode):
+    m = _parity_morphology(name)
+    hover = m.body.mass * GRAVITY * np.array([0.0, 0.0, 1.0]) if mode == "torque" else None
+    dirs = envelope_module.sample_directions(320)[0]
+    n_vertices = envelope_module._SWEEP_VERTICES
+    values, eta = envelope_module._optimal_radii(m, dirs, mode, hover, n_vertices)
+    rev_values, rev_eta = envelope_module._optimal_radii(m, dirs[::-1], mode, hover, n_vertices)
+    assert np.max(np.abs(rev_values[::-1] - values) / values) < 1e-9
+    assert np.max(np.abs(rev_eta[::-1] - eta)) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["prototype", "candidate", "flat_hex"])
+def test_hover_sphere_matches_cold_linprog_oracle(name):
+    m = _parity_morphology(name)
+    sphere = hover_sphere(m, n_dirs=320)
+    mg = m.body.mass * GRAVITY
+    dirs = sphere["directions"][::8]
+    least = min_thrusts_linprog(m, np.concatenate([mg * dirs, np.zeros((len(dirs), 3))], axis=1))
+    oracle = np.where(np.isfinite(least), np.minimum(mg / least, 1.0), 0.0)
+    assert np.array_equal(sphere["feasible"][::8], np.isfinite(least))
+    assert np.max(np.abs(sphere["eta_f"][::8] - oracle)) < 1e-9
+
+
+def test_disc_lp_status_handling():
+    m = prototype_morphology()
+    # An unreachable hover force makes every torque direction infeasible: 0.
+    assert max_wrench_in_direction(m, [0.0, 0.0, 1.0], mode="torque",
+                                   hover_force=[0.0, 0.0, 1e5]) == 0.0
+    metrics = envelope(m, "torque", n_dirs=320, hover_force=[0.0, 0.0, 1e5],
+                       allocation="optimal")
+    assert np.all(metrics.values == 0.0) and np.all(metrics.eta == 0.0)
+    # Any status other than optimal or infeasible is an error, not a value.
+    cols, budget, cost = envelope_module._disc_lp(m, 64)
+    lp = envelope_module._WarmLp(cost, cols, np.r_[0.0, 0.0, 50.0, 0.0, 0.0, 0.0], budget, np.inf)
+    lp.model.setOptionValue("simplex_iteration_limit", 0)
+    with pytest.raises(RuntimeError, match="Iteration limit"):
+        lp.solve()
 
 
 def test_pinv_envelope_ratio_flat_hex():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -100,3 +102,16 @@ def test_from_dict_defaults_match_the_dataclasses():
     m2 = Morphology.from_dict(data)
     assert m2.tilt == m.tilt
     assert m2.rotor == m.rotor
+
+
+@pytest.mark.parametrize("path", ["arms", "rotor", "rotor.c_f", "rotor.omega_max", "tilt.tau",
+                                  "body.J", "body.m", "arms[2].gamma", "arms[0].spins"])
+def test_from_dict_names_a_missing_key_by_path(path):
+    data = prototype_morphology().to_dict()
+    *parents, key = path.replace("[", ".").replace("]", "").split(".")
+    section = data
+    for p in parents:
+        section = section[int(p)] if p.isdigit() else section[p]
+    del section[key]
+    with pytest.raises(ValueError, match=rf"missing required key {re.escape(path)}$"):
+        Morphology.from_dict(data)
