@@ -7,25 +7,18 @@ components of the squared rotor speeds,
 
 to the body wrench [f; tau]. It depends only on the geometry, not on the
 tilt angles. The instantaneous matrix A_alpha folds the current tilt angles
-in, mapping squared rotor speeds directly to the wrench.
+in, mapping squared rotor speeds directly to the wrench; the plant and the
+allocator both evaluate the wrench as A_alpha @ W.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .vehicle import Morphology, RotorParams
+from .vehicle import Morphology
 
 #: Relative sigma_min threshold below which the condition number saturates.
 RANK_EPS = 1e-12
-
-
-def rotor_wrench(omega_i: float, params: RotorParams) -> tuple[float, float]:
-    """Thrust and drag-torque magnitude of one rotor at speed omega_i."""
-    if omega_i < 0.0:
-        raise ValueError("rotor speed must be non-negative")
-    thrust = params.c_f * omega_i**2
-    return thrust, params.c_m * omega_i**2
 
 
 def static_allocation(m: Morphology) -> np.ndarray:
@@ -50,33 +43,11 @@ def static_allocation(m: Morphology) -> np.ndarray:
     return a
 
 
-def omega_tilde(omega_sq: np.ndarray, alpha: np.ndarray, arm_of_rotor: np.ndarray) -> np.ndarray:
-    """Interleaved lateral/vertical squared-speed components (Omega-tilde)."""
-    omega_sq = np.asarray(omega_sq, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    arm_of_rotor = np.asarray(arm_of_rotor)
-    if omega_sq.shape != arm_of_rotor.shape:
-        raise ValueError("omega_sq and arm_of_rotor length mismatch")
-    if arm_of_rotor.size and int(arm_of_rotor.max()) >= alpha.size:
-        raise ValueError("alpha too short for the rotor->arm map")
-    a_r = alpha[arm_of_rotor]
-    out = np.empty(2 * omega_sq.size)
-    out[0::2] = np.sin(a_r) * omega_sq
-    out[1::2] = np.cos(a_r) * omega_sq
-    return out
-
-
 def instantaneous_allocation(a: np.ndarray, alpha: np.ndarray, arm_of_rotor: np.ndarray) -> np.ndarray:
     """Tilt-dependent allocation A_alpha with A_alpha @ W == A @ omega_tilde(W, alpha)."""
     alpha = np.asarray(alpha, dtype=float)
     a_r = alpha[np.asarray(arm_of_rotor)]
     return a[:, 0::2] * np.sin(a_r) + a[:, 1::2] * np.cos(a_r)
-
-
-def wrench_from_actuators(a: np.ndarray, omega: np.ndarray, alpha: np.ndarray,
-                          arm_of_rotor: np.ndarray) -> np.ndarray:
-    """Body wrench for rotor speeds omega (rad/s) and tilt angles alpha."""
-    return a @ omega_tilde(np.asarray(omega, dtype=float) ** 2, alpha, arm_of_rotor)
 
 
 def condition_number(a_alpha: np.ndarray) -> float:

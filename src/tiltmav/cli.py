@@ -23,6 +23,8 @@ from . import __version__
 from .design import DesignProblem, beta_sweep, optimize
 from .diff_allocation import AllocationConfig, BiasConfig, condition_scan
 from .envelope import envelope
+from .lqri import LqriGains
+from .pid import PidGains
 from .sim import SimConfig, hover_trim, run
 from .simlog import stats_to_dict, tracking_stats
 from .trajectory import load_waypoints, named_trajectory
@@ -32,9 +34,18 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
+CONFIG_KEYS = ("allocation", "bias", "condition_scan", "design", "envelope", "gains",
+               "morphology", "sim", "trajectory", "trajectory_scale")
+
 
 class ConfigError(ValueError):
     pass
+
+
+def _reject_unknown(path: str, section: dict, known) -> None:
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigError(f"{path}: unknown key(s) {', '.join(unknown)}")
 
 
 def _load_config(path: str | None) -> dict:
@@ -52,7 +63,37 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(config, dict):
         raise ConfigError(f"config in {path} must be a JSON object, "
                           f"got {type(config).__name__}")
+    _reject_unknown(path, config, CONFIG_KEYS)
     return config
+
+
+def _section(config: dict, path: str) -> dict:
+    """A copy of the JSON object at a dotted key path, {} where absent."""
+    section = config
+    for key in path.split("."):
+        section = section.get(key, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"{path} must be a JSON object, got {type(section).__name__}")
+    return dict(section)
+
+
+def _build(path: str, make, /, *args, **kwargs):
+    """make(*args, **kwargs), a rejected key or value reported under its section path.
+
+    Every default lives in the signature of ``make``, so a section's keys
+    are exactly its parameter names.
+    """
+    try:
+        return make(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _read_input(load, path: str):
+    try:
+        return load(path)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"input file not found: {path}") from exc
 
 
 def _config_hash(config: dict) -> str:
@@ -65,9 +106,29 @@ def _file_hash(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _write_json(path: Path, data) -> Path:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
+def _write_csv(path: Path, header: str, rows) -> Path:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    return path
+
+
+def _write_envelope_csv(path: Path, metrics) -> Path:
+    return _write_csv(path, "dir_x,dir_y,dir_z,value,eta",
+                      np.column_stack([metrics.directions, metrics.values, metrics.eta]))
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict, outputs: list[Path],
                     wall_clock: bool) -> Path:
-    manifest = {
+    return _write_json(out_dir / "manifest.json", {
         "command": command,
         "tool_version": __version__,
         "config": config,
@@ -76,12 +137,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, outputs: list[Pat
         # explicitly requested, so identical runs write identical bytes.
         "timestamp": datetime.now(timezone.utc).isoformat() if wall_clock else "",
         "outputs": {p.name: _file_hash(p) for p in sorted(outputs)},
-    }
-    path = out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    })
 
 
 def _morphology_from_config(config: dict) -> Morphology:
@@ -89,44 +145,30 @@ def _morphology_from_config(config: dict) -> Morphology:
     if spec == "prototype":
         return prototype_morphology()
     if isinstance(spec, str):
-        return Morphology.load(spec)
-    return Morphology.from_dict(spec)
+        return _read_input(Morphology.load, spec)
+    return _build("morphology", Morphology.from_dict, spec)
 
 
-def _write_envelope_csv(path: Path, metrics) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("dir_x,dir_y,dir_z,value,eta\n")
-        for d, v, e in zip(metrics.directions, metrics.values, metrics.eta):
-            fh.write(f"{d[0]:.17g},{d[1]:.17g},{d[2]:.17g},{v:.17g},{e:.17g}\n")
+def _alloc_config(config: dict) -> AllocationConfig:
+    return _build("allocation", AllocationConfig, **_section(config, "allocation"))
 
 
 def cmd_optimize(args, config: dict, out_dir: Path) -> list[Path]:
-    problem_cfg = dict(config.get("design", {}))
+    problem_cfg = _section(config, "design")
     want_sweep = problem_cfg.pop("beta_sweep", False) or args.beta_sweep
     if args.cost is not None:
         problem_cfg["cost"] = args.cost
     if args.seed is not None:
         problem_cfg["seed"] = args.seed
-    problem = DesignProblem.from_dict(problem_cfg)
+    problem = _build("design", DesignProblem.from_dict, problem_cfg)
     result = optimize(problem)
-    outputs = []
-    report = out_dir / "design_result.json"
-    with open(report, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    outputs.append(report)
+    outputs = [_write_json(out_dir / "design_result.json", result.to_dict())]
     for mode, metrics in (("force", result.force), ("torque", result.torque)):
-        path = out_dir / f"envelope_{mode}.csv"
-        _write_envelope_csv(path, metrics)
-        outputs.append(path)
+        outputs.append(_write_envelope_csv(out_dir / f"envelope_{mode}.csv", metrics))
     if want_sweep:
         grid, values = beta_sweep(problem, np.arange(0.30, 0.90, 0.005))
-        path = out_dir / "beta_sweep.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("beta_rad,f_min\n")
-            for b, v in zip(grid, values):
-                fh.write(f"{b:.17g},{v:.17g}\n")
-        outputs.append(path)
+        outputs.append(_write_csv(out_dir / "beta_sweep.csv", "beta_rad,f_min",
+                                  np.column_stack([grid, values])))
     if not result.feasible:
         print("optimize: no feasible morphology found", file=sys.stderr)
     return outputs
@@ -134,107 +176,79 @@ def cmd_optimize(args, config: dict, out_dir: Path) -> list[Path]:
 
 def cmd_envelope(args, config: dict, out_dir: Path) -> list[Path]:
     m = _morphology_from_config(config)
-    env_cfg = config.get("envelope", {})
-    mode = env_cfg.get("mode", "force")
-    n_dirs = env_cfg.get("n_dirs", 1280)
-    hover = None
-    if mode == "torque":
-        hover = env_cfg.get("hover_force",
-                            [0.0, 0.0, m.body.mass * GRAVITY])
-    metrics = envelope(m, mode=mode, n_dirs=n_dirs, hover_force=hover,
-                       allocation=env_cfg.get("allocation", "pinv"))
-    outputs = []
-    report = out_dir / "envelope_metrics.json"
-    with open(report, "w", encoding="utf-8") as fh:
-        json.dump({"mode": mode, "min": metrics.min, "max": metrics.max,
-                   "mean": metrics.mean, "volume": metrics.volume},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    outputs.append(report)
-    path = out_dir / "envelope_samples.csv"
-    _write_envelope_csv(path, metrics)
-    outputs.append(path)
-    return outputs
+    env_cfg = _section(config, "envelope")
+    if env_cfg.get("mode") == "torque":
+        # The command line holds the torque envelope at hover unless told otherwise.
+        env_cfg.setdefault("hover_force", [0.0, 0.0, m.body.mass * GRAVITY])
+    metrics = _build("envelope", envelope, m, **env_cfg)
+    report = _write_json(out_dir / "envelope_metrics.json",
+                         {"mode": metrics.mode, "min": metrics.min, "max": metrics.max,
+                          "mean": metrics.mean, "volume": metrics.volume})
+    return [report, _write_envelope_csv(out_dir / "envelope_samples.csv", metrics)]
 
 
 def _sim_pieces(args, config: dict):
     m = _morphology_from_config(config)
-    sim_cfg = dict(config.get("sim", {}))
+    if not 0 <= args.unwind <= m.n_arms:
+        raise ConfigError(f"--unwind takes 0 to {m.n_arms} arms, got {args.unwind}")
+    sim_cfg = _section(config, "sim")
     if args.seed is not None:
         sim_cfg["seed"] = args.seed
     if args.controller is not None:
         sim_cfg["controller"] = args.controller
-    sim = SimConfig(**sim_cfg)
+    sim = _build("sim", SimConfig, **sim_cfg)
     traj_spec = args.traj or config.get("trajectory", "a")
     if isinstance(traj_spec, str) and len(traj_spec) == 1 and traj_spec in "abcdefg":
         traj = named_trajectory(traj_spec, scale=config.get("trajectory_scale", 1.0))
     else:
-        traj = load_waypoints(traj_spec)
-    alloc = AllocationConfig.from_dict(config.get("allocation", {}))
-    bias_cfg = dict(config.get("bias", {}))
+        traj = _read_input(load_waypoints, traj_spec)
+    # Both gain sets are built whichever controller runs, so a typo never hides.
+    _reject_unknown("gains", _section(config, "gains"), ("pid", "lqri"))
+    gains = {"pid": _build("gains.pid", PidGains, **_section(config, "gains.pid")),
+             "lqri": _build("gains.lqri", LqriGains, **_section(config, "gains.lqri"))}
+    bias_cfg = _section(config, "bias")
     if args.bias is not None:
         bias_cfg["enabled"] = args.bias == "on"
-    bias = BiasConfig.from_dict(bias_cfg)
-    return m, sim, traj, alloc, bias
+    bias = _build("bias", BiasConfig, **bias_cfg)
+    return m, sim, traj, gains, _alloc_config(config), bias
 
 
-def cmd_simulate(args, config: dict, out_dir: Path) -> tuple[list[Path], bool]:
-    m, sim, traj, alloc, bias = _sim_pieces(args, config)
+def cmd_simulate(args, config: dict, out_dir: Path):
+    """Run one simulation; returns (outputs, (time, cause) of a divergence or None)."""
+    m, sim, traj, gains, alloc, bias = _sim_pieces(args, config)
     alpha0 = None
-    unwind = False
-    if args.unwind:
-        trim_alpha, _ = hover_trim(m, traj.sample(traj.t0).r_wb)
-        alpha0 = trim_alpha
+    unwind = args.unwind > 0
+    if unwind:
+        alpha0, _ = hover_trim(m, traj.sample(traj.t0).r_wb)
         alpha0[:args.unwind] = alpha0[:args.unwind] + 2.0 * np.pi
-        unwind = True
-    log = run(sim, m, traj, gains=config.get("gains"), alloc=alloc, bias=bias,
+    log = run(sim, m, traj, gains=gains, alloc=alloc, bias=bias,
               unwind=unwind, alpha0=alpha0)
-    outputs = []
     log_path = out_dir / "simlog.csv"
     log.to_csv(log_path)
-    outputs.append(log_path)
-    stats_path = out_dir / "tracking_stats.json"
-    with open(stats_path, "w", encoding="utf-8") as fh:
-        json.dump(stats_to_dict(tracking_stats(log)), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    outputs.append(stats_path)
+    outputs = [log_path, _write_json(out_dir / "tracking_stats.json",
+                                     stats_to_dict(tracking_stats(log)))]
     if unwind:
         final_alpha = [float(log.column(f"alpha_{i}")[-1]) for i in range(m.n_arms)]
-        unw_path = out_dir / "unwinding.json"
-        with open(unw_path, "w", encoding="utf-8") as fh:
-            json.dump({"final_alpha": final_alpha,
-                       "all_below_pi": bool(np.all(np.abs(final_alpha) < np.pi))},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        outputs.append(unw_path)
-    return outputs, log.diverged
+        outputs.append(_write_json(out_dir / "unwinding.json", {
+            "final_alpha": final_alpha,
+            "all_below_pi": bool(np.all(np.abs(final_alpha) < np.pi))}))
+    return outputs, log.divergence
 
 
 def cmd_condition_scan(args, config: dict, out_dir: Path) -> list[Path]:
     m = _morphology_from_config(config)
-    scan_cfg = config.get("condition_scan", {})
-    bias_on = (args.bias == "on") if args.bias is not None else scan_cfg.get("bias", False)
-    result = condition_scan(
-        m,
-        hover_dir=scan_cfg.get("hover_dir", (0.0, 0.0, 1.0)),
-        extra_force_mag=scan_cfg.get("extra_force_mag"),
-        bias_on=bias_on,
-        n_dirs=scan_cfg.get("n_dirs", 320),
-        alloc=AllocationConfig.from_dict(config.get("allocation", {})),
-        bias_cfg=BiasConfig.from_dict({**config.get("bias", {}), "enabled": True}),
-    )
-    path = out_dir / "condition_scan.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("dir_x,dir_y,dir_z,log_kappa\n")
-        for d, v in zip(result["directions"], result["log_kappa"]):
-            fh.write(f"{d[0]:.17g},{d[1]:.17g},{d[2]:.17g},{v:.17g}\n")
-    summary = out_dir / "condition_scan.json"
+    scan_cfg = _section(config, "condition_scan")
+    if args.bias is not None:
+        scan_cfg["bias_on"] = args.bias == "on"
+    bias_cfg = _build("bias", BiasConfig, **{**_section(config, "bias"), "enabled": True})
+    result = _build("condition_scan", condition_scan, m, alloc=_alloc_config(config),
+                    bias_cfg=bias_cfg, **scan_cfg)
+    path = _write_csv(out_dir / "condition_scan.csv", "dir_x,dir_y,dir_z,log_kappa",
+                      np.column_stack([result["directions"], result["log_kappa"]]))
     max_log = result["max_log_kappa"]
-    with open(summary, "w", encoding="utf-8") as fh:
-        json.dump({"bias": bias_on,
-                   "max_log_kappa": max_log if np.isfinite(max_log) else "inf"},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    summary = _write_json(out_dir / "condition_scan.json", {
+        "bias": result["bias_on"],
+        "max_log_kappa": max_log if np.isfinite(max_log) else "inf"})
     return [path, summary]
 
 
@@ -268,26 +282,25 @@ def main(argv=None) -> int:
         config = _load_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        diverged = False
+        divergence = None
         if args.command == "optimize":
             outputs = cmd_optimize(args, config, out_dir)
         elif args.command == "envelope":
             outputs = cmd_envelope(args, config, out_dir)
         elif args.command == "simulate":
-            outputs, diverged = cmd_simulate(args, config, out_dir)
+            outputs, divergence = cmd_simulate(args, config, out_dir)
         else:
             outputs = cmd_condition_scan(args, config, out_dir)
         manifest = _write_manifest(out_dir, args.command, config, outputs,
                                    args.wall_clock)
         print(f"wrote {len(outputs)} outputs + {manifest}")
-        if diverged:
-            print("simulation diverged; partial log written", file=sys.stderr)
+        if divergence is not None:
+            t, cause = divergence
+            print(f"simulation diverged at t={t:.3f} s ({cause}); partial log written",
+                  file=sys.stderr)
             return EXIT_DIVERGED
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ConfigError, ValueError, TypeError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

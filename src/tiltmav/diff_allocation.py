@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import (condition_number, instantaneous_allocation, invert_static,
-                         omega_tilde, static_allocation)
+                         static_allocation)
 from .envelope import sample_directions
 from .vehicle import GRAVITY, Morphology, RigidBodyParams
 
@@ -32,8 +32,9 @@ REGULARIZATION_CONDITION = 1e12
 @dataclass(frozen=True)
 class AllocationConfig:
     k_alpha: float = 1000.0
-    unwind_alpha_rate: float = 1.0
-    unwind_omega_accel: float = 250.0
+    #: Fixed unwinding speeds: tilt rate [rad/s] and rotor acceleration [rad/s^2].
+    v_alpha_dot: float = 1.0
+    v_omega_dot: float = 250.0
     home_alpha: float = 0.0
     #: Arms unwound concurrently; the rest park until released. Their rotors
     #: ramp down first so the tilt motion costs no wrench authority.
@@ -41,30 +42,12 @@ class AllocationConfig:
     unwind_engage: float = 0.3
     unwind_release: float = 0.02
 
-    @staticmethod
-    def from_dict(d: dict) -> "AllocationConfig":
-        return AllocationConfig(
-            k_alpha=d.get("k_alpha", 1000.0),
-            unwind_alpha_rate=d.get("v_alpha_dot", 1.0),
-            unwind_omega_accel=d.get("v_omega_dot", 250.0),
-            home_alpha=d.get("home_alpha", 0.0),
-            max_unwind_arms=d.get("max_unwind_arms", 3),
-            unwind_engage=d.get("unwind_engage", 0.3),
-            unwind_release=d.get("unwind_release", 0.02),
-        )
-
 
 @dataclass(frozen=True)
 class BiasConfig:
     enabled: bool = False
     delta: float = 0.15
     colinearity_tol: float = 0.1
-
-    @staticmethod
-    def from_dict(d: dict) -> "BiasConfig":
-        return BiasConfig(enabled=d.get("enabled", False),
-                          delta=d.get("delta", 0.15),
-                          colinearity_tol=d.get("colinearity_tol", 0.1))
 
 
 def build_diff_allocation(a: np.ndarray, omega_c: np.ndarray, alpha_c: np.ndarray,
@@ -181,8 +164,8 @@ def optimal_targets(
     d_omega = omega_star - omega_c
     d_alpha = alpha_star - alpha_c
     u_star = np.concatenate([
-        np.where(np.abs(d_omega) > 2.5, np.sign(d_omega), 0.0) * alloc.unwind_omega_accel,
-        np.where(np.abs(d_alpha) > 1e-2, np.sign(d_alpha), 0.0) * alloc.unwind_alpha_rate,
+        np.where(np.abs(d_omega) > 2.5, np.sign(d_omega), 0.0) * alloc.v_omega_dot,
+        np.where(np.abs(d_alpha) > 1e-2, np.sign(d_alpha), 0.0) * alloc.v_alpha_dot,
     ])
     return alpha_star, omega_star, u_star
 
@@ -262,8 +245,9 @@ class DifferentialAllocator:
         self.omega_cmd = np.array(omega, dtype=float)
 
     def current_wrench(self) -> np.ndarray:
-        m = self.morphology
-        return self.a @ omega_tilde(self.omega_cmd**2, self.alpha_cmd, m.arm_of_rotor)
+        """Body wrench of the held commands, through the plant's map A_alpha @ W."""
+        a_inst = instantaneous_allocation(self.a, self.alpha_cmd, self.morphology.arm_of_rotor)
+        return a_inst @ self.omega_cmd**2
 
     def _schedule_unwinding(self, alpha_star: np.ndarray, u_star: np.ndarray,
                             w_dot_cmd: np.ndarray) -> np.ndarray:
@@ -312,7 +296,7 @@ class DifferentialAllocator:
             if self._unwind_active[arm]:
                 spinning = self.omega_cmd[rotors] > m.rotor.omega_min + 1.0
                 u_star[:n_r][rotors] = np.where(
-                    spinning, -self.alloc.unwind_omega_accel, 0.0)
+                    spinning, -self.alloc.v_omega_dot, 0.0)
                 if np.any(self.omega_cmd[rotors] > tilt_gate):
                     # Thrust-free unwinding only: wait for the ramp-down.
                     u_star[n_r + arm] = 0.0
@@ -386,4 +370,4 @@ def condition_scan(
         a_inst = instantaneous_allocation(a, alpha_star, m.arm_of_rotor)
         log_kappa[i] = np.log(condition_number(a_inst))
     return {"directions": dirs, "log_kappa": log_kappa,
-            "max_log_kappa": float(log_kappa.max())}
+            "max_log_kappa": float(log_kappa.max()), "bias_on": bias_on}

@@ -130,6 +130,16 @@ def arm_wrench_blocks(m: Morphology) -> tuple[np.ndarray, np.ndarray]:
 # Pseudoinverse-fed radii (the morphology tool's model)
 # ---------------------------------------------------------------------------
 
+def _hover(hover_force) -> np.ndarray:
+    """The torque mode's fixed body force: a finite 3-vector, zero when None."""
+    if hover_force is None:
+        return np.zeros(3)
+    hover = np.asarray(hover_force, dtype=float)
+    if hover.shape != (3,) or not np.all(np.isfinite(hover)):
+        raise ValueError(f"hover_force must be a finite 3-vector, got {hover_force!r}")
+    return hover
+
+
 def pinv_radii(m: Morphology, directions: np.ndarray, mode: str = "force",
                hover_force=None, return_eta: bool = False):
     """Saturation-limited wrench magnitude per direction under Eq.-(11) feed.
@@ -156,7 +166,7 @@ def pinv_radii(m: Morphology, directions: np.ndarray, mode: str = "force",
         return values, np.minimum(eta, 1.0)
     if mode != "torque":
         raise ValueError(f"unknown mode {mode!r}")
-    hover = np.zeros(3) if hover_force is None else np.asarray(hover_force, dtype=float)
+    hover = _hover(hover_force)
     w0 = a_inv @ np.concatenate([hover, np.zeros(3)])
     dw = a_inv[:, 3:] @ dirs.T
     a0 = np.stack([w0[0::2], w0[1::2]])                  # (2, n_r)
@@ -327,8 +337,7 @@ def _optimal_radii(m: Morphology, dirs: np.ndarray, mode: str, hover_force,
     if mode == "force":
         rows, b_eq = range(0, 3), np.zeros(6)
     elif mode == "torque":
-        hover = np.zeros(3) if hover_force is None else np.asarray(hover_force, dtype=float)
-        rows, b_eq = range(3, 6), np.concatenate([hover, np.zeros(3)])
+        rows, b_eq = range(3, 6), np.concatenate([_hover(hover_force), np.zeros(3)])
     else:
         raise ValueError(f"unknown mode {mode!r}")
     lp = _disc_lp(m, n_vertices)
@@ -411,8 +420,8 @@ def envelope(
     origin tetrahedron of its unit triangle scaled by its centroid radius.
     ``allocation`` selects the radial model ("pinv" or "optimal").
     """
-    if n_dirs < 100:
-        raise ValueError("n_dirs must be >= 100")
+    if not (float(n_dirs).is_integer() and n_dirs >= 100):
+        raise ValueError(f"n_dirs must be a whole number >= 100, got {n_dirs!r}")
     dirs, verts, faces = sample_directions(n_dirs)
     if allocation == "pinv":
         values, eta = pinv_radii(m, dirs, mode=mode, hover_force=hover_force,
@@ -431,30 +440,8 @@ def envelope(
 
 
 # ---------------------------------------------------------------------------
-# Efficiency indices and hover sphere
+# Hover sphere
 # ---------------------------------------------------------------------------
-
-def force_efficiency(f_d, rotor_thrusts) -> float:
-    """||f_d|| divided by the summed rotor thrust magnitudes, in [0, 1]."""
-    thrusts = np.asarray(rotor_thrusts, dtype=float)
-    if np.any(thrusts < 0.0):
-        raise ValueError("rotor thrust magnitudes must be non-negative")
-    total = thrusts.sum()
-    if total <= 0.0:
-        raise ValueError("zero total thrust")
-    return float(np.linalg.norm(f_d) / total)
-
-
-def torque_efficiency(tau_d, rotor_thrusts, arm_length: float) -> float:
-    """||tau_d|| / (l * sum of rotor thrust magnitudes)."""
-    thrusts = np.asarray(rotor_thrusts, dtype=float)
-    if np.any(thrusts < 0.0):
-        raise ValueError("rotor thrust magnitudes must be non-negative")
-    total = thrusts.sum()
-    if total <= 0.0:
-        raise ValueError("zero total thrust")
-    return float(np.linalg.norm(tau_d) / (arm_length * total))
-
 
 def hover_sphere(m: Morphology, n_dirs: int = 320) -> dict:
     """Static-hover feasibility and best force efficiency per direction.

@@ -55,17 +55,6 @@ class LqriGains:
             raise ValueError("R weights must be positive")
         return np.diag(q_diag), np.diag(r_diag)
 
-    @staticmethod
-    def from_dict(d: dict) -> "LqriGains":
-        return LqriGains(
-            k_p=d.get("k_p", 200.0), k_p_i=d.get("k_p_i", 50.0),
-            k_v=d.get("k_v", 100.0), k_a=d.get("k_a", 0.0),
-            k_r=d.get("k_r", 100.0), k_r_i=d.get("k_r_i", 100.0),
-            k_omega=d.get("k_omega", 200.0), k_psi=d.get("k_psi", 0.0),
-            r_f_dot=tuple(d.get("r_f_dot", (1.0, 1.0, 0.2))),
-            r_tau_dot=tuple(d.get("r_tau_dot", (1.0, 1.0, 1.0))),
-        )
-
 
 @dataclass
 class ErrorState:
@@ -147,22 +136,13 @@ def compute_error_state(
     return err, e_p_i, e_r_i
 
 
-def stability_condition(q, r, p, b, e_vec, e_omega) -> tuple[float, float, bool]:
-    """Sufficient asymptotic-stability test of the Lyapunov analysis.
-
-    lhs = (3 + sqrt 2)/sqrt 2 * ||e_omega|| / ||e||;
-    rhs = lambda_min(Q + P B R^-1 B' P) / (2 ||P||). ||e|| = 0 counts as
-    satisfied (limit convention).
-    """
-    rhs = stability_rhs(q, r, p, b)
-    e_norm = float(np.linalg.norm(e_vec))
-    if e_norm == 0.0:
-        return 0.0, rhs, True
-    lhs = STABILITY_COEFF * float(np.linalg.norm(e_omega)) / e_norm
-    return lhs, rhs, lhs < rhs
-
-
 def stability_rhs(q, r, p, b) -> float:
+    """lambda_min(Q + P B R^-1 B' P) / (2 ||P||), the bound of the stability test.
+
+    The Lyapunov analysis proves asymptotic stability while
+    lhs = (3 + sqrt 2)/sqrt 2 * ||e_omega|| / ||e|| stays below it;
+    ``LqriController.step`` evaluates lhs, with ||e|| = 0 counting as satisfied.
+    """
     m = q + p @ b @ np.linalg.solve(r, b.T @ p)
     lam_min = float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
     p_norm = float(np.linalg.norm(p, 2))

@@ -27,32 +27,25 @@ class PidGains:
     k_r: float = 3.5
     k_r_i: float = 0.3
     k_omega: float = 0.8
-
-    @staticmethod
-    def from_dict(d: dict) -> "PidGains":
-        return PidGains(
-            k_p=d.get("k_p", 5.0), k_p_i=d.get("k_p_i", 0.3), k_v=d.get("k_v", 1.0),
-            k_r=d.get("k_r", 3.5), k_r_i=d.get("k_r_i", 0.3),
-            k_omega=d.get("k_omega", 0.8),
-        )
+    #: Slew limits of the differenced jerk: linear [m/s^3], angular [rad/s^3].
+    j_max_lin: float = 10.0
+    j_max_ang: float = 60.0
 
 
 @dataclass
 class PidController:
     """PID acceleration law with differenced jerk output.
 
-    With ``j_max_lin``/``j_max_ang`` set, the differenced command is slew
-    limited through an applied-acceleration tracker: the emitted jerk is
-    still exactly the finite difference of the applied series, but a large
-    command level is spread over several steps instead of one spike that
-    downstream actuator-rate saturation would truncate and lose.
+    The differenced command is slew limited through an applied-acceleration
+    tracker: the emitted jerk is still exactly the finite difference of the
+    applied series, but a large command level is spread over several steps
+    instead of one spike that downstream actuator-rate saturation would
+    truncate and lose. Infinite limits give plain differencing.
     """
 
     gains: PidGains = field(default_factory=PidGains)
     windup_p: float = 2.0
     windup_r: float = 1.0
-    j_max_lin: float | None = None
-    j_max_ang: float | None = None
 
     def __post_init__(self):
         self.reset()
@@ -87,13 +80,13 @@ class PidController:
 
         j_w = (a_cmd - self._applied_a) / dt
         zeta_b = (psi_cmd - self._applied_psi) / dt
-        if self.j_max_lin is not None and np.abs(j_w).max() > self.j_max_lin:
-            j_w = np.clip(j_w, -self.j_max_lin, self.j_max_lin)
+        if np.abs(j_w).max() > g.j_max_lin:
+            j_w = np.clip(j_w, -g.j_max_lin, g.j_max_lin)
             self._applied_a = self._applied_a + dt * j_w
         else:
             self._applied_a = a_cmd
-        if self.j_max_ang is not None and np.abs(zeta_b).max() > self.j_max_ang:
-            zeta_b = np.clip(zeta_b, -self.j_max_ang, self.j_max_ang)
+        if np.abs(zeta_b).max() > g.j_max_ang:
+            zeta_b = np.clip(zeta_b, -g.j_max_ang, g.j_max_ang)
             self._applied_psi = self._applied_psi + dt * zeta_b
         else:
             self._applied_psi = psi_cmd

@@ -7,7 +7,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .so3 import is_rotation
 from .vehicle import RigidBodyParams
 
 
@@ -25,28 +24,6 @@ class RigidBodyState:
     def copy(self) -> "RigidBodyState":
         return RigidBodyState(self.p.copy(), self.v.copy(), self.a.copy(),
                               self.r_wb.copy(), self.omega.copy(), self.psi.copy())
-
-    def validate(self) -> None:
-        for name in ("p", "v", "a", "omega", "psi"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"non-finite state field {name}")
-        if not is_rotation(self.r_wb, tol=1e-6):
-            raise ValueError("attitude left SO(3)")
-
-
-@dataclass(frozen=True)
-class Wrench:
-    force: np.ndarray
-    torque: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "force", np.asarray(self.force, dtype=float))
-        object.__setattr__(self, "torque", np.asarray(self.torque, dtype=float))
-        if not (np.all(np.isfinite(self.force)) and np.all(np.isfinite(self.torque))):
-            raise ValueError("wrench must be finite")
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.force, self.torque])
 
 
 def com_torque(force_b: np.ndarray, torque_b: np.ndarray,
@@ -104,23 +81,9 @@ def newton_euler(r, omega, force_b, torque_c, k: BodyConstants) -> tuple[tuple, 
     return a_w, psi
 
 
-def accelerations(r_wb: np.ndarray, omega: np.ndarray, force_b: np.ndarray,
-                  torque_c: np.ndarray, params: RigidBodyParams) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of ``newton_euler``: (a_W, psi_B) for one body state."""
-    a_w, psi = newton_euler(np.ravel(r_wb).tolist(), np.ravel(omega).tolist(),
-                            np.ravel(force_b).tolist(), np.ravel(torque_c).tolist(),
-                            BodyConstants.of(params))
-    return np.array(a_w), np.array(psi)
-
-
 def tilt_step(alpha: np.ndarray, alpha_ref: np.ndarray, tau: float, dt: float) -> np.ndarray:
     """Exact step of the first-order tilt dynamics alphadot = (ref - alpha)/tau."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     decay = np.exp(-dt / tau)
     return alpha_ref + (np.asarray(alpha, dtype=float) - alpha_ref) * decay
-
-
-def kinetic_energy(state: RigidBodyState, params: RigidBodyParams) -> float:
-    v_b = state.r_wb.T @ state.v
-    return float(0.5 * params.mass * v_b @ v_b + 0.5 * state.omega @ params.inertia @ state.omega)

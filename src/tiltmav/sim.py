@@ -34,8 +34,7 @@ from .diff_allocation import (AllocationConfig, BiasConfig, DifferentialAllocato
                               exact_wrench_rate)
 from .lqri import LqriController, LqriGains
 from .pid import PidController, PidGains
-from .rigid_body import (BodyConstants, RigidBodyState, Wrench, com_torque, newton_euler,
-                         tilt_step)
+from .rigid_body import BodyConstants, RigidBodyState, com_torque, newton_euler, tilt_step
 from .sgfilter import SavitzkyGolay
 from .simlog import SimLog
 from .so3 import project_to_so3, rodrigues
@@ -76,6 +75,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
         if not (np.isfinite(self.rotor_slew) and self.rotor_slew > 0.0):
             raise ValueError(f"rotor_slew must be positive and finite, got {self.rotor_slew!r}")
+        if not isinstance(self.use_estimator, bool):
+            raise ValueError(f"use_estimator must be true or false, got {self.use_estimator!r}")
         if self.dt_physics > self.dt_control:
             raise ValueError("dt_physics must not exceed dt_control")
         if self.sg_window % 2 == 0:
@@ -110,9 +111,9 @@ class Plant:
         """[f; tau] about the body origin at tilt angles alpha, rotor speeds omega."""
         return instantaneous_allocation(self._a, alpha, self._arm_of_rotor) @ omega**2
 
-    def wrench(self) -> Wrench:
-        w = self._wrench_at(self.alpha, self.omega)
-        return Wrench(w[:3], w[3:])
+    def wrench(self) -> np.ndarray:
+        """Actuator wrench [f; tau] about the body origin."""
+        return self._wrench_at(self.alpha, self.omega)
 
     def _force_and_com_torque(self, alpha, omega) -> tuple[list, list]:
         w = self._wrench_at(alpha, omega)
@@ -195,14 +196,9 @@ def hover_trim(m: Morphology, r_wb=None) -> tuple[np.ndarray, np.ndarray]:
 def _make_controller(config: SimConfig, gains: dict | None):
     gains = gains or {}
     if config.controller == "lqri":
-        return LqriController(LqriGains.from_dict(gains.get("lqri", {})))
+        return LqriController(gains.get("lqri", LqriGains()))
     if config.controller == "pid":
-        pid = gains.get("pid", {})
-        # Slew-limited differencing keeps command levels inside the actuator
-        # rate budget (one-tick spikes would be truncated and lost).
-        return PidController(PidGains.from_dict(pid),
-                             j_max_lin=pid.get("j_max_lin", 10.0),
-                             j_max_ang=pid.get("j_max_ang", 60.0))
+        return PidController(gains.get("pid", PidGains()))
     raise ValueError(f"unknown controller {config.controller!r}")
 
 
@@ -220,12 +216,14 @@ def run(
 ) -> SimLog:
     """Closed-loop simulation of a trajectory; returns the control-rate log.
 
-    ``alpha0`` overrides the trim tilt-angle commands (e.g. wound-up arms at
-    2 pi); ``p_offset`` displaces the initial position for step-recovery
-    studies. Divergence (position error beyond the configured limit or not
-    finite, or a plant state that turned non-finite) stops the run and
-    returns the partial log flagged as diverged, or raises
-    ``SimulationDiverged`` when ``raise_on_divergence`` is set.
+    ``gains`` maps "pid" and "lqri" to that controller's ``PidGains`` or
+    ``LqriGains`` (the defaults where absent). ``alpha0`` overrides the trim
+    tilt-angle commands (e.g. wound-up arms at 2 pi); ``p_offset`` displaces
+    the initial position for step-recovery studies. Divergence (position
+    error beyond the configured limit or not finite, or a plant state that
+    turned non-finite) stops the run and returns the partial log with the
+    divergence time and cause, or raises ``SimulationDiverged`` when
+    ``raise_on_divergence`` is set.
     """
     for name, value in (("alpha0", alpha0), ("p_offset", p_offset)):
         if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
@@ -280,7 +278,7 @@ def run(
         omega_ref = alloc_out["command"].omega_ref
 
         thrusts = c_f * plant.omega**2
-        force_net = plant.wrench().force
+        force_net = plant.wrench()[:3]
         eta = float(np.linalg.norm(force_net) / max(thrusts.sum(), 1e-30))
         stab_lhs, stab_rhs, stab_ok = out["stab"]
         log.append(
@@ -303,7 +301,7 @@ def run(
             divergence = (t + (k + 1) * config.dt_physics, "plant state turned non-finite")
             break
 
-    log.finalize(diverged=divergence is not None)
+    log.divergence = divergence
     if divergence is not None and raise_on_divergence:
         raise SimulationDiverged(divergence[0], log, divergence[1])
     return log

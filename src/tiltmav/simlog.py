@@ -52,7 +52,12 @@ class SimLog:
                "stab_lhs", "stab_rhs", "stab_ok"]
         )
         self._rows: list[list[float]] = []
-        self.diverged = False
+        #: (time, cause) of the divergence that ended the run, or None.
+        self.divergence: tuple[float, str] | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence is not None
 
     def append(self, t, state, ref, e_p, e_r, alpha_cmd, omega_cmd, alpha_act,
                omega_act, u, eta_f, kappa, residual, regularized,
@@ -70,9 +75,6 @@ class SimLog:
                stab_lhs, stab_rhs, float(stab_ok)]
         )
         self._rows.append([float(x) for x in row])
-
-    def finalize(self, diverged: bool) -> None:
-        self.diverged = diverged
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -143,10 +145,3 @@ def stats_to_dict(stats: dict) -> dict:
               "whisker_lo": s.whisker_lo, "whisker_hi": s.whisker_hi}
         for key, s in stats.items()
     }
-
-
-def efficiency_timeline(log: SimLog) -> tuple[np.ndarray, np.ndarray]:
-    """(t, eta_f) series from the logged rotor states."""
-    if len(log) == 0:
-        raise ValueError("empty log")
-    return log.column("t"), log.column("eta_f")

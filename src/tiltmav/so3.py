@@ -122,9 +122,3 @@ def attitude_error(r_wb, r_wb_des) -> np.ndarray:
     rd = np.asarray(r_wb_des, dtype=float)
     m = rd.T @ r - r.T @ rd
     return 0.5 * np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
-def random_rotation(rng: np.random.Generator, max_angle: float = np.pi) -> np.ndarray:
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    return exp_so3(axis * rng.uniform(0.0, max_angle))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .so3 import exp_so3, log_so3, rot_x, rot_y
+from .so3 import exp_so3, log_so3, rot_x, rot_y, rot_z
 
 def _poly_eval(coeffs: np.ndarray, t, deriv: int = 0):
     c = coeffs
@@ -199,7 +199,6 @@ def load_waypoints(path) -> Trajectory:
         r = np.eye(3)
         if "rpy" in item:
             roll, pitch, yaw = np.deg2rad(item["rpy"])
-            from .so3 import rot_z
             r = rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)
         wps.append(Waypoint(t=item["t"], p=np.asarray(item["p"], dtype=float), r_wb=r))
     return Trajectory(wps)

@@ -1,4 +1,4 @@
-"""Independent brute-force oracles used by the test suite."""
+"""Independent brute-force oracles and reference helpers used by the test suite."""
 
 from __future__ import annotations
 
@@ -10,8 +10,47 @@ from scipy.optimize import linprog
 from tiltmav.allocation import instantaneous_allocation, static_allocation
 from tiltmav.envelope import _disc_lp
 from tiltmav.riccati import CareError, _validate
-from tiltmav.rigid_body import RigidBodyState, com_torque, tilt_step
-from tiltmav.so3 import skew
+from tiltmav.rigid_body import BodyConstants, RigidBodyState, com_torque, newton_euler, tilt_step
+from tiltmav.so3 import exp_so3, skew
+
+
+def omega_tilde(omega_sq, alpha, arm_of_rotor) -> np.ndarray:
+    """Interleaved lateral/vertical squared-speed components (Omega-tilde).
+
+    The static map A applied to these is the wrench of the module docstring
+    of ``tiltmav.allocation``; the library evaluates it as A_alpha @ W.
+    """
+    omega_sq = np.asarray(omega_sq, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    arm_of_rotor = np.asarray(arm_of_rotor)
+    if omega_sq.shape != arm_of_rotor.shape:
+        raise ValueError("omega_sq and arm_of_rotor length mismatch")
+    if arm_of_rotor.size and int(arm_of_rotor.max()) >= alpha.size:
+        raise ValueError("alpha too short for the rotor->arm map")
+    a_r = alpha[arm_of_rotor]
+    out = np.empty(2 * omega_sq.size)
+    out[0::2] = np.sin(a_r) * omega_sq
+    out[1::2] = np.cos(a_r) * omega_sq
+    return out
+
+
+def accelerations(r_wb, omega, force_b, torque_c, params):
+    """Array form of ``rigid_body.newton_euler``: (a_W, psi_B) for one body state."""
+    a_w, psi = newton_euler(np.ravel(r_wb).tolist(), np.ravel(omega).tolist(),
+                            np.ravel(force_b).tolist(), np.ravel(torque_c).tolist(),
+                            BodyConstants.of(params))
+    return np.array(a_w), np.array(psi)
+
+
+def kinetic_energy(state, params) -> float:
+    v_b = state.r_wb.T @ state.v
+    return float(0.5 * params.mass * v_b @ v_b + 0.5 * state.omega @ params.inertia @ state.omega)
+
+
+def random_rotation(rng, max_angle=np.pi) -> np.ndarray:
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    return exp_so3(axis * rng.uniform(0.0, max_angle))
 
 
 def max_wrench_alpha_grid(m, direction, mode="force", hover_force=None,

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from tiltmav.allocation import instantaneous_allocation, omega_tilde, static_allocation
+from tiltmav.allocation import instantaneous_allocation, static_allocation
 from tiltmav.cli import main as cli_main
 from tiltmav.design import DesignProblem, beta_sweep, optimize
 from tiltmav.diff_allocation import (build_diff_allocation, condition_scan,
@@ -19,11 +19,10 @@ from tiltmav.lqri import LqriController, LqriGains, linearized_system
 from tiltmav.riccati import care_residual, lqr_gain, solve_care
 from tiltmav.rigid_body import RigidBodyState
 from tiltmav.sim import SimConfig, hover_trim, run
-from tiltmav.so3 import random_rotation
 from tiltmav.trajectory import TrajectorySample, Trajectory, Waypoint, named_trajectory
 from tiltmav.vehicle import RigidBodyParams, prototype_morphology
 
-from oracles import kleinman_newton, lqri_error_rates
+from oracles import kleinman_newton, lqri_error_rates, omega_tilde, random_rotation
 
 _results = []
 

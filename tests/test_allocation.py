@@ -2,24 +2,24 @@ import numpy as np
 import pytest
 
 from tiltmav.allocation import (condition_number, instantaneous_allocation,
-                                invert_static, omega_tilde, rotor_wrench,
-                                static_allocation, wrench_from_actuators)
+                                invert_static, static_allocation)
 from tiltmav.vehicle import RotorParams, hexarotor, prototype_morphology
+
+from oracles import omega_tilde
 
 
 def test_rotor_wrench_table_values():
-    params = RotorParams()
-    f, tau = rotor_wrench(1250.0, params)
+    # One rotor's column of the instantaneous map, the plant's wrench map.
+    m = prototype_morphology()
+    params = m.rotor
+    column = instantaneous_allocation(static_allocation(m), np.zeros(m.n_arms),
+                                      m.arm_of_rotor)[:, 0]
+    f = np.linalg.norm(column[:3]) * 1250.0**2
     assert abs(f - 11.09375) < 1e-9          # the ~11 N per-rotor maximum
-    assert np.isclose(tau, params.c_f * params.c_d * 1250.0**2)
-    assert rotor_wrench(0.0, params) == (0.0, 0.0)
-    f500, _ = rotor_wrench(500.0, params)
-    assert np.isclose(f500, 1.775)
-
-
-def test_rotor_wrench_rejects_negative_speed():
-    with pytest.raises(ValueError):
-        rotor_wrench(-1.0, RotorParams())
+    # Drag torque along the thrust axis; the moment of the thrust is normal to it.
+    drag = abs(column[3:] @ column[:3]) / np.linalg.norm(column[:3]) * 1250.0**2
+    assert np.isclose(drag, params.c_f * params.c_d * 1250.0**2)
+    assert np.isclose(np.linalg.norm(column[:3]) * 500.0**2, 1.775)
 
 
 def test_static_allocation_vertical_column_flat_hex():
@@ -108,7 +108,7 @@ def test_invert_static_roundtrip():
     a = static_allocation(m)
     wrench = np.array([3.0, -2.0, 50.0, 0.5, -0.2, 0.1])
     alpha, omega, _ = invert_static(a, wrench, m)
-    w_back = wrench_from_actuators(a, omega, alpha, m.arm_of_rotor)
+    w_back = a @ omega_tilde(omega**2, alpha, m.arm_of_rotor)
     assert np.allclose(w_back, wrench, atol=1e-8)
 
 

@@ -1,10 +1,18 @@
+import dataclasses
+import inspect
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tiltmav.cli import main
-from tiltmav.envelope import pinv_radii
+from tiltmav.cli import _sim_pieces, build_parser, main
+from tiltmav.diff_allocation import AllocationConfig, BiasConfig, condition_scan
+from tiltmav.envelope import envelope, pinv_radii
+from tiltmav.lqri import LqriGains
+from tiltmav.pid import PidGains
+from tiltmav.sim import SimConfig
 from tiltmav.vehicle import prototype_morphology
 
 HOVER_WPS = [{"t": 0.0, "p": [0.0, 0.0, 1.3]}, {"t": 2.0, "p": [0.0, 0.0, 1.3]}]
@@ -63,7 +71,7 @@ def test_missing_config_exit_code(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
-def test_divergence_exit_code(tmp_path, hover_file):
+def test_divergence_exit_code(tmp_path, hover_file, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gains": {"pid": {"k_p": -5.0}},
                                "trajectory": hover_file}))
@@ -77,7 +85,76 @@ def test_divergence_exit_code(tmp_path, hover_file):
     code = main(["simulate", "--config", str(cfg), "--traj", str(traj),
                  "--out", str(tmp_path / "div")])
     assert code == 3
-    assert (tmp_path / "div" / "simlog.csv").exists()
+    lines = (tmp_path / "div" / "simlog.csv").read_text().splitlines()
+    assert lines[0] == "# simlog schema v1 diverged=1"
+    t_last = float(lines[-1].split(",")[0])
+    err = capsys.readouterr().err
+    assert f"diverged at t={t_last:.3f} s" in err
+    assert "position error exceeded the divergence limit" in err
+
+
+@pytest.mark.parametrize("command,config,path,key", [
+    ("simulate", {"simm": {"controller": "lqri"}}, "unknown key(s)", "simm"),
+    ("envelope", {"envelope": {"n_dir": 320}}, "envelope: ", "'n_dir'"),
+    ("simulate", {"gains": {"pid": {"kp": 1.0}}}, "gains.pid: ", "'kp'"),
+    # Both gain sets are built whichever controller runs (PID here).
+    ("simulate", {"gains": {"lqri": {"kp": 1.0}}}, "gains.lqri: ", "'kp'"),
+    ("simulate", {"gains": {"pdi": {}}}, "gains: ", "pdi"),
+    # The JSON names are v_alpha_dot and v_omega_dot.
+    ("simulate", {"allocation": {"unwind_alpha_rate": 5.0}}, "allocation: ", "'unwind_alpha_rate'"),
+    ("simulate", {"bias": {"enable": True}}, "bias: ", "'enable'"),
+    ("simulate", {"sim": {"dt_physic": 1e-3}}, "sim: ", "'dt_physic'"),
+    # The scan's switch is bias_on, the parameter of condition_scan.
+    ("condition-scan", {"condition_scan": {"bias": True}}, "condition_scan: ", "'bias'"),
+    ("simulate", {"sim": {"use_estimator": "yes"}}, "sim: ", "use_estimator"),
+    ("envelope", {"envelope": {"n_dirs": 100.5}}, "envelope: ", "n_dirs"),
+    ("envelope", {"envelope": {"mode": "torque", "n_dirs": 320, "hover_force": [0.0, 40.0]}},
+     "envelope: ", "hover_force"),
+    ("envelope", {"envelope": [320]}, "must be a JSON object", "envelope"),
+])
+def test_config_errors_name_the_key(tmp_path, hover_file, capsys, command, config, path, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg), "--traj", hover_file,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert path in err and key in err
+
+
+def test_empty_sections_build_the_defaults():
+    config = {key: {} for key in ("sim", "allocation", "bias")}
+    config["gains"] = {"pid": {}, "lqri": {}}
+    _, sim, _, gains, alloc, bias = _sim_pieces(build_parser().parse_args(["simulate"]), config)
+    assert sim == SimConfig() and alloc == AllocationConfig() and bias == BiasConfig()
+    assert gains == {"pid": PidGains(), "lqri": LqriGains()}
+
+
+def test_readme_lists_every_config_key():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    keys_paragraph = text[text.index("Configuration keys"):].split("\n\n")[0]
+    names = {f.name for cls in (SimConfig, AllocationConfig, BiasConfig, LqriGains, PidGains)
+             for f in dataclasses.fields(cls)}
+    for fn in (envelope, condition_scan):
+        names |= set(inspect.signature(fn).parameters) - {"m", "alloc", "bias_cfg"}
+    missing = sorted(n for n in names if not re.search(rf"\b{n}\b", keys_paragraph))
+    assert not missing
+
+
+def test_unwind_count_must_fit_the_arms(tmp_path, hover_file, capsys):
+    for n in (-1, 7):
+        assert main(["simulate", "--traj", hover_file, "--unwind", str(n),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "--unwind" in capsys.readouterr().err
+
+
+def test_missing_input_files_are_config_errors(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"morphology": str(tmp_path / "nope.json")}))
+    assert main(["envelope", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "nope.json" in capsys.readouterr().err
+    assert main(["simulate", "--traj", str(tmp_path / "nope.json"),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "nope.json" in capsys.readouterr().err
 
 
 def test_envelope_command(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tiltmav.allocation import (condition_number, instantaneous_allocation,
-                                omega_tilde, static_allocation)
+                                static_allocation)
 from tiltmav.diff_allocation import (AllocationConfig, BiasConfig,
                                      DifferentialAllocator, alpha_bias,
                                      build_diff_allocation, condition_scan,
@@ -11,6 +11,8 @@ from tiltmav.diff_allocation import (AllocationConfig, BiasConfig,
 from tiltmav.rigid_body import RigidBodyState
 from tiltmav.sim import hover_trim
 from tiltmav.vehicle import RigidBodyParams, prototype_morphology
+
+from oracles import omega_tilde
 
 
 def _hover_setup():

@@ -3,9 +3,8 @@ import pytest
 
 from tiltmav import envelope as envelope_module
 from tiltmav.design import DesignProblem, build_candidate
-from tiltmav.envelope import (envelope, force_efficiency, hover_sphere, icosphere,
-                              max_wrench_in_direction, min_total_thrust, pinv_radii,
-                              torque_efficiency)
+from tiltmav.envelope import (envelope, hover_sphere, icosphere, max_wrench_in_direction,
+                              min_total_thrust, pinv_radii)
 from tiltmav.vehicle import GRAVITY, RotorParams, hexarotor, prototype_morphology
 
 from oracles import max_wrench_alpha_grid, min_thrusts_linprog, optimal_radii_linprog
@@ -181,35 +180,6 @@ def test_max_wrench_and_min_thrust_agree():
     assert abs(min_total_thrust(m, [0.0, 0.0, f_z, 0.0, 0.0, 0.0]) - f_z) < 1e-6
 
 
-def test_force_efficiency_examples():
-    assert np.isclose(force_efficiency([0, 0, 3.0], [1.0, 1.0, 1.0]), 1.0)
-    # two opposing 1 N thrusts plus 1 N aligned: eta = 1/3
-    assert np.isclose(force_efficiency([1.0, 0, 0], [1.0, 1.0, 1.0]), 1.0 / 3.0)
-    with pytest.raises(ValueError):
-        force_efficiency([1, 0, 0], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        force_efficiency([1, 0, 0], [-1.0, 2.0])
-
-
-def test_torque_efficiency_examples():
-    # couple of two tangential 1 N thrusts at radius l: tau = 2 l, sum = 2
-    length = 0.3
-    assert np.isclose(torque_efficiency([0, 0, 2 * length], [1.0, 1.0], length), 1.0)
-    assert np.isclose(torque_efficiency([0, 0, 0.15], [1.0, 1.0], length), 0.25)
-    with pytest.raises(ValueError):
-        torque_efficiency([1, 0, 0], [0.0], length)
-
-
-def test_efficiency_bounds_random():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        thrust_vecs = rng.normal(size=(6, 3))
-        mags = np.linalg.norm(thrust_vecs, axis=1)
-        f_net = thrust_vecs.sum(axis=0)
-        eta = force_efficiency(f_net, mags)
-        assert 0.0 <= eta <= 1.0 + 1e-12
-
-
 def test_hover_sphere_flat_hex():
     m = hexarotor(body=prototype_morphology().body)
     sphere = hover_sphere(m, n_dirs=320)
@@ -246,8 +216,11 @@ def test_pinv_radii_torque_mode_hover_budget():
 
 
 def test_envelope_requires_enough_directions():
-    with pytest.raises(ValueError):
-        envelope(prototype_morphology(), n_dirs=50)
+    for n_dirs in (50, 100.5, float("nan")):
+        with pytest.raises(ValueError, match="n_dirs"):
+            envelope(prototype_morphology(), n_dirs=n_dirs)
+    with pytest.raises(ValueError, match="hover_force"):
+        envelope(prototype_morphology(), "torque", n_dirs=320, hover_force=[0.0, 40.0])
 
 
 def test_envelope_eta_sampled():

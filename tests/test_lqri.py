@@ -3,8 +3,7 @@ import pytest
 
 from tiltmav.diff_allocation import exact_wrench_rate
 from tiltmav.lqri import (LqriController, LqriGains, compute_error_state,
-                          linearized_system, stability_condition, stability_rhs,
-                          STABILITY_COEFF)
+                          linearized_system, stability_rhs, STABILITY_COEFF)
 from tiltmav.riccati import lqr_gain, solve_care
 from tiltmav.rigid_body import RigidBodyState
 from tiltmav.so3 import rot_x
@@ -158,18 +157,22 @@ def test_stability_condition():
     a, b = linearized_system()
     q, r = LqriGains().weight_matrices()
     p = solve_care(a, b, q, r)
-    assert stability_rhs(q, r, p, b) > 0.0
-    e = np.zeros(24); e[0] = 1.0
-    lhs, rhs, ok = stability_condition(q, r, p, b, e, np.zeros(3))
-    assert lhs == 0.0 and ok
+    rhs = stability_rhs(q, r, p, b)
+    assert rhs > 0.0
+
+    def stab(state):
+        return LqriController().step(state, _ref(), 0.01)["stab"]
+
+    # Position error only: e_omega = 0 gives lhs = 0, and the test holds.
+    lhs, rhs_ctrl, ok = stab(RigidBodyState(p=np.array([1.0, 0, 0])))
+    assert lhs == 0.0 and ok and np.isclose(rhs_ctrl, rhs)
     # ||e_omega|| == ||e||: lhs equals the constant (3+sqrt2)/sqrt2
-    e = np.zeros(24); e[18:21] = [1.0, 0, 0]
-    lhs, _, _ = stability_condition(q, r, p, b, e, np.array([1.0, 0, 0]))
+    lhs, _, _ = stab(RigidBodyState(omega=np.array([1.0, 0, 0])))
     assert np.isclose(lhs, STABILITY_COEFF)
     assert np.isclose(STABILITY_COEFF, 3.1213203435596424)
     # zero error counts as satisfied
-    _, _, ok = stability_condition(q, r, p, b, np.zeros(24), np.zeros(3))
-    assert ok
+    lhs, _, ok = stab(RigidBodyState())
+    assert lhs == 0.0 and ok
 
 
 def test_detectability_guard():

@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 
 from tiltmav.pid import PidController, PidGains
 from tiltmav.rigid_body import RigidBodyState
 from tiltmav.so3 import rot_z
 from tiltmav.trajectory import TrajectorySample
+
+
+# Plain backward differencing, without the jerk slew limits.
+UNLIMITED = dict(j_max_lin=math.inf, j_max_ang=math.inf)
 
 
 def _ref(p=np.zeros(3)):
@@ -21,7 +27,7 @@ def test_zero_error_gives_zero_jerk():
 
 
 def test_constant_error_zero_jerk_after_first_step():
-    ctrl = PidController(PidGains(k_p=5.0, k_p_i=0.0, k_v=0.0))
+    ctrl = PidController(PidGains(k_p=5.0, k_p_i=0.0, k_v=0.0, **UNLIMITED))
     st = RigidBodyState(p=np.array([0.5, 0.0, 0.0]))
     out1 = ctrl.step(st, _ref(), 0.01)
     assert not np.allclose(out1["u"][:3], 0.0)
@@ -31,7 +37,7 @@ def test_constant_error_zero_jerk_after_first_step():
 
 def test_step_backward_difference_value():
     # error step of [1,0,0] with k_p = 5, dt = 0.01: delta a = 5 -> jerk 500
-    ctrl = PidController(PidGains(k_p=5.0, k_p_i=0.0, k_v=0.0))
+    ctrl = PidController(PidGains(k_p=5.0, k_p_i=0.0, k_v=0.0, **UNLIMITED))
     ctrl.step(RigidBodyState(), _ref(), 0.01)
     out = ctrl.step(RigidBodyState(), _ref(p=[1.0, 0.0, 0.0]), 0.01)
     assert np.allclose(out["u"][:3], [500.0, 0.0, 0.0], atol=1e-9)
@@ -39,7 +45,7 @@ def test_step_backward_difference_value():
 
 def test_jerk_rotates_into_body_frame():
     r = rot_z(np.pi / 2.0)
-    ctrl = PidController(PidGains(k_p=5.0, k_p_i=0.0, k_v=0.0))
+    ctrl = PidController(PidGains(k_p=5.0, k_p_i=0.0, k_v=0.0, **UNLIMITED))
     st = RigidBodyState(r_wb=r)
     ctrl.step(st, _ref(), 0.01)
     out = ctrl.step(st, _ref(p=[1.0, 0.0, 0.0]), 0.01)
@@ -49,7 +55,7 @@ def test_jerk_rotates_into_body_frame():
 
 def test_jerk_is_exact_finite_difference_and_reproducible():
     def run_once():
-        ctrl = PidController()
+        ctrl = PidController(PidGains(**UNLIMITED))
         rng = np.random.default_rng(3)
         a_hist, j_hist = [], []
         for _ in range(20):
@@ -69,7 +75,7 @@ def test_jerk_is_exact_finite_difference_and_reproducible():
 
 
 def test_slew_limit_preserves_command_level():
-    ctrl = PidController(PidGains(k_p=5.0, k_p_i=0.0, k_v=0.0), j_max_lin=10.0)
+    ctrl = PidController(PidGains(k_p=5.0, k_p_i=0.0, k_v=0.0, j_max_lin=10.0))
     st = RigidBodyState(p=np.array([1.0, 0.0, 0.0]))   # target a = -5 (ref-state flips)
     applied = []
     for _ in range(80):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from tiltmav.rigid_body import RigidBodyState
-from tiltmav.simlog import SimLog, _quat_wxyz, axis_stats, efficiency_timeline, tracking_stats
-from tiltmav.so3 import exp_so3, random_rotation
+from tiltmav.simlog import SimLog, _quat_wxyz, axis_stats, tracking_stats
+from tiltmav.so3 import exp_so3
 from tiltmav.trajectory import TrajectorySample
+
+from oracles import random_rotation
 
 
 def _fake_log(e_p_series):
@@ -19,7 +21,6 @@ def _fake_log(e_p_series):
                    alpha_act=np.zeros(6), omega_act=np.zeros(12),
                    u=np.zeros(6), eta_f=1.0, kappa=5.0, residual=0.0,
                    regularized=False, stab_lhs=0.0, stab_rhs=1.0, stab_ok=True)
-    log.finalize(diverged=False)
     return log
 
 
@@ -54,15 +55,6 @@ def test_empty_log_raises():
     log = SimLog(6, 12)
     with pytest.raises(ValueError):
         tracking_stats(log)
-    with pytest.raises(ValueError):
-        efficiency_timeline(log)
-
-
-def test_efficiency_timeline():
-    log = _fake_log([np.zeros(3)] * 10)
-    t, eta = efficiency_timeline(log)
-    assert len(t) == 10
-    assert np.allclose(eta, 1.0)
 
 
 def test_csv_roundtrip(tmp_path):

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltmav.so3 import (attitude_error, exp_so3, is_rotation, log_so3,
-                         project_to_so3, random_rotation, rot_x, rot_z, skew, vee)
+                         project_to_so3, rot_x, rot_z, skew, vee)
+
+from oracles import random_rotation
 
 
 def test_skew_cross_product():
