@@ -10,7 +10,7 @@ tiltmav.mass_model.default_mass_model).
 import numpy as np
 
 from tiltmav.mass_model import calibrate_mass_model, compute_mass_inertia
-from tiltmav.vehicle import ArmGeometry, hex_arm_azimuths
+from tiltmav.vehicle import evenly_spaced_arms
 
 
 def main() -> None:
@@ -19,9 +19,7 @@ def main() -> None:
     for name in model.__dataclass_fields__:
         print(f"    {name}={getattr(model, name)!r},")
     print(")")
-    arms = [ArmGeometry(index=i, gamma=float(g), length=0.3)
-            for i, g in enumerate(hex_arm_azimuths())]
-    mass, inertia = compute_mass_inertia(arms, model)
+    mass, inertia = compute_mass_inertia(evenly_spaced_arms(6, 0.3), model)
     print(f"check: mass = {mass:.6f} kg, J = {np.diag(inertia)} kg m^2")
 
 

@@ -30,11 +30,11 @@ def static_allocation(m: Morphology) -> np.ndarray:
     drag torque along the thrust axis (sign per rotor spin).
     """
     c_f = m.rotor.c_f
-    arms = [m.arms[i] for i in m.arm_of_rotor]
-    pos = np.array([arm.length * arm.axis() for arm in arms])
+    arm = m.arm_of_rotor
+    pos = (m.arm_lengths[:, None] * m.arm_axes)[arm]
     drag = (m.spins * m.rotor.c_d)[:, None]
-    lat = np.array([arm.lateral_dir() for arm in arms])
-    vert = np.array([arm.vertical_dir() for arm in arms])
+    lat = m.lateral_dirs[arm]
+    vert = m.vertical_dirs[arm]
     a = np.empty((6, 2 * m.n_rotors))
     a[:3, 0::2] = (c_f * lat).T
     a[3:, 0::2] = (c_f * (np.cross(pos, lat) - drag * lat)).T
@@ -74,19 +74,11 @@ def invert_static(a: np.ndarray, wrench: np.ndarray, m: Morphology,
     """
     wrench = np.asarray(wrench, dtype=float)
     wt = np.linalg.pinv(a) @ wrench
-    lat = wt[0::2]
-    vert = wt[1::2]
+    lat, vert = wt.reshape(m.n_arms, m.rotor.rotors_per_arm, 2).sum(axis=1).T
 
-    n_arms = m.n_arms
-    rpa = m.rotor.rotors_per_arm
-    alpha = np.zeros(n_arms) if alpha_hold is None else np.array(alpha_hold, dtype=float)
-    scale = max(np.abs(wt).max(), 1.0)
-    for arm in range(n_arms):
-        sl = slice(arm * rpa, (arm + 1) * rpa)
-        lat_sum = lat[sl].sum()
-        vert_sum = vert[sl].sum()
-        if np.hypot(lat_sum, vert_sum) > 1e-12 * scale:
-            alpha[arm] = np.arctan2(lat_sum, vert_sum)
+    alpha = np.zeros(m.n_arms) if alpha_hold is None else np.array(alpha_hold, dtype=float)
+    thrusting = np.hypot(lat, vert) > 1e-12 * max(np.abs(wt).max(), 1.0)
+    alpha[thrusting] = np.arctan2(lat, vert)[thrusting]
 
     a_inst = instantaneous_allocation(a, alpha, m.arm_of_rotor)
     omega_sq = np.linalg.pinv(a_inst) @ wrench

@@ -5,13 +5,15 @@ JSON config (all defaults match the experimental parameter tables), accepts
 flag overrides, writes UTF-8 CSV/JSON outputs plus a manifest with a config
 hash and output digests, and is byte-reproducible for a fixed config+seed.
 
-Exit codes: 0 success, 2 configuration error, 3 simulation divergence.
+Exit codes: 0 success, 2 configuration error (``ConfigError``), 3 simulation
+divergence; any other exception propagates as the fault it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
 from datetime import datetime, timezone
@@ -77,12 +79,31 @@ def _section(config: dict, path: str) -> dict:
     return dict(section)
 
 
+def _kind(value) -> str | None:
+    if isinstance(value, bool):
+        return "true or false"
+    if isinstance(value, (int, float)):
+        return "a number"
+    return "text" if isinstance(value, str) else None
+
+
+def _check_kinds(path: str, make, section: dict) -> None:
+    """Reject a value of another kind than its default in the signature of make."""
+    params = inspect.signature(make).parameters
+    for key, value in section.items():
+        want = _kind(params[key].default) if key in params else None
+        if want is not None and _kind(value) != want:
+            raise ConfigError(f"{path}: {key} must be {want}, got {value!r}")
+
+
 def _build(path: str, make, /, *args, **kwargs):
     """make(*args, **kwargs), a rejected key or value reported under its section path.
 
     Every default lives in the signature of ``make``, so a section's keys
-    are exactly its parameter names.
+    are exactly its parameter names, and a value must be of its default's
+    kind: a number, true or false, or text.
     """
+    _check_kinds(path, make, kwargs)
     try:
         return make(*args, **kwargs)
     except (TypeError, ValueError) as exc:
@@ -90,10 +111,15 @@ def _build(path: str, make, /, *args, **kwargs):
 
 
 def _read_input(load, path: str):
+    """load(path), a missing or malformed input file reported as a config error."""
     try:
         return load(path)
     except FileNotFoundError as exc:
         raise ConfigError(f"input file not found: {path}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _config_hash(config: dict) -> str:
@@ -160,6 +186,7 @@ def cmd_optimize(args, config: dict, out_dir: Path) -> list[Path]:
         problem_cfg["cost"] = args.cost
     if args.seed is not None:
         problem_cfg["seed"] = args.seed
+    _check_kinds("design", DesignProblem, problem_cfg)
     problem = _build("design", DesignProblem.from_dict, problem_cfg)
     result = optimize(problem)
     outputs = [_write_json(out_dir / "design_result.json", result.to_dict())]
@@ -198,8 +225,14 @@ def _sim_pieces(args, config: dict):
         sim_cfg["controller"] = args.controller
     sim = _build("sim", SimConfig, **sim_cfg)
     traj_spec = args.traj or config.get("trajectory", "a")
-    if isinstance(traj_spec, str) and len(traj_spec) == 1 and traj_spec in "abcdefg":
-        traj = named_trajectory(traj_spec, scale=config.get("trajectory_scale", 1.0))
+    if not isinstance(traj_spec, str):
+        raise ConfigError(f"trajectory must be a-g or a waypoint file, got {traj_spec!r}")
+    if len(traj_spec) == 1 and traj_spec in "abcdefg":
+        scale = {"scale": config["trajectory_scale"]} if "trajectory_scale" in config else {}
+        traj = _build("trajectory_scale", named_trajectory, traj_spec, **scale)
+    elif "trajectory_scale" in config:
+        raise ConfigError("trajectory_scale applies to the named trajectories a-g only, "
+                          f"not to the waypoint file {traj_spec}")
     else:
         traj = _read_input(load_waypoints, traj_spec)
     # Both gain sets are built whichever controller runs, so a typo never hides.
@@ -300,7 +333,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return EXIT_DIVERGED
         return EXIT_OK
-    except (ConfigError, ValueError, TypeError, KeyError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -9,14 +9,15 @@ search with penalty handling of the hover constraint.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .envelope import EnvelopeMetrics, envelope, hover_sphere, pinv_radii, sample_directions
 from .mass_model import MassModel, compute_mass_inertia, default_mass_model
-from .vehicle import (GRAVITY, ArmGeometry, Morphology, RigidBodyParams,
-                      RotorParams, TiltParams, hex_arm_azimuths)
+from .vehicle import (GRAVITY, Morphology, RigidBodyParams, RotorParams, TiltParams,
+                      evenly_spaced_arms)
 
 ANGLE_BOUND = np.pi / 2 - 1e-3
 
@@ -41,6 +42,13 @@ class DesignProblem:
     def __post_init__(self):
         if self.cost not in (1, 2):
             raise ValueError("cost must be 1 or 2")
+        for name, least in (("n_arms", 3), ("seed", 0), ("n_random_starts", 0),
+                            ("n_dirs_search", 1), ("n_dirs_final", 100)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not self.arm_length > 0.0:
+            raise ValueError(f"arm_length must be positive, got {self.arm_length!r}")
 
     @staticmethod
     def from_dict(data: dict) -> "DesignProblem":
@@ -87,19 +95,11 @@ class DesignResult:
 
 def build_candidate(problem: DesignProblem, theta, beta) -> Morphology:
     """Morphology for a candidate angle set, body from the mass model."""
-    theta = np.asarray(theta, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    gammas = hex_arm_azimuths() if problem.n_arms == 6 else np.linspace(
-        0.0, 2.0 * np.pi, problem.n_arms, endpoint=False)
-    arms = []
-    for i, g in enumerate(gammas):
-        s_up = 1 if i % 2 == 0 else -1
-        spins = (s_up, -s_up) if problem.rotor.rotors_per_arm == 2 else (s_up,)
-        arms.append(ArmGeometry(index=i, gamma=float(g), theta=float(theta[i]),
-                                beta=float(beta[i]), length=problem.arm_length, spins=spins))
+    arms = evenly_spaced_arms(problem.n_arms, problem.arm_length, theta, beta,
+                              problem.rotor.rotors_per_arm)
     mass, inertia = compute_mass_inertia(arms, problem.mass_model)
     body = RigidBodyParams(mass=mass, inertia=0.5 * (inertia + inertia.T))
-    return Morphology(arms=tuple(arms), rotor=problem.rotor, tilt=TiltParams(), body=body)
+    return Morphology(arms=arms, rotor=problem.rotor, tilt=TiltParams(), body=body)
 
 
 class _CostEvaluator:

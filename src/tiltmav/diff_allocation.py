@@ -153,11 +153,9 @@ def optimal_targets(
     alpha_star = alpha_star + 2.0 * np.pi * np.round(
         (alloc.home_alpha - alpha_star) / (2.0 * np.pi))
     if bias_cfg is not None and bias_cfg.enabled:
-        dirs = np.stack([m.thrust_dir(i, alpha_star[i]) for i in range(m.n_arms)])
-        rpa = m.rotor.rotors_per_arm
-        mags = np.array([
-            (omega_star[i * rpa:(i + 1) * rpa] ** 2).sum() for i in range(m.n_arms)
-        ])
+        dirs = (np.sin(alpha_star)[:, None] * m.lateral_dirs
+                + np.cos(alpha_star)[:, None] * m.vertical_dirs)
+        mags = (omega_star**2).reshape(m.n_arms, m.rotor.rotors_per_arm).sum(axis=1)
         alpha_star = alpha_star + alpha_bias(dirs, mags, bias_cfg)
     # Deadbands keep sign(0) at zero under floating-point noise, so a
     # configuration already at its targets is a fixed point.

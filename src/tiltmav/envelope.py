@@ -97,6 +97,8 @@ def sample_directions(n_dirs: int = 1280) -> tuple[np.ndarray, np.ndarray, np.nd
     Returns (directions, vertices, faces); directions[i] is the normalized
     centroid of faces[i].
     """
+    if not float(n_dirs).is_integer():
+        raise ValueError(f"n_dirs must be a whole number, got {n_dirs!r}")
     subdivisions = 0
     while 20 * 4**subdivisions < n_dirs:
         subdivisions += 1
@@ -420,8 +422,8 @@ def envelope(
     origin tetrahedron of its unit triangle scaled by its centroid radius.
     ``allocation`` selects the radial model ("pinv" or "optimal").
     """
-    if not (float(n_dirs).is_integer() and n_dirs >= 100):
-        raise ValueError(f"n_dirs must be a whole number >= 100, got {n_dirs!r}")
+    if not n_dirs >= 100:
+        raise ValueError(f"n_dirs must be at least 100, got {n_dirs!r}")
     dirs, verts, faces = sample_directions(n_dirs)
     if allocation == "pinv":
         values, eta = pinv_radii(m, dirs, mode=mode, hover_force=hover_force,

@@ -25,6 +25,9 @@ from .trajectory import TrajectorySample
 N_ERR = 24
 BLOCKS = ("p", "p_i", "v", "a", "R", "R_i", "omega", "psi")
 STABILITY_COEFF = (3.0 + np.sqrt(2.0)) / np.sqrt(2.0)
+#: Integrator clamps: position [m s], attitude [rad s].
+WINDUP_P = 2.0
+WINDUP_R = 1.0
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,9 @@ class LqriGains:
     k_psi: float = 0.0
     r_f_dot: tuple = (1.0, 1.0, 0.2)
     r_tau_dot: tuple = (1.0, 1.0, 1.0)
+
+    def __post_init__(self):
+        self.weight_matrices()   # rejects negative Q gains and non-positive R weights
 
     def weight_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         q_diag = np.concatenate([
@@ -110,8 +116,6 @@ def compute_error_state(
     prev_e_p: np.ndarray | None,
     prev_e_r: np.ndarray | None,
     dt: float,
-    windup_p: float = 2.0,
-    windup_r: float = 1.0,
 ) -> tuple[ErrorState, np.ndarray, np.ndarray]:
     """Tracking error with trapezoidal, clamped integrator updates.
 
@@ -130,8 +134,8 @@ def compute_error_state(
 
     prev_e_p = e_p if prev_e_p is None else prev_e_p
     prev_e_r = e_r if prev_e_r is None else prev_e_r
-    e_p_i = np.clip(e_p_i + 0.5 * dt * (prev_e_p + e_p), -windup_p, windup_p)
-    e_r_i = np.clip(e_r_i + 0.5 * dt * (prev_e_r + e_r), -windup_r, windup_r)
+    e_p_i = np.clip(e_p_i + 0.5 * dt * (prev_e_p + e_p), -WINDUP_P, WINDUP_P)
+    e_r_i = np.clip(e_r_i + 0.5 * dt * (prev_e_r + e_r), -WINDUP_R, WINDUP_R)
     err = ErrorState(e_p, e_p_i.copy(), e_v, e_a, e_r, e_r_i.copy(), e_omega, e_psi)
     return err, e_p_i, e_r_i
 
@@ -154,8 +158,6 @@ class LqriController:
     """Stateful wrapper: integrators plus the precomputed CARE gain."""
 
     gains: LqriGains = field(default_factory=LqriGains)
-    windup_p: float = 2.0
-    windup_r: float = 1.0
 
     def __post_init__(self):
         self.a_sys, self.b_sys = linearized_system()
@@ -179,8 +181,7 @@ class LqriController:
         e_psi_dot = u_bar[3:] with e_psi = psi - R' psi_d_world (body frame).
         """
         err, self.e_p_i, self.e_r_i = compute_error_state(
-            state, ref, self.e_p_i, self.e_r_i, self._prev_e_p, self._prev_e_r,
-            dt, self.windup_p, self.windup_r)
+            state, ref, self.e_p_i, self.e_r_i, self._prev_e_p, self._prev_e_r, dt)
         self._prev_e_p = err.e_p
         self._prev_e_r = err.e_r
         e_vec = err.vector()

@@ -3,7 +3,8 @@
 The vehicle is reduced to a solid core cylinder, one tube per arm, and one
 tilt-averaged rotor-group cylinder per arm. Component inertias are expressed
 at the body origin with the parallel axis theorem and rotated by each arm's
-orientation R_z(gamma + theta) R_y(-beta).
+orientation [axis, -lateral, vertical] = R_z(gamma + theta) R_y(-beta) (see
+``tiltmav.vehicle``).
 
 The default constants are calibrated (see ``calibrate_mass_model`` and
 scripts/calibrate_mass_model.py) so the flat six-arm layout with 0.3 m arms
@@ -17,8 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .so3 import rot_y, rot_z
-from .vehicle import ArmGeometry
+from .vehicle import ArmGeometry, arm_frames, evenly_spaced_arms
 
 
 @dataclass(frozen=True)
@@ -81,32 +81,30 @@ def compute_mass_inertia(arms: Sequence[ArmGeometry], model: MassModel) -> tuple
         m_core * (3.0 * model.r_core**2 + model.h_core**2) / 12.0,
         0.5 * m_core * model.r_core**2,
     ])
-    mass = m_core
+    length = np.array([arm.length for arm in arms])
+    m_tube = model.m_tube_per_m * length
+    m_rot = model.m_rotor_group
     r_sq = model.r_tube_outer**2 + model.r_tube_inner**2
-    for arm in arms:
-        length = arm.length
-        m_tube = model.m_tube_per_m * length
-        m_rot = model.m_rotor_group
-        mass += m_tube + m_rot
+    trans = m_rot * (3.0 * model.r_rotor**2 + model.h_rotor**2) / 12.0
+    axial = 0.5 * m_rot * model.r_rotor**2
 
-        j_tube = np.diag([
-            0.5 * m_tube * r_sq,
-            m_tube * (3.0 * r_sq + length**2) / 12.0,
-            m_tube * (3.0 * r_sq + length**2) / 12.0,
-        ])
-        trans = m_rot * (3.0 * model.r_rotor**2 + model.h_rotor**2) / 12.0
-        axial = 0.5 * m_rot * model.r_rotor**2
-        j_rot = np.diag([trans, 0.5 * (trans + axial), 0.5 * (trans + axial)])
-
-        p_tube = np.array([0.5 * length, 0.0, 0.0])
-        p_rot = np.array([length, 0.0, 0.0])
-        j_arm = (
-            j_tube + m_tube * (p_tube @ p_tube * np.eye(3) - np.outer(p_tube, p_tube))
-            + j_rot + m_rot * (p_rot @ p_rot * np.eye(3) - np.outer(p_rot, p_rot))
-        )
-        r_b_arm = rot_z(arm.azimuth) @ rot_y(-arm.beta)
-        j = j + r_b_arm @ j_arm @ r_b_arm.T
-    return mass, j
+    # Each arm in its own frame (x along the arm): the tube about its center
+    # plus the rotor group, both shifted to the origin by the parallel axis
+    # theorem. float_power rounds as a Python float's ** (libm pow) and the
+    # shifts as x * x, so each term matches the per-arm form bit for bit.
+    j_arm = np.zeros((n, 3, 3))
+    j_arm[:, 0, 0] = 0.5 * m_tube * r_sq + trans
+    j_arm[:, 1, 1] = j_arm[:, 2, 2] = (
+        m_tube * (3.0 * r_sq + np.float_power(length, 2)) / 12.0 + m_tube * (0.5 * length)**2
+        + 0.5 * (trans + axial) + m_rot * length**2)
+    axis, lateral, vertical = arm_frames(arms)
+    r_b_arm = np.stack([axis, -lateral, vertical], axis=2)
+    terms = r_b_arm @ j_arm @ r_b_arm.transpose(0, 2, 1)
+    # Both sums add the arms one by one onto the core; a pairwise sum would
+    # round differently.
+    mass = np.add.accumulate(np.concatenate([[m_core], m_tube + m_rot]))[-1]
+    j = np.add.reduce(np.concatenate([j[None], terms]), axis=0)
+    return float(mass), j
 
 
 def calibrate_mass_model(
@@ -124,11 +122,8 @@ def calibrate_mass_model(
     """
     from scipy.optimize import least_squares
 
-    from .vehicle import hex_arm_azimuths
-
     base = base or _base_mass_model()
-    gammas = hex_arm_azimuths() if n_arms == 6 else np.linspace(0, 2 * np.pi, n_arms, endpoint=False)
-    arms = [ArmGeometry(index=i, gamma=float(g), length=arm_length) for i, g in enumerate(gammas)]
+    arms = evenly_spaced_arms(n_arms, arm_length)
     jxx_t, _, jzz_t = target_inertia
 
     x0 = np.array([base.m_rotor_group, base.r_core, base.h_core, base.m_tube_per_m])

@@ -18,6 +18,10 @@ from .rigid_body import RigidBodyState
 from .so3 import attitude_error
 from .trajectory import TrajectorySample
 
+#: Integrator clamps: position [m s], attitude [rad s].
+WINDUP_P = 2.0
+WINDUP_R = 1.0
+
 
 @dataclass(frozen=True)
 class PidGains:
@@ -44,8 +48,6 @@ class PidController:
     """
 
     gains: PidGains = field(default_factory=PidGains)
-    windup_p: float = 2.0
-    windup_r: float = 1.0
 
     def __post_init__(self):
         self.reset()
@@ -69,8 +71,8 @@ class PidController:
         e_r = attitude_error(ref.r_wb, state.r_wb)
         omega_ref_b = state.r_wb.T @ (ref.r_wb @ ref.omega_b)
         e_omega = omega_ref_b - state.omega
-        self.e_p_i = np.clip(self.e_p_i + dt * e_p, -self.windup_p, self.windup_p)
-        self.e_r_i = np.clip(self.e_r_i + dt * e_r, -self.windup_r, self.windup_r)
+        self.e_p_i = np.clip(self.e_p_i + dt * e_p, -WINDUP_P, WINDUP_P)
+        self.e_r_i = np.clip(self.e_r_i + dt * e_r, -WINDUP_R, WINDUP_R)
 
         # Reference feedforward on top of the PID action: without it the
         # soft position gains cannot follow multi-m/s^2 references at all.

@@ -25,6 +25,7 @@ estimator path is opt-in.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,14 +41,6 @@ from .simlog import SimLog
 from .so3 import project_to_so3, rodrigues
 from .trajectory import Trajectory
 from .vehicle import Morphology
-
-
-class SimulationDiverged(RuntimeError):
-    def __init__(self, t: float, log: "SimLog",
-                 cause: str = "position error exceeded the divergence limit"):
-        super().__init__(f"{cause} at t={t:.3f}s")
-        self.t = t
-        self.log = log
 
 
 @dataclass(frozen=True)
@@ -77,10 +70,20 @@ class SimConfig:
             raise ValueError(f"rotor_slew must be positive and finite, got {self.rotor_slew!r}")
         if not isinstance(self.use_estimator, bool):
             raise ValueError(f"use_estimator must be true or false, got {self.use_estimator!r}")
+        for name, least in (("seed", 0), ("sg_window", 3), ("sg_order", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.sg_window % 2 == 0:
+            raise ValueError(f"sg_window must be odd, got {self.sg_window}")
+        if self.sg_order >= self.sg_window:
+            raise ValueError(f"sg_order must be below sg_window, got {self.sg_order}")
+        if self.controller not in ("pid", "lqri"):
+            raise ValueError(f"controller must be pid or lqri, got {self.controller!r}")
+        if not self.divergence_limit > 0.0:
+            raise ValueError(f"divergence_limit must be positive, got {self.divergence_limit!r}")
         if self.dt_physics > self.dt_control:
             raise ValueError("dt_physics must not exceed dt_control")
-        if self.sg_window % 2 == 0:
-            raise ValueError("sg_window must be odd")
         ratio = self.dt_control / self.dt_physics
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("dt_control must be an integer multiple of dt_physics")
@@ -197,9 +200,7 @@ def _make_controller(config: SimConfig, gains: dict | None):
     gains = gains or {}
     if config.controller == "lqri":
         return LqriController(gains.get("lqri", LqriGains()))
-    if config.controller == "pid":
-        return PidController(gains.get("pid", PidGains()))
-    raise ValueError(f"unknown controller {config.controller!r}")
+    return PidController(gains.get("pid", PidGains()))
 
 
 def run(
@@ -212,7 +213,6 @@ def run(
     unwind: bool = False,
     alpha0: np.ndarray | None = None,
     p_offset=None,
-    raise_on_divergence: bool = False,
 ) -> SimLog:
     """Closed-loop simulation of a trajectory; returns the control-rate log.
 
@@ -222,8 +222,7 @@ def run(
     the initial position for step-recovery studies. Divergence (position
     error beyond the configured limit or not finite, or a plant state that
     turned non-finite) stops the run and returns the partial log with the
-    divergence time and cause, or raises ``SimulationDiverged`` when
-    ``raise_on_divergence`` is set.
+    divergence time and cause in ``log.divergence``.
     """
     for name, value in (("alpha0", alpha0), ("p_offset", p_offset)):
         if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
@@ -302,6 +301,4 @@ def run(
             break
 
     log.divergence = divergence
-    if divergence is not None and raise_on_divergence:
-        raise SimulationDiverged(divergence[0], log, divergence[1])
     return log

@@ -1,16 +1,26 @@
 """Vehicle description: arm geometry, rotor/tilt parameters, rigid-body data.
 
-A morphology bundles everything the allocation and dynamics need. Rotors are
-indexed arm-major: rotor r sits on arm r // rotors_per_arm. Arm azimuth is
-gamma + theta (theta is the per-arm yaw deviation from the evenly spaced
-layout); beta inclines the arm axis out of the rotor plane about the arm's
-local y axis, so the arm axis is
+A morphology bundles everything the allocation and dynamics need, and
+states the per-arm geometry once, as arrays that every layer reads.
 
-    x_arm = [cos(beta) cos(phi), cos(beta) sin(phi), sin(beta)],  phi = gamma + theta.
+Layout (``evenly_spaced_arms``). Arm i sits at the base azimuth
+gamma_i = (2i + 1) pi / 6 on six arms (the prototype's spacing) and
+gamma_i = 2 pi i / n on any other count n; theta_i yaws it off that layout,
+so its azimuth is phi_i = gamma_i + theta_i, and beta_i inclines it out of
+the rotor plane. Upper rotors spin +1, -1, +1, ... around the arms, and the
+lower rotor of a dual-rotor arm spins opposite its upper one. Rotors are
+indexed arm-major: rotor r sits on arm r // rotors_per_arm.
 
-The tilt angle alpha rotates the thrust vector inside the circle orthogonal
-to x_arm, from the "vertical" direction at alpha = 0 toward the "lateral"
-(tangential) direction at alpha = pi/2.
+Frame (``arm_frames``). Each arm carries the orthonormal triad
+
+    axis     = [cos(beta) cos(phi), cos(beta) sin(phi), sin(beta)]   (the tilt axis)
+    lateral  = [sin(phi), -cos(phi), 0]                              (thrust at alpha = pi/2)
+    vertical = [-sin(beta) cos(phi), -sin(beta) sin(phi), cos(beta)] (thrust at alpha = 0)
+
+so the tilt angle alpha turns the thrust direction
+sin(alpha) lateral + cos(alpha) vertical inside the circle orthogonal to
+the axis, and the arm's orientation in the body is
+[axis, -lateral, vertical] = R_z(phi) R_y(-beta).
 """
 
 from __future__ import annotations
@@ -98,7 +108,6 @@ class RigidBodyParams:
 
 @dataclass(frozen=True)
 class ArmGeometry:
-    index: int
     gamma: float
     theta: float = 0.0
     beta: float = 0.0
@@ -117,22 +126,33 @@ class ArmGeometry:
     def azimuth(self) -> float:
         return self.gamma + self.theta
 
-    def axis(self) -> np.ndarray:
-        """Unit arm axis (the tilt axis) in the body frame."""
-        cb, sb = np.cos(self.beta), np.sin(self.beta)
-        cp, sp = np.cos(self.azimuth), np.sin(self.azimuth)
-        return np.array([cb * cp, cb * sp, sb])
 
-    def vertical_dir(self) -> np.ndarray:
-        """Thrust direction at tilt angle 0."""
-        cb, sb = np.cos(self.beta), np.sin(self.beta)
-        cp, sp = np.cos(self.azimuth), np.sin(self.azimuth)
-        return np.array([-sb * cp, -sb * sp, cb])
+def arm_frames(arms: Sequence[ArmGeometry]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit axis, lateral and vertical vector of each arm, (n_arms, 3) each."""
+    phi = np.array([arm.azimuth for arm in arms])
+    beta = np.array([arm.beta for arm in arms])
+    cb, sb = np.cos(beta), np.sin(beta)
+    cp, sp = np.cos(phi), np.sin(phi)
+    axis = np.stack([cb * cp, cb * sp, sb], axis=1)
+    lateral = np.stack([sp, -cp, np.zeros_like(phi)], axis=1)
+    vertical = np.stack([-sb * cp, -sb * sp, cb], axis=1)
+    return axis, lateral, vertical
 
-    def lateral_dir(self) -> np.ndarray:
-        """Thrust direction at tilt angle pi/2 (tangential, independent of beta)."""
-        cp, sp = np.cos(self.azimuth), np.sin(self.azimuth)
-        return np.array([sp, -cp, 0.0])
+
+def evenly_spaced_arms(n_arms: int, length: float, thetas: Sequence[float] | float = 0.0,
+                       betas: Sequence[float] | float = 0.0,
+                       rotors_per_arm: int = RotorParams.rotors_per_arm) -> tuple:
+    """The arms of the evenly spaced layout with alternating spins."""
+    thetas = np.broadcast_to(np.asarray(thetas, dtype=float), (n_arms,))
+    betas = np.broadcast_to(np.asarray(betas, dtype=float), (n_arms,))
+    gammas = (np.pi / 6.0 * np.arange(1, 12, 2, dtype=float) if n_arms == 6
+              else np.linspace(0.0, 2.0 * np.pi, n_arms, endpoint=False))
+    arms = []
+    for i, gamma in enumerate(gammas):
+        s_up = 1 if i % 2 == 0 else -1
+        arms.append(ArmGeometry(gamma=float(gamma), theta=float(thetas[i]), beta=float(betas[i]),
+                                length=length, spins=(s_up, -s_up)[:rotors_per_arm]))
+    return tuple(arms)
 
 
 def _required(section: dict, key: str, prefix: str = ""):
@@ -144,6 +164,13 @@ def _required(section: dict, key: str, prefix: str = ""):
 
 @dataclass(frozen=True)
 class Morphology:
+    """One vehicle: its arms, rotors, tilt servos and rigid body.
+
+    Construction derives, once, the per-arm arrays ``arm_axes``,
+    ``lateral_dirs``, ``vertical_dirs`` (n_arms, 3) and ``arm_lengths``, and
+    the per-rotor ``spins`` and ``arm_of_rotor``; every layer reads these.
+    """
+
     arms: tuple
     rotor: RotorParams
     tilt: TiltParams
@@ -156,6 +183,13 @@ class Morphology:
         for arm in self.arms:
             if len(arm.spins) != self.rotor.rotors_per_arm:
                 raise ValueError("spin count must match rotors_per_arm")
+        # Frozen: the derived arrays go into __dict__ directly.
+        axes, lateral, vertical = arm_frames(self.arms)
+        vars(self).update(
+            arm_axes=axes, lateral_dirs=lateral, vertical_dirs=vertical,
+            arm_lengths=np.array([arm.length for arm in self.arms]),
+            spins=np.array([s for arm in self.arms for s in arm.spins], dtype=float),
+            arm_of_rotor=np.arange(self.n_rotors) // self.rotor.rotors_per_arm)
 
     @property
     def n_arms(self) -> int:
@@ -164,18 +198,6 @@ class Morphology:
     @property
     def n_rotors(self) -> int:
         return self.n_arms * self.rotor.rotors_per_arm
-
-    @property
-    def arm_of_rotor(self) -> np.ndarray:
-        return np.arange(self.n_rotors) // self.rotor.rotors_per_arm
-
-    @property
-    def spins(self) -> np.ndarray:
-        return np.array([s for arm in self.arms for s in arm.spins], dtype=float)
-
-    def thrust_dir(self, arm_index: int, alpha: float) -> np.ndarray:
-        arm = self.arms[arm_index]
-        return np.sin(alpha) * arm.lateral_dir() + np.cos(alpha) * arm.vertical_dir()
 
     def to_dict(self) -> dict:
         return {
@@ -214,16 +236,18 @@ class Morphology:
     def from_dict(data: dict) -> "Morphology":
         """Build from ``to_dict`` output; a missing required key raises
         ValueError naming its path (``tilt.tau``, ``arms[2].gamma``, ...)."""
+        arm_specs = _required(data, "arms")
+        if not isinstance(arm_specs, (list, tuple)):
+            raise ValueError(f"arms must be a list of arm objects, got {arm_specs!r}")
         arms = tuple(
             ArmGeometry(
-                index=i,
                 gamma=_required(a, "gamma", f"arms[{i}]."),
                 theta=a.get("theta", 0.0),
                 beta=a.get("beta", 0.0),
                 length=_required(a, "length", f"arms[{i}]."),
                 spins=tuple(_required(a, "spins", f"arms[{i}].")),
             )
-            for i, a in enumerate(_required(data, "arms"))
+            for i, a in enumerate(arm_specs)
         )
         r = _required(data, "rotor")
         rotor = RotorParams(
@@ -258,11 +282,6 @@ class Morphology:
             return Morphology.from_dict(json.load(fh))
 
 
-def hex_arm_azimuths() -> np.ndarray:
-    """Standard hexarotor arm spacing pi/6 * [1, 3, 5, 7, 9, 11]."""
-    return np.pi / 6.0 * np.arange(1, 12, 2, dtype=float)
-
-
 def hexarotor(
     betas: Sequence[float] | float = 0.0,
     thetas: Sequence[float] | float = 0.0,
@@ -271,21 +290,12 @@ def hexarotor(
     tilt: TiltParams | None = None,
     body: RigidBodyParams | None = None,
 ) -> Morphology:
-    """Six-arm, twelve-rotor morphology with alternating upper spin directions."""
-    betas = np.broadcast_to(np.asarray(betas, dtype=float), (6,))
-    thetas = np.broadcast_to(np.asarray(thetas, dtype=float), (6,))
+    """Six-arm morphology of the evenly spaced layout."""
     rotor = rotor or RotorParams()
-    arms = []
-    for i, gamma in enumerate(hex_arm_azimuths()):
-        s_up = 1 if i % 2 == 0 else -1
-        spins = (s_up, -s_up) if rotor.rotors_per_arm == 2 else (s_up,)
-        arms.append(
-            ArmGeometry(index=i, gamma=float(gamma), theta=float(thetas[i]),
-                        beta=float(betas[i]), length=arm_length, spins=spins)
-        )
+    arms = evenly_spaced_arms(6, arm_length, thetas, betas, rotor.rotors_per_arm)
     if body is None:
         body = RigidBodyParams(mass=4.27, inertia=np.diag([0.086, 0.088, 0.16]))
-    return Morphology(arms=tuple(arms), rotor=rotor, tilt=tilt or TiltParams(), body=body)
+    return Morphology(arms=arms, rotor=rotor, tilt=tilt or TiltParams(), body=body)
 
 
 def prototype_morphology() -> Morphology:

@@ -11,7 +11,7 @@ from tiltmav.allocation import instantaneous_allocation, static_allocation
 from tiltmav.envelope import _disc_lp
 from tiltmav.riccati import CareError, _validate
 from tiltmav.rigid_body import BodyConstants, RigidBodyState, com_torque, newton_euler, tilt_step
-from tiltmav.so3 import exp_so3, skew
+from tiltmav.so3 import exp_so3, rot_y, rot_z, skew
 
 
 def omega_tilde(omega_sq, alpha, arm_of_rotor) -> np.ndarray:
@@ -32,6 +32,73 @@ def omega_tilde(omega_sq, alpha, arm_of_rotor) -> np.ndarray:
     out[0::2] = np.sin(a_r) * omega_sq
     out[1::2] = np.cos(a_r) * omega_sq
     return out
+
+
+def arm_frame_loop(arm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One arm's (axis, lateral, vertical), the triad of ``tiltmav.vehicle``."""
+    cb, sb = np.cos(arm.beta), np.sin(arm.beta)
+    cp, sp = np.cos(arm.azimuth), np.sin(arm.azimuth)
+    return (np.array([cb * cp, cb * sp, sb]), np.array([sp, -cp, 0.0]),
+            np.array([-sb * cp, -sb * sp, cb]))
+
+
+def static_allocation_loop(m) -> np.ndarray:
+    """Rotor-by-rotor form of ``allocation.static_allocation``."""
+    rpa = m.rotor.rotors_per_arm
+    a = np.empty((6, 2 * m.n_rotors))
+    for r in range(m.n_rotors):
+        arm = m.arms[r // rpa]
+        axis, lat, vert = arm_frame_loop(arm)
+        pos = arm.length * axis
+        drag = float(arm.spins[r % rpa]) * m.rotor.c_d
+        for col, d in ((2 * r, lat), (2 * r + 1, vert)):
+            a[:3, col] = m.rotor.c_f * d
+            a[3:, col] = m.rotor.c_f * (np.cross(pos, d) - drag * d)
+    return a
+
+
+def invert_static_loop(a, wrench, m, alpha_hold=None):
+    """Arm-by-arm form of ``allocation.invert_static``."""
+    wt = np.linalg.pinv(a) @ wrench
+    rpa = m.rotor.rotors_per_arm
+    alpha = np.zeros(m.n_arms) if alpha_hold is None else np.array(alpha_hold, dtype=float)
+    scale = max(np.abs(wt).max(), 1.0)
+    for arm in range(m.n_arms):
+        sl = slice(arm * rpa, (arm + 1) * rpa)
+        lat_sum, vert_sum = wt[0::2][sl].sum(), wt[1::2][sl].sum()
+        if np.hypot(lat_sum, vert_sum) > 1e-12 * scale:
+            alpha[arm] = np.arctan2(lat_sum, vert_sum)
+    a_inst = instantaneous_allocation(a, alpha, m.arm_of_rotor)
+    omega = np.sqrt(np.clip(np.linalg.pinv(a_inst) @ wrench, 0.0, None))
+    return alpha, omega, wt
+
+
+def mass_inertia_loop(arms, model) -> tuple[float, np.ndarray]:
+    """Arm-by-arm form of ``mass_model.compute_mass_inertia``."""
+    m_core = model.m_core_const + len(arms) * model.m_arm_actuation
+    j_core_xx = m_core * (3.0 * model.r_core**2 + model.h_core**2) / 12.0
+    j = np.diag([j_core_xx, j_core_xx, 0.5 * m_core * model.r_core**2])
+    mass = m_core
+    r_sq = model.r_tube_outer**2 + model.r_tube_inner**2
+    for arm in arms:
+        length = arm.length
+        m_tube = model.m_tube_per_m * length
+        m_rot = model.m_rotor_group
+        mass += m_tube + m_rot
+        j_tube_yy = m_tube * (3.0 * r_sq + length**2) / 12.0
+        j_tube = np.diag([0.5 * m_tube * r_sq, j_tube_yy, j_tube_yy])
+        trans = m_rot * (3.0 * model.r_rotor**2 + model.h_rotor**2) / 12.0
+        axial = 0.5 * m_rot * model.r_rotor**2
+        j_rot = np.diag([trans, 0.5 * (trans + axial), 0.5 * (trans + axial)])
+        p_tube = np.array([0.5 * length, 0.0, 0.0])
+        p_rot = np.array([length, 0.0, 0.0])
+        j_arm = (
+            j_tube + m_tube * (p_tube @ p_tube * np.eye(3) - np.outer(p_tube, p_tube))
+            + j_rot + m_rot * (p_rot @ p_rot * np.eye(3) - np.outer(p_rot, p_rot))
+        )
+        r_b_arm = rot_z(arm.azimuth) @ rot_y(-arm.beta)
+        j = j + r_b_arm @ j_arm @ r_b_arm.T
+    return mass, j
 
 
 def accelerations(r_wb, omega, force_b, torque_c, params):

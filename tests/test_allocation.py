@@ -3,9 +3,9 @@ import pytest
 
 from tiltmav.allocation import (condition_number, instantaneous_allocation,
                                 invert_static, static_allocation)
-from tiltmav.vehicle import RotorParams, hexarotor, prototype_morphology
+from tiltmav.vehicle import Morphology, RotorParams, hexarotor, prototype_morphology
 
-from oracles import omega_tilde
+from oracles import invert_static_loop, omega_tilde, static_allocation_loop
 
 
 def test_rotor_wrench_table_values():
@@ -119,3 +119,28 @@ def test_invert_static_holds_degenerate_arm():
     alpha, omega, _ = invert_static(a, np.zeros(6), m, alpha_hold=hold)
     assert np.allclose(alpha, hold)
     assert np.allclose(omega, 0.0)
+
+
+def _random_morphology(rng) -> Morphology:
+    data = prototype_morphology().to_dict()
+    rpa = int(rng.integers(1, 3))
+    data["rotor"]["rotors_per_arm"] = rpa
+    data["arms"] = [{"gamma": rng.uniform(0.0, 2.0 * np.pi), "theta": rng.uniform(-1.5, 1.5),
+                     "beta": rng.uniform(-1.5, 1.5), "length": rng.uniform(0.1, 0.5),
+                     "spins": [s, -s][:rpa]}
+                    for s in rng.choice([-1, 1], size=int(rng.integers(3, 9)))]
+    return Morphology.from_dict(data)
+
+
+def test_array_forms_equal_the_per_arm_loops():
+    # The array kernels keep the loops' arithmetic, so they agree bit for bit.
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        m = _random_morphology(rng)
+        a = static_allocation(m)
+        assert np.array_equal(a, static_allocation_loop(m))
+        wrench = np.zeros(6) if trial % 10 == 0 else rng.normal(0.0, 20.0, 6)
+        hold = rng.uniform(-3.0, 3.0, m.n_arms) if trial % 2 else None
+        for got, want in zip(invert_static(a, wrench, m, alpha_hold=hold),
+                             invert_static_loop(a, wrench, m, alpha_hold=hold)):
+            assert np.array_equal(got, want)

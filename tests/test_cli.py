@@ -111,6 +111,18 @@ def test_divergence_exit_code(tmp_path, hover_file, capsys):
     ("envelope", {"envelope": {"mode": "torque", "n_dirs": 320, "hover_force": [0.0, 40.0]}},
      "envelope: ", "hover_force"),
     ("envelope", {"envelope": [320]}, "must be a JSON object", "envelope"),
+    ("simulate", {"sim": {"seed": 1.5}}, "sim: ", "seed"),
+    ("simulate", {"sim": {"seed": True}}, "sim: ", "seed"),
+    ("simulate", {"sim": {"sg_window": 21.0, "use_estimator": True}}, "sim: ", "sg_window"),
+    ("simulate", {"sim": {"sg_order": 1.0}}, "sim: ", "sg_order"),
+    ("simulate", {"sim": {"sg_window": 5, "sg_order": 5}}, "sim: ", "sg_order"),
+    ("simulate", {"sim": {"controller": "mpc"}}, "sim: ", "controller"),
+    ("condition-scan", {"condition_scan": {"n_dirs": 100.5}}, "condition_scan: ", "n_dirs"),
+    ("simulate", {"morphology": {"arms": 3}}, "morphology: ", "arms"),
+    ("simulate", {"gains": {"pid": {"k_p": "5"}}}, "gains.pid: ", "k_p"),
+    ("simulate", {"gains": {"lqri": {"k_p": -1.0}}}, "gains.lqri: ", "Q gains"),
+    ("optimize", {"design": {"n_arms": 2}}, "design: ", "n_arms"),
+    ("optimize", {"design": {"step_init": "large"}}, "design: ", "step_init"),
 ])
 def test_config_errors_name_the_key(tmp_path, hover_file, capsys, command, config, path, key):
     cfg = tmp_path / "cfg.json"
@@ -155,6 +167,42 @@ def test_missing_input_files_are_config_errors(tmp_path, capsys):
     assert main(["simulate", "--traj", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 2
     assert "nope.json" in capsys.readouterr().err
+
+
+def test_malformed_input_files_are_config_errors(tmp_path, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text('[{"t": 0.0, ')
+    no_t = tmp_path / "no_t.json"
+    no_t.write_text(json.dumps([{"p": [0.0, 0.0, 1.3]}]))
+    for path, message in ((broken, "Expecting"), (no_t, "missing key 't'")):
+        assert main(["simulate", "--traj", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"morphology": str(broken)}))
+    assert main(["envelope", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert str(broken) in capsys.readouterr().err
+
+
+def test_trajectory_scale_is_checked(tmp_path, hover_file, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trajectory_scale": "large"}))
+    assert main(["simulate", "--config", str(cfg), "--traj", "g",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "trajectory_scale: " in capsys.readouterr().err
+    # A waypoint file has no scale; the key would be silently ignored.
+    cfg.write_text(json.dumps({"trajectory_scale": 7.0}))
+    assert main(["simulate", "--config", str(cfg), "--traj", hover_file,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "trajectory_scale applies to the named trajectories" in capsys.readouterr().err
+
+
+def test_internal_faults_are_not_config_errors(tmp_path, hover_file, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr("tiltmav.cli.run", singular)
+    with pytest.raises(np.linalg.LinAlgError):
+        main(["simulate", "--traj", hover_file, "--out", str(tmp_path / "o")])
 
 
 def test_envelope_command(tmp_path):

@@ -242,6 +242,11 @@ def test_condition_scan_targets():
     assert on["max_log_kappa"] <= 10.0
 
 
+def test_condition_scan_rejects_a_fractional_direction_count():
+    with pytest.raises(ValueError, match="n_dirs"):
+        condition_scan(prototype_morphology(), n_dirs=100.5)
+
+
 def test_condition_scan_scale_invariance():
     # doubling rotor speeds leaves kappa unchanged (SVD homogeneity)
     m = prototype_morphology()

@@ -65,11 +65,9 @@ def test_rotational_symmetry_of_radial_values():
 def test_optimal_matches_alpha_grid_oracle():
     # 3 dual-rotor arms keep the oracle grid tractable.
     m = hexarotor()
-    arms = m.arms[::2]
-    arms = tuple(type(a)(index=i, gamma=a.gamma, theta=a.theta, beta=a.beta,
-                         length=a.length, spins=a.spins) for i, a in enumerate(arms))
-    from tiltmav.vehicle import Morphology
-    m3 = Morphology(arms=arms, rotor=m.rotor, tilt=m.tilt, body=m.body)
+    from tiltmav.vehicle import Morphology, evenly_spaced_arms
+    m3 = Morphology(arms=evenly_spaced_arms(3, m.arms[0].length), rotor=m.rotor,
+                    tilt=m.tilt, body=m.body)
     for d in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.6, 0.0, 0.8]):
         mine = max_wrench_in_direction(m3, d)
         oracle = max_wrench_alpha_grid(m3, d, n_grid=12, refine=2)

@@ -1,14 +1,30 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 
 from tiltmav.mass_model import (MassModel, calibrate_mass_model, compute_mass_inertia,
                                 default_mass_model)
-from tiltmav.vehicle import ArmGeometry, hex_arm_azimuths
+from tiltmav.vehicle import ArmGeometry, evenly_spaced_arms
+
+from oracles import mass_inertia_loop
 
 
 def _arms(betas=0.0, length=0.3):
-    betas = np.broadcast_to(np.asarray(betas, dtype=float), (6,))
-    return [ArmGeometry(index=i, gamma=float(g), beta=float(b), length=length)
-            for i, (g, b) in enumerate(zip(hex_arm_azimuths(), betas))]
+    return evenly_spaced_arms(6, length, betas=betas)
+
+
+def test_array_form_equals_the_per_arm_loop():
+    # The stacked form keeps the loop's arithmetic, so they agree bit for bit.
+    rng = np.random.default_rng(9)
+    mm = default_mass_model()
+    for _ in range(300):
+        arms = [ArmGeometry(gamma=rng.uniform(0.0, 2.0 * np.pi), theta=rng.uniform(-1.5, 1.5),
+                            beta=rng.uniform(-1.5, 1.5), length=rng.uniform(0.1, 0.5))
+                for _ in range(int(rng.integers(3, 9)))]
+        mass, j = compute_mass_inertia(arms, mm)
+        mass_ref, j_ref = mass_inertia_loop(arms, mm)
+        assert mass == mass_ref and np.array_equal(j, j_ref)
 
 
 def test_degenerate_geometry_reduces_to_core():
@@ -52,6 +68,14 @@ def test_calibration_script_matches_frozen_defaults():
     frozen = default_mass_model()
     for name in frozen.__dataclass_fields__:
         assert np.isclose(getattr(fresh, name), getattr(frozen, name), rtol=1e-6)
+
+
+def test_calibration_script_prints_the_calibrated_model(capsys):
+    script = Path(__file__).parents[1] / "scripts" / "calibrate_mass_model.py"
+    runpy.run_path(str(script))["main"]()
+    out = capsys.readouterr().out
+    assert "Calibrated MassModel(" in out
+    assert "check: mass = 4.000000 kg" in out
 
 
 def test_tilted_pattern_moves_inertia_toward_isotropy():

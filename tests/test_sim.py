@@ -165,6 +165,18 @@ def test_divergence_abort_partial_log():
     assert log.column("t")[-1] < 20.0
 
 
+def test_divergence_raises_when_requested():
+    # A divergence is reported once, on the log: its time and its cause.
+    m = prototype_morphology()
+    gains = {"pid": PidGains(k_p=-5.0)}
+    log = run(SimConfig(controller="pid"), m, _hover_traj(20.0), gains=gains,
+              p_offset=[0.2, 0, 0])
+    assert len(log) > 0
+    # The tick whose position error crossed the limit is the last one logged.
+    assert log.divergence == (log.column("t")[-1], "position error exceeded the divergence limit")
+    assert np.linalg.norm(log.block("e_p")[-1]) > SimConfig().divergence_limit
+
+
 def test_estimator_path_runs():
     m = prototype_morphology()
     cfg = SimConfig(controller="lqri", sigma_a=0.05, sigma_omega=0.02,
@@ -180,6 +192,12 @@ def test_sim_config_validation(tmp_path, capsys):
         SimConfig(dt_physics=0.02, dt_control=0.01)
     with pytest.raises(ValueError):
         SimConfig(sg_window=10)
+    for name, value in (("seed", 1.5), ("seed", True), ("seed", -1), ("sg_window", 21.0),
+                        ("sg_window", 1), ("sg_order", 1.0), ("sg_order", -1), ("sg_order", 21),
+                        ("controller", "mpc"), ("divergence_limit", 0.0)):
+        with pytest.raises(ValueError, match=name):
+            SimConfig(**{name: value})
+    assert SimConfig(seed=np.int64(3)).seed == 3
     with pytest.raises(ValueError):
         SimConfig(dt_control=0.0095)
     for dt in (-0.001, 0.0):
@@ -203,16 +221,6 @@ def test_sim_config_validation(tmp_path, capsys):
     assert cli_main(["simulate", "--config", str(cfg), "--controller", "lqri",
                      "--out", str(tmp_path / "o")]) == 2
     assert "sigma_a" in capsys.readouterr().err
-
-
-def test_divergence_raises_when_requested():
-    from tiltmav.sim import SimulationDiverged
-    m = prototype_morphology()
-    gains = {"pid": PidGains(k_p=-5.0)}
-    with pytest.raises(SimulationDiverged) as exc:
-        run(SimConfig(controller="pid"), m, _hover_traj(20.0), gains=gains,
-            p_offset=[0.2, 0, 0], raise_on_divergence=True)
-    assert len(exc.value.log) > 0
 
 
 def test_lqri_leans_harder_on_acceleration_estimates():
@@ -287,18 +295,14 @@ def _fail_after(n_calls, original=Plant.step):
 
 
 def test_non_finite_plant_state_is_a_divergence(monkeypatch, tmp_path):
-    from tiltmav.sim import SimulationDiverged
     m = prototype_morphology()
     monkeypatch.setattr(Plant, "step", _fail_after(205))
     log = run(SimConfig(), m, _hover_traj(2.0))
     assert log.diverged
     assert len(log) == 21 and log.column("t")[-1] == pytest.approx(0.2)
-
-    monkeypatch.setattr(Plant, "step", _fail_after(205))
-    with pytest.raises(SimulationDiverged, match="non-finite") as exc:
-        run(SimConfig(), m, _hover_traj(2.0), raise_on_divergence=True)
-    assert len(exc.value.log) == 21 and exc.value.t == pytest.approx(0.206)
-    assert exc.value.log.diverged
+    # The 206th physics step failed: 6 ms into the tick logged last.
+    t, cause = log.divergence
+    assert t == pytest.approx(0.206) and cause == "plant state turned non-finite"
 
     traj = tmp_path / "hover.json"
     traj.write_text(json.dumps([{"t": 0.0, "p": [0, 0, 1.3]}, {"t": 2.0, "p": [0, 0, 1.3]}]))

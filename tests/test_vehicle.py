@@ -3,8 +3,9 @@ import re
 import numpy as np
 import pytest
 
+from tiltmav.so3 import rot_y, rot_z
 from tiltmav.vehicle import (ArmGeometry, Morphology, RigidBodyParams, RotorParams,
-                             TiltParams, hexarotor, prototype_morphology)
+                             TiltParams, arm_frames, hexarotor, prototype_morphology)
 
 
 def test_prototype_counts():
@@ -43,11 +44,11 @@ def test_body_params_validation():
 
 def test_arm_geometry_validation():
     with pytest.raises(ValueError):
-        ArmGeometry(index=0, gamma=0.0, length=-0.1)
+        ArmGeometry(gamma=0.0, length=-0.1)
     with pytest.raises(ValueError):
-        ArmGeometry(index=0, gamma=0.0, beta=2.0)
+        ArmGeometry(gamma=0.0, beta=2.0)
     with pytest.raises(ValueError):
-        ArmGeometry(index=0, gamma=0.0, spins=(2, -1))
+        ArmGeometry(gamma=0.0, spins=(2, -1))
 
 
 def test_min_arms():
@@ -57,16 +58,21 @@ def test_min_arms():
 
 
 def test_arm_frame_geometry():
-    arm = ArmGeometry(index=0, gamma=0.3, theta=0.1, beta=0.5)
-    axis, lat, vert = arm.axis(), arm.lateral_dir(), arm.vertical_dir()
-    # Orthonormal triad; lateral stays horizontal.
-    for v in (axis, lat, vert):
-        assert np.isclose(np.linalg.norm(v), 1.0)
-    assert np.isclose(axis @ lat, 0.0, atol=1e-12)
-    assert np.isclose(axis @ vert, 0.0, atol=1e-12)
-    assert np.isclose(lat @ vert, 0.0, atol=1e-12)
-    assert np.isclose(lat[2], 0.0)
-    assert axis[2] > 0.0  # positive beta inclines the arm upward
+    thetas = [0.1, -0.2, 0.0, 0.3, -0.1, 0.05]
+    betas = [0.5, -0.5, 0.2, -1.0, 0.0, 1.2]
+    m = hexarotor(betas=betas, thetas=thetas)
+    axis, lat, vert = m.arm_axes, m.lateral_dirs, m.vertical_dirs
+    assert axis.shape == lat.shape == vert.shape == (6, 3)
+    for i, arm in enumerate(m.arms):
+        frame = np.column_stack([axis[i], -lat[i], vert[i]])
+        # Orthonormal triad, the arm's rotation; lateral stays horizontal.
+        assert np.allclose(frame.T @ frame, np.eye(3), atol=1e-12)
+        assert np.allclose(frame, rot_z(arm.azimuth) @ rot_y(-arm.beta), atol=1e-15)
+        assert lat[i, 2] == 0.0
+        assert np.sign(axis[i, 2]) == np.sign(arm.beta)  # positive beta inclines it upward
+    # One arm alone gets the frame it has in the whole morphology.
+    for alone, whole in zip(arm_frames(m.arms[3:4]), (axis, lat, vert)):
+        assert np.array_equal(alone[0], whole[3])
 
 
 def test_json_roundtrip(tmp_path):
