@@ -62,7 +62,8 @@ def condition_number(a_alpha: np.ndarray) -> float:
 
 
 def invert_static(a: np.ndarray, wrench: np.ndarray, m: Morphology,
-                  alpha_hold: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  alpha_hold: np.ndarray | None = None,
+                  a_pinv: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimum-norm actuator set realizing a wrench through the static map.
 
     Returns (alpha, omega, omega_tilde_star). Tilt angles come from the
@@ -70,10 +71,11 @@ def invert_static(a: np.ndarray, wrench: np.ndarray, m: Morphology,
     pseudoinverse solution; arms whose demanded thrust is negligible keep
     alpha_hold (or 0). Rotor speeds are then re-solved at the shared tilt
     angles, which restores wrench exactness the per-rotor pairs lose to the
-    drag-sign asymmetry within an arm.
+    drag-sign asymmetry within an arm. A caller inverting many wrenches
+    through one ``a`` may pass ``a_pinv``, which must equal ``np.linalg.pinv(a)``.
     """
     wrench = np.asarray(wrench, dtype=float)
-    wt = np.linalg.pinv(a) @ wrench
+    wt = (np.linalg.pinv(a) if a_pinv is None else a_pinv) @ wrench
     lat, vert = wt.reshape(m.n_arms, m.rotor.rotors_per_arm, 2).sum(axis=1).T
 
     alpha = np.zeros(m.n_arms) if alpha_hold is None else np.array(alpha_hold, dtype=float)

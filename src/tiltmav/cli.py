@@ -101,11 +101,15 @@ def _build(path: str, make, /, *args, **kwargs):
 
     Every default lives in the signature of ``make``, so a section's keys
     are exactly its parameter names, and a value must be of its default's
-    kind: a number, true or false, or text.
+    kind: a number, true or false, or text. A ``LinAlgError`` (a
+    ``ValueError``) is a numerical fault inside a computing ``make`` such as
+    ``envelope``, not a config error, and propagates.
     """
     _check_kinds(path, make, kwargs)
     try:
         return make(*args, **kwargs)
+    except np.linalg.LinAlgError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

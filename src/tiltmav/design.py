@@ -9,7 +9,6 @@ search with penalty handling of the hover constraint.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .envelope import EnvelopeMetrics, envelope, hover_sphere, pinv_radii, sample_directions
 from .mass_model import MassModel, compute_mass_inertia, default_mass_model
 from .vehicle import (GRAVITY, Morphology, RigidBodyParams, RotorParams, TiltParams,
-                      evenly_spaced_arms)
+                      check_int, evenly_spaced_arms)
 
 ANGLE_BOUND = np.pi / 2 - 1e-3
 
@@ -44,9 +43,7 @@ class DesignProblem:
             raise ValueError("cost must be 1 or 2")
         for name, least in (("n_arms", 3), ("seed", 0), ("n_random_starts", 0),
                             ("n_dirs_search", 1), ("n_dirs_final", 100)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            check_int(name, getattr(self, name), least)
         if not self.arm_length > 0.0:
             raise ValueError(f"arm_length must be positive, got {self.arm_length!r}")
 

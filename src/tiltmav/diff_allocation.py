@@ -17,6 +17,7 @@ allocation well conditioned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,8 @@ import numpy as np
 from .allocation import (condition_number, instantaneous_allocation, invert_static,
                          static_allocation)
 from .envelope import sample_directions
-from .vehicle import GRAVITY, Morphology, RigidBodyParams
+from .so3 import cross3
+from .vehicle import GRAVITY, Morphology, RigidBodyParams, check_int
 
 REGULARIZATION_CONDITION = 1e12
 
@@ -42,12 +44,32 @@ class AllocationConfig:
     unwind_engage: float = 0.3
     unwind_release: float = 0.02
 
+    def __post_init__(self):
+        if not (math.isfinite(self.k_alpha) and self.k_alpha > 0.0):
+            raise ValueError(f"k_alpha must be positive and finite, got {self.k_alpha!r}")
+        for name in ("v_alpha_dot", "v_omega_dot"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+        if not math.isfinite(self.home_alpha):
+            raise ValueError(f"home_alpha must be finite, got {self.home_alpha!r}")
+        check_int("max_unwind_arms", self.max_unwind_arms, 1)
+        if not self.unwind_release < self.unwind_engage:
+            raise ValueError(f"unwind_release must be below unwind_engage "
+                             f"({self.unwind_engage!r}), got {self.unwind_release!r}")
+
 
 @dataclass(frozen=True)
 class BiasConfig:
     enabled: bool = False
     delta: float = 0.15
     colinearity_tol: float = 0.1
+
+    def __post_init__(self):
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta!r}")
+        if not 0.0 < self.colinearity_tol <= 0.5 * math.pi:
+            raise ValueError(f"colinearity_tol must be in (0, pi/2], got {self.colinearity_tol!r}")
 
 
 def build_diff_allocation(a: np.ndarray, omega_c: np.ndarray, alpha_c: np.ndarray,
@@ -94,14 +116,14 @@ def exact_wrench_rate(j_w_des: np.ndarray, psi_dot_des_b: np.ndarray, state,
     wrench body-fixed while the vehicle rotates, which loses the gravity
     compensation during large attitude maneuvers.
     """
-    om = state.omega
+    om = state.omega.tolist()
     jj = params.inertia
     f_dot = params.mass * (state.r_wb.T @ np.asarray(j_w_des, dtype=float)) \
-        - np.cross(om, wrench[:3])
+        - cross3(om, wrench[:3].tolist())
     tau_dot = (jj @ np.asarray(psi_dot_des_b, dtype=float)
-               + np.cross(state.psi, jj @ om)
-               + np.cross(om, jj @ state.psi)
-               + np.cross(params.r_com, f_dot))
+               + cross3(state.psi.tolist(), (jj @ state.omega).tolist())
+               + cross3(om, (jj @ state.psi).tolist())
+               + cross3(params.r_com.tolist(), f_dot.tolist()))
     return np.concatenate([f_dot, tau_dot])
 
 
@@ -117,18 +139,14 @@ def alpha_bias(thrust_dirs: np.ndarray, magnitudes: np.ndarray,
         return np.zeros(n)
     scale = magnitudes.max() if magnitudes.size else 0.0
     active = magnitudes > 1e-9 * max(scale, 1e-30)
-    dirs = thrust_dirs[active]
-    colinear = True
-    for i in range(dirs.shape[0]):
-        for k in range(i + 1, dirs.shape[0]):
-            cross = np.linalg.norm(np.cross(dirs[i], dirs[k]))
-            if np.arcsin(np.clip(cross, 0.0, 1.0)) > cfg.colinearity_tol:
-                colinear = False
-                break
-        if not colinear:
-            break
-    if not colinear:
-        return np.zeros(n)
+    dirs = thrust_dirs[active].tolist()
+    # Pairwise on floats, up to the first pair that is not colinear.
+    for i, d_i in enumerate(dirs):
+        for d_k in dirs[i + 1:]:
+            cx, cy, cz = cross3(d_i, d_k)
+            sin_angle = min(max(math.sqrt(cx * cx + cy * cy + cz * cz), 0.0), 1.0)
+            if math.asin(sin_angle) > cfg.colinearity_tol:
+                return np.zeros(n)
     return cfg.delta * (-1.0) ** np.arange(n)
 
 
@@ -140,15 +158,17 @@ def optimal_targets(
     wrench: np.ndarray,
     alloc: AllocationConfig,
     bias_cfg: BiasConfig | None = None,
+    a_pinv: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unwinding targets (alpha*, omega*) and preferred rates u_tilde*.
 
     The wrench is re-allocated through the static pseudoinverse; per-arm
     optimal tilt angles pick the 2pi branch nearest the home winding, get
     the optional singularity bias, and the preferred differential command
-    applies fixed unwinding speeds toward the targets.
+    applies fixed unwinding speeds toward the targets. ``a_pinv`` is passed
+    on to ``invert_static``.
     """
-    alpha_star, omega_star, _ = invert_static(a, wrench, m, alpha_hold=alpha_c)
+    alpha_star, omega_star, _ = invert_static(a, wrench, m, alpha_hold=alpha_c, a_pinv=a_pinv)
     # Nearest-to-home 2pi branch (atan2 already yields (-pi, pi]).
     alpha_star = alpha_star + 2.0 * np.pi * np.round(
         (alloc.home_alpha - alpha_star) / (2.0 * np.pi))
@@ -230,6 +250,7 @@ class DifferentialAllocator:
 
     def __post_init__(self):
         self.a = static_allocation(self.morphology)
+        self._a_pinv = np.linalg.pinv(self.a)
         m = self.morphology
         self._w_inv = np.concatenate([
             np.ones(m.n_rotors), np.full(m.n_arms, 1.0 / self.alloc.k_alpha)
@@ -309,7 +330,7 @@ class DifferentialAllocator:
         if self.unwind or self.bias.enabled:
             alpha_star, _, u_star = optimal_targets(
                 m, self.a, self.alpha_cmd, self.omega_cmd, self.current_wrench(),
-                self.alloc, self.bias if self.bias.enabled else None)
+                self.alloc, self.bias if self.bias.enabled else None, a_pinv=self._a_pinv)
             if not self.unwind:
                 # Bias-only mode: keep the tilt preferences, no rotor task.
                 u_star[:m.n_rotors] = 0.0
@@ -347,17 +368,22 @@ def condition_scan(
     through the static pseudoinverse (with optional tilt bias) and the
     instantaneous allocation at the resulting tilt angles is scored.
     """
+    hover_dir = np.asarray(hover_dir, dtype=float)
+    if hover_dir.shape != (3,) or not np.all(np.isfinite(hover_dir)):
+        raise ValueError(f"hover_dir must be a finite 3-vector, got {hover_dir.tolist()!r}")
+    if isinstance(extra_force_mag, bool):
+        raise ValueError(f"extra_force_mag must be a number, got {extra_force_mag!r}")
     alloc = alloc or AllocationConfig()
     bias_full = bias_cfg or BiasConfig(enabled=True)
     a = static_allocation(m)
     mg = m.body.mass * GRAVITY
     extra = mg if extra_force_mag is None else extra_force_mag
-    hover = mg * np.asarray(hover_dir, dtype=float)
+    hover = mg * hover_dir
     dirs, _, _ = sample_directions(n_dirs)
     # Face centroids never hit the singular axes exactly; include them.
     axes = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
                      [0, 0, 1], [0, 0, -1]], dtype=float)
-    hover_axis = np.asarray(hover_dir, dtype=float)[None, :]
+    hover_axis = hover_dir[None, :]
     dirs = np.concatenate([axes, hover_axis, -hover_axis, dirs])
     log_kappa = np.empty(len(dirs))
     for i, d in enumerate(dirs):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .riccati import lqr_gain, solve_care
 from .rigid_body import RigidBodyState
-from .so3 import attitude_error
+from .so3 import attitude_error, cross3
 from .trajectory import TrajectorySample
 
 N_ERR = 24
@@ -188,8 +188,9 @@ class LqriController:
         u_bar = -self.k @ e_vec
         r_t = state.r_wb.T
         psi_d_w = ref.r_wb @ ref.psi_b
-        psi_d_w_dot = ref.r_wb @ (ref.zeta_b + np.cross(ref.omega_b, ref.psi_b))
-        psi_dot = u_bar[3:] + r_t @ psi_d_w_dot - np.cross(state.omega, r_t @ psi_d_w)
+        psi_d_w_dot = ref.r_wb @ (ref.zeta_b + cross3(ref.omega_b.tolist(), ref.psi_b.tolist()))
+        psi_dot = (u_bar[3:] + r_t @ psi_d_w_dot
+                   - cross3(state.omega.tolist(), (r_t @ psi_d_w).tolist()))
         e_norm = float(np.linalg.norm(e_vec))
         lhs = (STABILITY_COEFF * float(np.linalg.norm(err.e_omega)) / e_norm
                if e_norm > 0.0 else 0.0)

@@ -7,6 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .so3 import cross3
 from .vehicle import RigidBodyParams
 
 
@@ -30,8 +31,8 @@ def com_torque(force_b: np.ndarray, torque_b: np.ndarray,
                params: RigidBodyParams) -> np.ndarray:
     """Torque about the center of mass of a wrench given about the body origin."""
     if not params.r_com.any():
-        return torque_b   # centered CoM: skip the cross product, the plant's costliest op
-    return torque_b - np.cross(params.r_com, force_b)
+        return torque_b   # centered CoM: the thrust has no moment about it
+    return torque_b - cross3(params.r_com.tolist(), force_b.tolist())
 
 
 class BodyConstants(NamedTuple):

@@ -17,7 +17,9 @@ partial log, which the command line reports with exit code 3.
 The controller and differential allocation run at dt_control with
 zero-order hold in between. Either controller emits a world jerk and a body
 angular-acceleration rate, ``exact_wrench_rate`` maps them to body wrench
-rates, and the allocator integrates those into actuator commands.
+rates, and the allocator integrates those into actuator commands. The tick
+uses floats where they keep every bit (trajectory derivative tables, and
+``so3.cross3``), and the allocator factors the static pseudoinverse once.
 Acceleration feedback defaults to ground truth; the Savitzky-Golay
 estimator path is opt-in.
 """
@@ -25,7 +27,6 @@ estimator path is opt-in.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,7 @@ from .sgfilter import SavitzkyGolay
 from .simlog import SimLog
 from .so3 import project_to_so3, rodrigues
 from .trajectory import Trajectory
-from .vehicle import Morphology
+from .vehicle import Morphology, check_int
 
 
 @dataclass(frozen=True)
@@ -71,9 +72,7 @@ class SimConfig:
         if not isinstance(self.use_estimator, bool):
             raise ValueError(f"use_estimator must be true or false, got {self.use_estimator!r}")
         for name, least in (("seed", 0), ("sg_window", 3), ("sg_order", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            check_int(name, getattr(self, name), least)
         if self.sg_window % 2 == 0:
             raise ValueError(f"sg_window must be odd, got {self.sg_window}")
         if self.sg_order >= self.sg_window:
@@ -139,7 +138,8 @@ class Plant:
         # Actuators move first; the step uses their midpoint wrench.
         alpha_mid = tilt_step(self.alpha, alpha_ref, m.tilt.tau, 0.5 * dt)
         alpha_end = tilt_step(self.alpha, alpha_ref, m.tilt.tau, dt)
-        d_omega = np.clip(omega_ref - self.omega, -self.rotor_slew * dt, self.rotor_slew * dt)
+        slew = self.rotor_slew * dt
+        d_omega = np.minimum(np.maximum(omega_ref - self.omega, -slew), slew)
         omega_mid = self.omega + 0.5 * d_omega
         omega_end = self.omega + d_omega
         force_b, torque_c = self._force_and_com_torque(alpha_mid, omega_mid)

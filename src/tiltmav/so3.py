@@ -21,6 +21,13 @@ def skew(v) -> np.ndarray:
                      [-y, x, 0.0]])
 
 
+def cross3(a, b) -> tuple:
+    """a x b of two 3-sequences as a float tuple: np.cross's bits without its dispatch."""
+    ax, ay, az = a
+    bx, by, bz = b
+    return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+
+
 def vee(m, tol: float = ORTHONORMALITY_TOL) -> np.ndarray:
     """Inverse of skew. Raises ValueError if the input is not antisymmetric."""
     m = np.asarray(m, dtype=float)

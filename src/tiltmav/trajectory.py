@@ -7,24 +7,38 @@ interpolates each waypoint pair along the geodesic R_i * exp(phi * s(t))
 with a septic smoothstep s, which zeroes angular rates at waypoints and
 keeps the angular jerk continuous; this representation is exact through
 gimbal-lock orientations.
+
+Construction tabulates each segment polynomial (per position axis, and the
+attitude angle) and its first three derivatives as float tuples, which
+``Trajectory.sample`` evaluates at every control tick by Horner's rule in
+plain floats: a numpy call costs more than one 8-term polynomial.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .so3 import exp_so3, log_so3, rot_x, rot_y, rot_z
+from .so3 import exp_so3, log_so3, rodrigues, rot_x, rot_y, rot_z
 
-def _poly_eval(coeffs: np.ndarray, t, deriv: int = 0):
-    c = coeffs
-    for _ in range(deriv):
+
+def _derivative_table(coeffs: np.ndarray) -> tuple:
+    """Coefficients of a polynomial and of its first three derivatives, as float tuples."""
+    table = []
+    c = np.asarray(coeffs, dtype=float)
+    for _ in range(4):
+        table.append(tuple(c.tolist()))
         c = c[1:] * np.arange(1, c.size)
-    out = np.zeros_like(np.asarray(t, dtype=float))
-    for k in range(c.size - 1, -1, -1):
-        out = out * t + c[k]
+    return tuple(table)
+
+
+def _horner(c: tuple, s: float) -> float:
+    out = 0.0
+    for ck in reversed(c):
+        out = out * s + ck
     return out
 
 
@@ -65,12 +79,7 @@ def _position_spline(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 
     def basis(seg, s, deriv):
         row = np.zeros(n_var)
-        c = np.zeros(8)
-        for k in range(8):
-            e = np.zeros(8)
-            e[k] = 1.0
-            c[k] = _poly_eval(e, s, deriv)
-        row[8 * seg: 8 * seg + 8] = c
+        row[8 * seg: 8 * seg + 8] = [_horner(_derivative_table(e)[deriv], s) for e in np.eye(8)]
         return row
 
     for seg in range(n_seg):
@@ -123,10 +132,14 @@ class Trajectory:
             raise ValueError("waypoint times must be strictly increasing")
         self.waypoints = list(waypoints)
         self.times = times
+        self._knots = times.tolist()
         positions = np.stack([w.p for w in waypoints])
-        self._coeffs = np.stack([
+        coeffs = np.stack([
             _position_spline(times, positions[:, axis]) for axis in range(3)
         ], axis=2)  # (n_seg, 8, 3)
+        # Per segment, derivative-major: _pos_tables[seg][d][axis].
+        self._pos_tables = [tuple(zip(*(_derivative_table(c[:, ax]) for ax in range(3))))
+                            for c in coeffs]
         self._rotations = [w.r_wb for w in waypoints]
         self._build_attitude_segments()
 
@@ -137,8 +150,8 @@ class Trajectory:
         angles = np.array([np.linalg.norm(phi) for phi in incs])
         axes = [phi / a if a > 1e-12 else np.zeros(3) for phi, a in zip(incs, angles)]
 
-        self._att_axis = [np.zeros(3)] * n_seg
-        self._att_coeffs = [np.zeros(8)] * n_seg
+        self._att_axis = [(0.0, 0.0, 0.0)] * n_seg
+        self._att_tables = [_derivative_table(np.zeros(8))] * n_seg
         self._att_base = [np.eye(3)] * n_seg
         seg = 0
         while seg < n_seg:
@@ -153,8 +166,8 @@ class Trajectory:
             cumulative = np.concatenate([[0.0], np.cumsum(angles[seg:run_end])])
             coeffs = _position_spline(self.times[seg:run_end + 1], cumulative)
             for k in range(seg, run_end):
-                self._att_axis[k] = axes[seg]
-                self._att_coeffs[k] = coeffs[k - seg]
+                self._att_axis[k] = tuple(axes[seg].tolist())
+                self._att_tables[k] = _derivative_table(coeffs[k - seg])
                 self._att_base[k] = self._rotations[seg]
             seg = run_end
 
@@ -167,24 +180,22 @@ class Trajectory:
         return float(self.times[0])
 
     def sample(self, t: float) -> TrajectorySample:
-        t = float(np.clip(t, self.times[0], self.times[-1]))
-        seg = int(np.clip(np.searchsorted(self.times, t, side="right") - 1,
-                          0, self.times.size - 2))
-        t_a, t_b = self.times[seg], self.times[seg + 1]
-        h = t_b - t_a
+        knots = self._knots
+        t = min(max(float(t), knots[0]), knots[-1])   # np.clip's result, signed zeros too
+        seg = min(max(bisect.bisect_right(knots, t) - 1, 0), len(knots) - 2)
+        t_a = knots[seg]
+        h = knots[seg + 1] - t_a
         s = (t - t_a) / h
-        c = self._coeffs[seg]
-        p = np.array([_poly_eval(c[:, ax], s, 0) for ax in range(3)])
-        v = np.array([_poly_eval(c[:, ax], s, 1) for ax in range(3)]) / h
-        a = np.array([_poly_eval(c[:, ax], s, 2) for ax in range(3)]) / h**2
-        jj = np.array([_poly_eval(c[:, ax], s, 3) for ax in range(3)]) / h**3
+        # The d-th derivative in time is the scaled-time one over h**d (x / 1.0 is x).
+        scales = (1.0, h, h**2, h**3)
+        p, v, a, jj = (np.array([_horner(c, s) / scale for c in table])
+                       for table, scale in zip(self._pos_tables[seg], scales))
 
         axis = self._att_axis[seg]
-        ac = self._att_coeffs[seg]
-        r = self._att_base[seg] @ exp_so3(axis * _poly_eval(ac, s, 0))
-        omega = axis * _poly_eval(ac, s, 1) / h
-        psi = axis * _poly_eval(ac, s, 2) / h**2
-        zeta = axis * _poly_eval(ac, s, 3) / h**3
+        angle, *rates = (_horner(c, s) for c in self._att_tables[seg])
+        r = self._att_base[seg] @ np.array(rodrigues(*(x * angle for x in axis))).reshape(3, 3)
+        omega, psi, zeta = (np.array([x * rate / scale for x in axis])
+                            for rate, scale in zip(rates, scales[1:]))
         return TrajectorySample(t=t, p=p, v=v, a=a, j=jj, r_wb=r,
                                 omega_b=omega, psi_b=psi, zeta_b=zeta)
 

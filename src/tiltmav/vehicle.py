@@ -26,6 +26,7 @@ the axis, and the arm's orientation in the body is
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -34,6 +35,12 @@ import numpy as np
 GRAVITY = 9.81
 #: World-frame gravity acceleration (z-up convention).
 GRAVITY_W = np.array([0.0, 0.0, -GRAVITY])
+
+
+def check_int(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an integer >= least (true/false and 3.0 are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -156,7 +163,10 @@ def evenly_spaced_arms(n_arms: int, length: float, thetas: Sequence[float] | flo
 
 
 def _required(section: dict, key: str, prefix: str = ""):
-    """section[key], or a ValueError naming the missing key's path."""
+    """section[key], or a ValueError naming the path of a missing key or a non-object."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{prefix.rstrip('.') or 'morphology'} must be an object, "
+                         f"got {section!r}")
     if key not in section:
         raise ValueError(f"morphology is missing required key {prefix}{key}")
     return section[key]
@@ -258,9 +268,12 @@ class Morphology:
             rotors_per_arm=r.get("rotors_per_arm", RotorParams.rotors_per_arm),
         )
         t = _required(data, "tilt")
+        tau = _required(t, "tau", "tilt.")
         limits = t.get("rate_limits", {})
+        if not isinstance(limits, dict):
+            raise ValueError(f"tilt.rate_limits must be an object, got {limits!r}")
         tilt = TiltParams(
-            tau=_required(t, "tau", "tilt."),
+            tau=tau,
             alpha_rate_max=limits.get("alpha_dot", TiltParams.alpha_rate_max),
             omega_accel_max=limits.get("omega_dot", TiltParams.omega_accel_max),
         )

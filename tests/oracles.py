@@ -12,6 +12,7 @@ from tiltmav.envelope import _disc_lp
 from tiltmav.riccati import CareError, _validate
 from tiltmav.rigid_body import BodyConstants, RigidBodyState, com_torque, newton_euler, tilt_step
 from tiltmav.so3 import exp_so3, rot_y, rot_z, skew
+from tiltmav.trajectory import TrajectorySample
 
 
 def omega_tilde(omega_sq, alpha, arm_of_rotor) -> np.ndarray:
@@ -71,6 +72,67 @@ def invert_static_loop(a, wrench, m, alpha_hold=None):
     a_inst = instantaneous_allocation(a, alpha, m.arm_of_rotor)
     omega = np.sqrt(np.clip(np.linalg.pinv(a_inst) @ wrench, 0.0, None))
     return alpha, omega, wt
+
+
+def alpha_bias_loop(thrust_dirs, magnitudes, cfg) -> np.ndarray:
+    """Pairwise numpy form of ``diff_allocation.alpha_bias``."""
+    n = thrust_dirs.shape[0]
+    if not cfg.enabled:
+        return np.zeros(n)
+    scale = magnitudes.max() if magnitudes.size else 0.0
+    active = magnitudes > 1e-9 * max(scale, 1e-30)
+    dirs = thrust_dirs[active]
+    colinear = True
+    for i in range(dirs.shape[0]):
+        for k in range(i + 1, dirs.shape[0]):
+            cross = np.linalg.norm(np.cross(dirs[i], dirs[k]))
+            if np.arcsin(np.clip(cross, 0.0, 1.0)) > cfg.colinearity_tol:
+                colinear = False
+                break
+        if not colinear:
+            break
+    if not colinear:
+        return np.zeros(n)
+    return cfg.delta * (-1.0) ** np.arange(n)
+
+
+def poly_eval(coeffs: np.ndarray, t, deriv: int = 0):
+    """Horner value of the deriv-th derivative of sum_k coeffs[k] t^k, on numpy."""
+    c = coeffs
+    for _ in range(deriv):
+        c = c[1:] * np.arange(1, c.size)
+    out = np.zeros_like(np.asarray(t, dtype=float))
+    for k in range(c.size - 1, -1, -1):
+        out = out * t + c[k]
+    return out
+
+
+def trajectory_sample_loop(traj, t) -> TrajectorySample:
+    """``Trajectory.sample`` with a numpy ``poly_eval`` per axis and derivative.
+
+    Reads the segment polynomials from the trajectory's derivative tables
+    (their first row is the polynomial itself).
+    """
+    t = float(np.clip(t, traj.times[0], traj.times[-1]))
+    seg = int(np.clip(np.searchsorted(traj.times, t, side="right") - 1,
+                      0, traj.times.size - 2))
+    t_a, t_b = traj.times[seg], traj.times[seg + 1]
+    h = t_b - t_a
+    s = (t - t_a) / h
+    c = np.array([traj._pos_tables[seg][0][ax] for ax in range(3)]).T   # (8, 3)
+    p = np.array([poly_eval(c[:, ax], s, 0) for ax in range(3)])
+    v = np.array([poly_eval(c[:, ax], s, 1) for ax in range(3)]) / h
+    a = np.array([poly_eval(c[:, ax], s, 2) for ax in range(3)]) / h**2
+    jj = np.array([poly_eval(c[:, ax], s, 3) for ax in range(3)]) / h**3
+
+    axis = np.array(traj._att_axis[seg])
+    ac = np.array(traj._att_tables[seg][0])
+    r = traj._att_base[seg] @ exp_so3(axis * poly_eval(ac, s, 0))
+    omega = axis * poly_eval(ac, s, 1) / h
+    psi = axis * poly_eval(ac, s, 2) / h**2
+    zeta = axis * poly_eval(ac, s, 3) / h**3
+    return TrajectorySample(t=t, p=p, v=v, a=a, j=jj, r_wb=r,
+                            omega_b=omega, psi_b=psi, zeta_b=zeta)
 
 
 def mass_inertia_loop(arms, model) -> tuple[float, np.ndarray]:

@@ -123,6 +123,25 @@ def test_divergence_exit_code(tmp_path, hover_file, capsys):
     ("simulate", {"gains": {"lqri": {"k_p": -1.0}}}, "gains.lqri: ", "Q gains"),
     ("optimize", {"design": {"n_arms": 2}}, "design: ", "n_arms"),
     ("optimize", {"design": {"step_init": "large"}}, "design: ", "step_init"),
+    ("simulate", {"allocation": {"k_alpha": 0}}, "allocation: ", "k_alpha"),
+    ("simulate", {"allocation": {"k_alpha": float("inf")}}, "allocation: ", "k_alpha"),
+    ("simulate", {"allocation": {"v_omega_dot": -250.0}}, "allocation: ", "v_omega_dot"),
+    ("simulate", {"allocation": {"v_alpha_dot": float("nan")}}, "allocation: ", "v_alpha_dot"),
+    ("simulate", {"allocation": {"max_unwind_arms": 1.5}}, "allocation: ", "max_unwind_arms"),
+    ("simulate", {"allocation": {"max_unwind_arms": 0}}, "allocation: ", "max_unwind_arms"),
+    ("simulate", {"allocation": {"unwind_release": 0.3}}, "allocation: ", "unwind_release"),
+    ("condition-scan", {"bias": {"delta": float("inf")}}, "bias: ", "delta"),
+    ("simulate", {"bias": {"colinearity_tol": 0.0}}, "bias: ", "colinearity_tol"),
+    ("simulate", {"bias": {"colinearity_tol": 2.0}}, "bias: ", "colinearity_tol"),
+    ("simulate", {"morphology": {"arms": [1, 2, 3]}}, "morphology: ",
+     "arms[0] must be an object"),
+    ("envelope", {"envelope": {"n_dirs": 50}}, "envelope: ", "n_dirs"),
+    ("envelope", {"envelope": {"allocation": "x"}}, "envelope: ", "allocation"),
+    ("condition-scan", {"condition_scan": {"hover_dir": [0.0, 1.0]}}, "condition_scan: ",
+     "hover_dir"),
+    ("simulate", {"allocation": {"home_alpha": float("nan")}}, "allocation: ", "home_alpha"),
+    ("condition-scan", {"condition_scan": {"extra_force_mag": True}}, "condition_scan: ",
+     "extra_force_mag"),
 ])
 def test_config_errors_name_the_key(tmp_path, hover_file, capsys, command, config, path, key):
     cfg = tmp_path / "cfg.json"
@@ -203,6 +222,19 @@ def test_internal_faults_are_not_config_errors(tmp_path, hover_file, monkeypatch
     monkeypatch.setattr("tiltmav.cli.run", singular)
     with pytest.raises(np.linalg.LinAlgError):
         main(["simulate", "--traj", hover_file, "--out", str(tmp_path / "o")])
+
+
+def test_faults_inside_envelope_and_scan_are_not_config_errors(tmp_path, monkeypatch):
+    # Only the arguments of a computing section are config errors; a
+    # numerical fault (LinAlgError is a ValueError) in its computation is not.
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr("tiltmav.diff_allocation.condition_number", singular)
+    with pytest.raises(np.linalg.LinAlgError):
+        main(["condition-scan", "--out", str(tmp_path / "scan")])
+    monkeypatch.setattr("tiltmav.envelope.pinv_radii", singular)
+    with pytest.raises(np.linalg.LinAlgError):
+        main(["envelope", "--out", str(tmp_path / "env")])
 
 
 def test_envelope_command(tmp_path):

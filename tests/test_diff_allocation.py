@@ -12,7 +12,7 @@ from tiltmav.rigid_body import RigidBodyState
 from tiltmav.sim import hover_trim
 from tiltmav.vehicle import RigidBodyParams, prototype_morphology
 
-from oracles import omega_tilde
+from oracles import alpha_bias_loop, omega_tilde
 
 
 def _hover_setup():
@@ -185,6 +185,53 @@ def test_alpha_bias_disabled_and_colinear():
     dirs = rng.normal(size=(6, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     assert np.allclose(alpha_bias(dirs, mags, BiasConfig(enabled=True)), 0.0)
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def _bias_case(rng, kind, cfg):
+    """(thrust directions, magnitudes) of one random arm set of a given kind."""
+    n = int(rng.integers(3, 9))
+    base = _unit(rng.normal(size=3))
+    perp = _unit(np.cross(base, rng.normal(size=3)))
+    mags = rng.uniform(0.5, 2.0, n)
+    if kind == "diverse":
+        dirs = np.array([_unit(rng.normal(size=3)) for _ in range(n)])
+    elif kind == "near":
+        # Within the tolerance of one axis, either way along it.
+        angles = rng.uniform(0.0, 0.45 * cfg.colinearity_tol, n)
+        signs = rng.choice([-1.0, 1.0], n)
+        dirs = signs[:, None] * (np.cos(angles)[:, None] * base + np.sin(angles)[:, None] * perp)
+    else:
+        # One pair at the tolerance +- 1e-9 rad, the other arms along the axis.
+        angle = cfg.colinearity_tol + (1e-9 if kind == "above" else -1e-9)
+        dirs = np.tile(base, (n, 1))
+        dirs[int(rng.integers(n))] = np.cos(angle) * base + np.sin(angle) * perp
+    if rng.random() < 0.5:
+        mags[rng.random(n) < 0.3] = 0.0
+    if rng.random() < 0.1:
+        mags[:] = 0.0
+        mags[int(rng.integers(n))] = rng.choice([0.0, 1.0])   # fewer than two active
+    return dirs, mags
+
+
+def test_alpha_bias_matches_the_pairwise_oracle():
+    rng = np.random.default_rng(29)
+    outcomes = {}
+    for k in range(600):
+        kind = ("diverse", "near", "above", "below")[k % 4]
+        cfg = BiasConfig(enabled=k % 50 != 7, delta=0.15,
+                         colinearity_tol=float(rng.choice([0.1, 0.05, 0.3])))
+        dirs, mags = _bias_case(rng, kind, cfg)
+        got = alpha_bias(dirs, mags, cfg)
+        assert got.tobytes() == alpha_bias_loop(dirs, mags, cfg).tobytes()
+        outcomes.setdefault(kind, set()).add(bool(got.any()))
+    # Every kind but the diverse one sees both outcomes (masked arms can
+    # leave a set without a non-colinear pair).
+    assert outcomes["diverse"] >= {False}
+    assert all(outcomes[kind] == {False, True} for kind in ("near", "above", "below"))
 
 
 def test_bias_restores_conditioning_and_wrench():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tiltmav.cli import main as cli_main
-
+from tiltmav.diff_allocation import BiasConfig
 from tiltmav.pid import PidGains
 from tiltmav.sim import Plant, SimConfig, hover_trim, run
 from tiltmav.so3 import is_rotation
@@ -332,3 +332,29 @@ def test_run_rejects_non_finite_start():
         run(SimConfig(), m, _hover_traj(1.0), p_offset=[np.nan, 0.0, 0.0])
     with pytest.raises(ValueError, match="alpha0"):
         run(SimConfig(), m, _hover_traj(1.0), alpha0=[np.inf] + [0.0] * 5)
+
+
+def test_static_pseudoinverse_is_factored_in_setup_not_per_tick(monkeypatch):
+    # The allocator's secondary tasks invert the static map every tick;
+    # its pseudoinverse is constant, so longer runs must not factor it more.
+    m = prototype_morphology()
+    pinv = np.linalg.pinv
+    calls = []
+
+    def counting_pinv(a, *args, **kwargs):
+        if np.shape(a) == (6, 2 * m.n_rotors):
+            calls.append(1)
+        return pinv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+    counts = []
+    for seconds in (0.5, 1.0):
+        traj = _hover_traj(seconds)
+        alpha0, _ = hover_trim(m)
+        alpha0[::2] += 2.0 * np.pi
+        calls.clear()
+        log = run(SimConfig(), m, traj, bias=BiasConfig(enabled=True), unwind=True,
+                  alpha0=alpha0)
+        assert log.divergence is None
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

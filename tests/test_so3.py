@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tiltmav.so3 import (attitude_error, exp_so3, is_rotation, log_so3,
+from tiltmav.so3 import (attitude_error, cross3, exp_so3, is_rotation, log_so3,
                          project_to_so3, rot_x, rot_z, skew, vee)
 
 from oracles import random_rotation
@@ -105,3 +105,19 @@ def test_project_to_so3():
     r = random_rotation(rng) + 1e-3 * rng.normal(size=(3, 3))
     p = project_to_so3(r)
     assert is_rotation(p)
+
+
+# Small values repeat often enough to give equal products, whose zero
+# differences carry the sign np.cross gives them.
+_COMPONENTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.5, 1.0, -1.0, 2.0]) | st.floats(
+    min_value=-1e150, max_value=1e150, allow_nan=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=st.tuples(_COMPONENTS, _COMPONENTS, _COMPONENTS),
+       b=st.tuples(_COMPONENTS, _COMPONENTS, _COMPONENTS))
+@example(a=(1.0, 1.0, 1.0), b=(1.0, 1.0, 1.0))
+@example(a=(0.0, -0.0, 2.0), b=(-0.0, 0.0, 0.5))
+def test_cross3_is_bit_equal_to_np_cross(a, b):
+    # Bytes compare the signs of zeros too.
+    assert np.array(cross3(a, b)).tobytes() == np.cross(a, b).tobytes()

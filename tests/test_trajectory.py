@@ -6,6 +6,8 @@ import pytest
 from tiltmav.so3 import exp_so3, log_so3, vee
 from tiltmav.trajectory import Trajectory, Waypoint, load_waypoints, named_trajectory
 
+from oracles import trajectory_sample_loop
+
 
 def test_constant_trajectory():
     traj = Trajectory([Waypoint(t=0.0, p=[1.0, 2.0, 3.0]),
@@ -143,3 +145,28 @@ def test_named_trajectory_scale():
     ratio = [np.linalg.norm(small.sample(t).p[:2]) / max(np.linalg.norm(full.sample(t).p[:2]), 1e-12)
              for t in ts if np.linalg.norm(full.sample(t).p[:2]) > 0.1]
     assert np.allclose(ratio, 0.5, atol=1e-9)
+
+
+def test_sample_is_bit_equal_to_the_numpy_oracle(tmp_path):
+    path = tmp_path / "wps.json"
+    path.write_text(json.dumps([
+        {"t": 0.5, "p": [0.0, 0.0, 1.0]},
+        {"t": 2.0, "p": [1.0, -0.5, 1.4], "rpy": [30.0, -20.0, 45.0]},
+        {"t": 3.25, "p": [0.4, 0.9, 1.1], "rpy": [-10.0, 60.0, 0.0]},
+        {"t": 5.0, "p": [0.0, 0.0, 1.0]}]))
+    trajectories = [named_trajectory(kind) for kind in "abcdefg"] + [load_waypoints(path)]
+    rng = np.random.default_rng(37)
+    fields = ("t", "p", "v", "a", "j", "r_wb", "omega_b", "psi_b", "zeta_b")
+    n_samples = 0
+    for traj in trajectories:
+        t0, t1 = traj.t0, float(traj.times[-1])
+        times = [*traj.times, -0.0, t0 - 1.0, t0 - 1e-12, t1 + 1e-9, t1 + 5.0,
+                 *rng.uniform(t0, t1, 250)]
+        for t in times:
+            got, want = traj.sample(t), trajectory_sample_loop(traj, t)
+            for name in fields:
+                # Bytes compare the signs of zeros too.
+                assert (np.asarray(getattr(got, name)).tobytes()
+                        == np.asarray(getattr(want, name)).tobytes()), (name, t)
+            n_samples += 1
+    assert n_samples >= 2000

@@ -121,3 +121,15 @@ def test_from_dict_names_a_missing_key_by_path(path):
     del section[key]
     with pytest.raises(ValueError, match=rf"missing required key {re.escape(path)}$"):
         Morphology.from_dict(data)
+
+
+@pytest.mark.parametrize("path", ["arms[1]", "rotor", "tilt", "tilt.rate_limits", "body"])
+def test_from_dict_names_a_non_object_section_by_path(path):
+    data = prototype_morphology().to_dict()
+    *parents, key = path.replace("[", ".").replace("]", "").split(".")
+    section = data
+    for p in parents:
+        section = section[p]
+    section[int(key) if key.isdigit() else key] = 5
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)} must be an object, got 5$"):
+        Morphology.from_dict(data)
