@@ -179,13 +179,11 @@ def _morphology_from_config(config: dict) -> Morphology:
     return _build("morphology", Morphology.from_dict, spec)
 
 
-def _alloc_config(config: dict) -> AllocationConfig:
-    return _build("allocation", AllocationConfig, **_section(config, "allocation"))
-
-
 def cmd_optimize(args, config: dict, out_dir: Path) -> list[Path]:
     problem_cfg = _section(config, "design")
-    want_sweep = problem_cfg.pop("beta_sweep", False) or args.beta_sweep
+    want_sweep = problem_cfg.pop("beta_sweep", False)
+    if not isinstance(want_sweep, bool):
+        raise ConfigError(f"design: beta_sweep must be true or false, got {want_sweep!r}")
     if args.cost is not None:
         problem_cfg["cost"] = args.cost
     if args.seed is not None:
@@ -196,7 +194,7 @@ def cmd_optimize(args, config: dict, out_dir: Path) -> list[Path]:
     outputs = [_write_json(out_dir / "design_result.json", result.to_dict())]
     for mode, metrics in (("force", result.force), ("torque", result.torque)):
         outputs.append(_write_envelope_csv(out_dir / f"envelope_{mode}.csv", metrics))
-    if want_sweep:
+    if want_sweep or args.beta_sweep:
         grid, values = beta_sweep(problem, np.arange(0.30, 0.90, 0.005))
         outputs.append(_write_csv(out_dir / "beta_sweep.csv", "beta_rad,f_min",
                                   np.column_stack([grid, values])))
@@ -247,7 +245,8 @@ def _sim_pieces(args, config: dict):
     if args.bias is not None:
         bias_cfg["enabled"] = args.bias == "on"
     bias = _build("bias", BiasConfig, **bias_cfg)
-    return m, sim, traj, gains, _alloc_config(config), bias
+    alloc = _build("allocation", AllocationConfig, **_section(config, "allocation"))
+    return m, sim, traj, gains, alloc, bias
 
 
 def cmd_simulate(args, config: dict, out_dir: Path):
@@ -277,9 +276,8 @@ def cmd_condition_scan(args, config: dict, out_dir: Path) -> list[Path]:
     scan_cfg = _section(config, "condition_scan")
     if args.bias is not None:
         scan_cfg["bias_on"] = args.bias == "on"
-    bias_cfg = _build("bias", BiasConfig, **{**_section(config, "bias"), "enabled": True})
-    result = _build("condition_scan", condition_scan, m, alloc=_alloc_config(config),
-                    bias_cfg=bias_cfg, **scan_cfg)
+    bias_cfg = _build("bias", BiasConfig, **_section(config, "bias"))
+    result = _build("condition_scan", condition_scan, m, bias_cfg=bias_cfg, **scan_cfg)
     path = _write_csv(out_dir / "condition_scan.csv", "dir_x,dir_y,dir_z,log_kappa",
                       np.column_stack([result["directions"], result["log_kappa"]]))
     max_log = result["max_log_kappa"]

@@ -2,7 +2,7 @@
 
 Cost 1 maximizes the force envelope along +z_B subject to omnidirectional
 hover (f_min > m g). Cost 2 maximizes omnidirectional capability through the
-scalarized objective min(f_min / f_ref, tau_min / tau_ref). Both use the
+scalarized objective min(f_min / (m g), tau_min / (m g l / 2)). Both use the
 pseudoinverse-fed envelope model and a deterministic multi-start pattern
 search with penalty handling of the hover constraint.
 """
@@ -19,6 +19,8 @@ from .vehicle import (GRAVITY, Morphology, RigidBodyParams, RotorParams, TiltPar
                       check_int, evenly_spaced_arms)
 
 ANGLE_BOUND = np.pi / 2 - 1e-3
+#: Hover axis of the search: body +z.
+UP = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass
@@ -28,9 +30,6 @@ class DesignProblem:
     arm_length: float = 0.3
     rotor: RotorParams = field(default_factory=RotorParams)
     mass_model: MassModel = field(default_factory=default_mass_model)
-    hover_axis: tuple = (0.0, 0.0, 1.0)
-    force_ref: float | None = None
-    torque_ref: float | None = None
     n_dirs_search: int = 1280
     n_dirs_final: int = 1280
     seed: int = 0
@@ -54,8 +53,6 @@ class DesignProblem:
             kwargs["rotor"] = RotorParams(**kwargs["rotor"])
         if "mass_model" in kwargs:
             kwargs["mass_model"] = MassModel(**kwargs["mass_model"])
-        if "hover_axis" in kwargs:
-            kwargs["hover_axis"] = tuple(kwargs["hover_axis"])
         return DesignProblem(**kwargs)
 
 
@@ -105,15 +102,12 @@ class _CostEvaluator:
     def __init__(self, problem: DesignProblem):
         self.problem = problem
         self.dirs, _, _ = sample_directions(problem.n_dirs_search)
-        self.hover_axis = np.asarray(problem.hover_axis, dtype=float)
         ref = build_candidate(problem, np.zeros(problem.n_arms), np.zeros(problem.n_arms))
         self.mg = ref.body.mass * GRAVITY
-        self.f_ref = problem.force_ref if problem.force_ref is not None else self.mg
         # The published torque envelopes run about twice this model's
         # pseudoinverse values, so mg*l/2 restores the intended weighting
         # and leaves the force term binding around the optimum.
-        self.t_ref = (problem.torque_ref if problem.torque_ref is not None
-                      else 0.5 * self.mg * problem.arm_length)
+        self.t_ref = 0.5 * self.mg * problem.arm_length
         self.cache: dict[tuple, tuple[float, float]] = {}
 
     def __call__(self, x: np.ndarray) -> float:
@@ -125,12 +119,12 @@ class _CostEvaluator:
         f_vals = pinv_radii(m, self.dirs, mode="force")
         f_min = float(f_vals.min())
         if self.problem.cost == 1:
-            f_up = float(pinv_radii(m, self.hover_axis, mode="force")[0])
+            f_up = float(pinv_radii(m, UP, mode="force")[0])
             value = -f_up
         else:
-            hover = self.mg * self.hover_axis
+            hover = self.mg * UP
             t_min = float(pinv_radii(m, self.dirs, mode="torque", hover_force=hover).min())
-            value = -min(f_min / self.f_ref, t_min / self.t_ref)
+            value = -min(f_min / self.mg, t_min / self.t_ref)
         penalty = 1e3 * max(0.0, (self.mg - f_min) / self.mg) ** 2
         value = value + penalty
         self.cache[key] = (value, f_min)
@@ -188,7 +182,7 @@ def optimize(problem: DesignProblem) -> DesignResult:
 
     theta, beta = best_x[:n], best_x[n:]
     m = build_candidate(problem, theta, beta)
-    hover = evaluator.mg * evaluator.hover_axis
+    hover = evaluator.mg * UP
     force = envelope(m, "force", n_dirs=problem.n_dirs_final)
     torque = envelope(m, "torque", n_dirs=problem.n_dirs_final, hover_force=hover)
     sphere = hover_sphere(m, n_dirs=problem.n_dirs_search)
@@ -203,12 +197,11 @@ def optimize(problem: DesignProblem) -> DesignResult:
     )
 
 
-def beta_sweep(problem: DesignProblem, betas, pattern=None,
+def beta_sweep(problem: DesignProblem, betas,
                n_dirs: int = 1280) -> tuple[np.ndarray, np.ndarray]:
     """f_min of the alternating-beta family over a grid of beta magnitudes."""
     betas = np.asarray(betas, dtype=float)
-    pattern = ((-1.0) ** np.arange(problem.n_arms) if pattern is None
-               else np.asarray(pattern, dtype=float))
+    pattern = (-1.0) ** np.arange(problem.n_arms)
     dirs, _, _ = sample_directions(n_dirs)
     zeros = np.zeros(problem.n_arms)
     values = np.empty(betas.size)

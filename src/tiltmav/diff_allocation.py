@@ -18,7 +18,7 @@ allocation well conditioned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,8 +73,8 @@ class BiasConfig:
 
 
 def build_diff_allocation(a: np.ndarray, omega_c: np.ndarray, alpha_c: np.ndarray,
-                          arm_of_rotor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A_tilde, dA): chain-rule Jacobian of A @ omega_tilde at the commands.
+                          arm_of_rotor: np.ndarray) -> np.ndarray:
+    """A_tilde = A @ dA, the chain-rule Jacobian of A @ omega_tilde at the commands.
 
     Rows of dA per rotor r on arm a:
         d(w^2 sin a) = 2 w sin(a) dw + w^2 cos(a) da
@@ -95,7 +95,7 @@ def build_diff_allocation(a: np.ndarray, omega_c: np.ndarray, alpha_c: np.ndarra
     d_a[2 * rows + 1, rows] = 2.0 * omega_c * cos_a
     d_a[2 * rows, n_r + arm_of_rotor] = omega_c**2 * cos_a
     d_a[2 * rows + 1, n_r + arm_of_rotor] = -(omega_c**2) * sin_a
-    return a @ d_a, d_a
+    return a @ d_a
 
 
 def exact_wrench_rate(j_w_des: np.ndarray, psi_dot_des_b: np.ndarray, state,
@@ -157,22 +157,22 @@ def optimal_targets(
     omega_c: np.ndarray,
     wrench: np.ndarray,
     alloc: AllocationConfig,
-    bias_cfg: BiasConfig | None = None,
+    bias_cfg: BiasConfig = BiasConfig(),
     a_pinv: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unwinding targets (alpha*, omega*) and preferred rates u_tilde*.
 
     The wrench is re-allocated through the static pseudoinverse; per-arm
     optimal tilt angles pick the 2pi branch nearest the home winding, get
-    the optional singularity bias, and the preferred differential command
-    applies fixed unwinding speeds toward the targets. ``a_pinv`` is passed
-    on to ``invert_static``.
+    the singularity bias where ``bias_cfg`` enables it, and the preferred
+    differential command applies fixed unwinding speeds toward the targets.
+    ``a_pinv`` is passed on to ``invert_static``.
     """
     alpha_star, omega_star, _ = invert_static(a, wrench, m, alpha_hold=alpha_c, a_pinv=a_pinv)
     # Nearest-to-home 2pi branch (atan2 already yields (-pi, pi]).
     alpha_star = alpha_star + 2.0 * np.pi * np.round(
         (alloc.home_alpha - alpha_star) / (2.0 * np.pi))
-    if bias_cfg is not None and bias_cfg.enabled:
+    if bias_cfg.enabled:
         dirs = (np.sin(alpha_star)[:, None] * m.lateral_dirs
                 + np.cos(alpha_star)[:, None] * m.vertical_dirs)
         mags = (omega_star**2).reshape(m.n_arms, m.rotor.rotors_per_arm).sum(axis=1)
@@ -241,7 +241,7 @@ def saturate_integrate(
 
 @dataclass
 class DifferentialAllocator:
-    """Stateful allocation pipeline holding the current actuator commands."""
+    """Allocation pipeline; ``set_commands`` holds the commands, their A_alpha and wrench."""
 
     morphology: Morphology
     alloc: AllocationConfig = field(default_factory=AllocationConfig)
@@ -255,18 +255,15 @@ class DifferentialAllocator:
         self._w_inv = np.concatenate([
             np.ones(m.n_rotors), np.full(m.n_arms, 1.0 / self.alloc.k_alpha)
         ])
-        self.alpha_cmd = np.zeros(m.n_arms)
-        self.omega_cmd = np.zeros(m.n_rotors)
         self._unwind_active = np.zeros(m.n_arms, dtype=bool)
+        self.set_commands(np.zeros(m.n_arms), np.zeros(m.n_rotors))
 
     def set_commands(self, alpha: np.ndarray, omega: np.ndarray) -> None:
         self.alpha_cmd = np.array(alpha, dtype=float)
         self.omega_cmd = np.array(omega, dtype=float)
-
-    def current_wrench(self) -> np.ndarray:
-        """Body wrench of the held commands, through the plant's map A_alpha @ W."""
-        a_inst = instantaneous_allocation(self.a, self.alpha_cmd, self.morphology.arm_of_rotor)
-        return a_inst @ self.omega_cmd**2
+        self.a_alpha = instantaneous_allocation(self.a, self.alpha_cmd,
+                                                self.morphology.arm_of_rotor)
+        self.wrench = self.a_alpha @ self.omega_cmd**2
 
     def _schedule_unwinding(self, alpha_star: np.ndarray, u_star: np.ndarray,
                             w_dot_cmd: np.ndarray) -> np.ndarray:
@@ -325,12 +322,11 @@ class DifferentialAllocator:
 
     def step(self, w_dot_cmd: np.ndarray, dt: float) -> dict:
         m = self.morphology
-        a_tilde, _ = build_diff_allocation(self.a, self.omega_cmd, self.alpha_cmd,
-                                           m.arm_of_rotor)
+        a_tilde = build_diff_allocation(self.a, self.omega_cmd, self.alpha_cmd, m.arm_of_rotor)
         if self.unwind or self.bias.enabled:
             alpha_star, _, u_star = optimal_targets(
-                m, self.a, self.alpha_cmd, self.omega_cmd, self.current_wrench(),
-                self.alloc, self.bias if self.bias.enabled else None, a_pinv=self._a_pinv)
+                m, self.a, self.alpha_cmd, self.omega_cmd, self.wrench,
+                self.alloc, self.bias, a_pinv=self._a_pinv)
             if not self.unwind:
                 # Bias-only mode: keep the tilt preferences, no rotor task.
                 u_star[:m.n_rotors] = 0.0
@@ -340,16 +336,12 @@ class DifferentialAllocator:
             u_star = np.zeros(m.n_rotors + m.n_arms)
         u_tilde, regularized = solve(a_tilde, self._w_inv, u_star, w_dot_cmd)
         cmd = saturate_integrate(u_tilde, m, dt, self.alpha_cmd, self.omega_cmd)
-        self.alpha_cmd = cmd.alpha_ref
-        self.omega_cmd = cmd.omega_ref
-        residual = float(np.linalg.norm(a_tilde @ u_tilde - w_dot_cmd))
-        a_inst = instantaneous_allocation(self.a, self.alpha_cmd, m.arm_of_rotor)
+        self.set_commands(cmd.alpha_ref, cmd.omega_ref)
         return {
             "command": cmd,
-            "residual": residual,
+            "residual": float(np.linalg.norm(a_tilde @ u_tilde - w_dot_cmd)),
             "regularized": regularized,
-            "kappa": condition_number(a_inst),
-            "u_tilde": u_tilde,
+            "kappa": condition_number(self.a_alpha),
         }
 
 
@@ -359,22 +351,21 @@ def condition_scan(
     extra_force_mag: float | None = None,
     bias_on: bool = False,
     n_dirs: int = 320,
-    alloc: AllocationConfig | None = None,
     bias_cfg: BiasConfig | None = None,
 ) -> dict:
     """log condition number of A_alpha(alpha*) over an extra-force sphere.
 
     Per direction d the wrench hover + extra * d (zero torque) is allocated
-    through the static pseudoinverse (with optional tilt bias) and the
-    instantaneous allocation at the resulting tilt angles is scored.
+    through the static pseudoinverse (with the tilt bias if ``bias_on``;
+    ``bias_cfg`` sets its delta and tolerance) and the instantaneous
+    allocation at the resulting tilt angles is scored.
     """
     hover_dir = np.asarray(hover_dir, dtype=float)
     if hover_dir.shape != (3,) or not np.all(np.isfinite(hover_dir)):
         raise ValueError(f"hover_dir must be a finite 3-vector, got {hover_dir.tolist()!r}")
     if isinstance(extra_force_mag, bool):
         raise ValueError(f"extra_force_mag must be a number, got {extra_force_mag!r}")
-    alloc = alloc or AllocationConfig()
-    bias_full = bias_cfg or BiasConfig(enabled=True)
+    bias_cfg = replace(bias_cfg or BiasConfig(), enabled=bias_on)
     a = static_allocation(m)
     mg = m.body.mass * GRAVITY
     extra = mg if extra_force_mag is None else extra_force_mag
@@ -383,14 +374,12 @@ def condition_scan(
     # Face centroids never hit the singular axes exactly; include them.
     axes = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
                      [0, 0, 1], [0, 0, -1]], dtype=float)
-    hover_axis = hover_dir[None, :]
-    dirs = np.concatenate([axes, hover_axis, -hover_axis, dirs])
+    dirs = np.concatenate([axes, hover_dir[None, :], -hover_dir[None, :], dirs])
     log_kappa = np.empty(len(dirs))
     for i, d in enumerate(dirs):
         wrench = np.concatenate([hover + extra * d, np.zeros(3)])
-        alpha_star, _, _ = optimal_targets(
-            m, a, np.zeros(m.n_arms), np.zeros(m.n_rotors), wrench, alloc,
-            bias_full if bias_on else None)
+        alpha_star, _, _ = optimal_targets(m, a, np.zeros(m.n_arms), np.zeros(m.n_rotors),
+                                           wrench, AllocationConfig(), bias_cfg)
         a_inst = instantaneous_allocation(a, alpha_star, m.arm_of_rotor)
         log_kappa[i] = np.log(condition_number(a_inst))
     return {"directions": dirs, "log_kappa": log_kappa,

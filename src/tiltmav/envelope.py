@@ -142,6 +142,11 @@ def _hover(hover_force) -> np.ndarray:
     return hover
 
 
+def _torque_lever(m: Morphology) -> float:
+    """The longest arm l_max: the thrusts' moment |sum r x f| is at most l_max * sum |f|."""
+    return m.arm_lengths.max()
+
+
 def pinv_radii(m: Morphology, directions: np.ndarray, mode: str = "force",
                hover_force=None, return_eta: bool = False):
     """Saturation-limited wrench magnitude per direction under Eq.-(11) feed.
@@ -187,8 +192,7 @@ def pinv_radii(m: Morphology, directions: np.ndarray, mode: str = "force",
         return values
     attained = a0[:, :, None] + lam.min(axis=0)[None, None, :] * a1
     thrust = c_f * np.sqrt((attained**2).sum(axis=0)).sum(axis=0)
-    arm_len = m.arms[0].length
-    eta = values / np.maximum(arm_len * thrust, 1e-300)
+    eta = values / np.maximum(_torque_lever(m) * thrust, 1e-300)
     return values, np.minimum(eta, 1.0)
 
 
@@ -333,8 +337,8 @@ def _optimal_radii(m: Morphology, dirs: np.ndarray, mode: str, hover_force,
     maximum the optimal mu is in general not unique, so the efficiency index
     is defined by the least total thrust that attains lambda*d (plus the
     hover force in torque mode), found by a second warm model:
-    eta = lambda / (lever * thrust), with lever 1 for force and the arm
-    length for torque. Infeasible directions get 0 for both.
+    eta = lambda / (lever * thrust), with lever 1 for force and
+    ``_torque_lever`` for torque. Infeasible directions get 0 for both.
     """
     if mode == "force":
         rows, b_eq = range(0, 3), np.zeros(6)
@@ -360,7 +364,7 @@ def _optimal_radii(m: Morphology, dirs: np.ndarray, mode: str, hover_force,
     d6 = np.zeros((reached.sum(), 6))
     d6[:, rows] = values[reached, None] * dirs[reached]
     thrust = _min_thrusts(lp, b_eq + d6)
-    lever = 1.0 if mode == "force" else m.arms[0].length
+    lever = 1.0 if mode == "force" else _torque_lever(m)
     eta = np.zeros(len(dirs))
     eta[reached] = np.minimum(values[reached] / (lever * thrust), 1.0)
     return values, eta

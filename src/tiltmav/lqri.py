@@ -13,6 +13,7 @@ PID controller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,20 +47,22 @@ class LqriGains:
     r_tau_dot: tuple = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        self.weight_matrices()   # rejects negative Q gains and non-positive R weights
+        self.weight_matrices()   # rejects bad Q gains and R weights
 
     def weight_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        q_diag = np.concatenate([
-            np.full(3, g) for g in (self.k_p, self.k_p_i, self.k_v, self.k_a,
-                                    self.k_r, self.k_r_i, self.k_omega, self.k_psi)
-        ])
-        if np.any(q_diag < 0.0):
-            raise ValueError("Q gains must be non-negative")
-        r_diag = np.concatenate([np.asarray(self.r_f_dot, dtype=float),
-                                 np.asarray(self.r_tau_dot, dtype=float)])
-        if np.any(r_diag <= 0.0):
-            raise ValueError("R weights must be positive")
-        return np.diag(q_diag), np.diag(r_diag)
+        q_gains = {name: getattr(self, name) for name in (
+            "k_p", "k_p_i", "k_v", "k_a", "k_r", "k_r_i", "k_omega", "k_psi")}
+        for name, g in q_gains.items():
+            if not (math.isfinite(g) and g >= 0.0):
+                raise ValueError(f"Q gains must be non-negative and finite, got {name}={g!r}")
+        r_blocks = []
+        for name in ("r_f_dot", "r_tau_dot"):
+            r = np.asarray(getattr(self, name), dtype=float)
+            if r.shape != (3,) or not np.all(np.isfinite(r) & (r > 0.0)):
+                raise ValueError(f"{name} must be 3 positive finite R weights, got {r.tolist()}")
+            r_blocks.append(r)
+        q_diag = np.concatenate([np.full(3, g) for g in q_gains.values()])
+        return np.diag(q_diag), np.diag(np.concatenate(r_blocks))
 
 
 @dataclass

@@ -10,7 +10,8 @@ first step returns zero jerk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +35,13 @@ class PidGains:
     #: Slew limits of the differenced jerk: linear [m/s^3], angular [rad/s^3].
     j_max_lin: float = 10.0
     j_max_ang: float = 60.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, limit = getattr(self, f.name), f.name.startswith("j_max_")
+            if not (value > 0.0 if limit else math.isfinite(value) and value >= 0.0):
+                rule = "positive (+inf: no limit)" if limit else "non-negative and finite"
+                raise ValueError(f"{f.name} must be {rule}, got {value!r}")
 
 
 @dataclass

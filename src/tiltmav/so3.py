@@ -116,13 +116,6 @@ def is_rotation(r, tol: float = ORTHONORMALITY_TOL) -> bool:
     return ortho <= tol and abs(np.linalg.det(r) - 1.0) <= tol
 
 
-def project_to_so3(r) -> np.ndarray:
-    """Nearest rotation matrix (polar decomposition via SVD)."""
-    u, _, vt = np.linalg.svd(np.asarray(r, dtype=float))
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
-
-
 def attitude_error(r_wb, r_wb_des) -> np.ndarray:
     """Geometric attitude error 0.5 * vee(Rd^T R - R^T Rd), in the body frame."""
     r = np.asarray(r_wb, dtype=float)

@@ -173,7 +173,7 @@ def test_criterion_07_differential_allocation():
     for i in range(1000):
         omega_c = rng.uniform(200, 1200, m.n_rotors)
         alpha_c = rng.uniform(-np.pi, np.pi, m.n_arms)
-        a_tilde, _ = build_diff_allocation(a, omega_c, alpha_c, m.arm_of_rotor)
+        a_tilde = build_diff_allocation(a, omega_c, alpha_c, m.arm_of_rotor)
         u_star = rng.normal(0, 10, 18)
         w_dot = rng.normal(0, 30, 6)
         u, reg = solve(a_tilde, w_inv, u_star, w_dot)

@@ -72,12 +72,11 @@ def test_missing_config_exit_code(tmp_path):
 
 
 def test_divergence_exit_code(tmp_path, hover_file, capsys):
+    # Four times the prototype's mass outweighs the rotors' full thrust: it falls.
+    heavy = prototype_morphology().to_dict()
+    heavy["body"]["m"] *= 4.0
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"gains": {"pid": {"k_p": -5.0}},
-                               "trajectory": hover_file}))
-    # destabilizing gain with an offset start: use unwind to perturb? the
-    # negative gain alone destabilizes hover through numerical noise too
-    # slowly, so command a real trajectory instead.
+    cfg.write_text(json.dumps({"morphology": heavy, "trajectory": hover_file}))
     wps = [{"t": 0.0, "p": [0.0, 0.0, 1.3]}, {"t": 6.0, "p": [1.0, 0.0, 1.3]},
            {"t": 12.0, "p": [1.0, 1.0, 1.3]}]
     traj = tmp_path / "move.json"
@@ -142,6 +141,19 @@ def test_divergence_exit_code(tmp_path, hover_file, capsys):
     ("simulate", {"allocation": {"home_alpha": float("nan")}}, "allocation: ", "home_alpha"),
     ("condition-scan", {"condition_scan": {"extra_force_mag": True}}, "condition_scan: ",
      "extra_force_mag"),
+    ("simulate", {"gains": {"pid": {"k_p": float("nan")}}}, "gains.pid: ", "k_p"),
+    ("simulate", {"gains": {"pid": {"k_p": -5.0}}}, "gains.pid: ", "k_p"),
+    ("simulate", {"gains": {"pid": {"j_max_lin": -1}}}, "gains.pid: ", "j_max_lin"),
+    ("simulate", {"gains": {"pid": {"j_max_ang": 0.0}}}, "gains.pid: ", "j_max_ang"),
+    ("simulate", {"gains": {"lqri": {"k_p": float("nan")}}}, "gains.lqri: ", "k_p"),
+    ("simulate", {"gains": {"lqri": {"k_omega": float("inf")}}}, "gains.lqri: ", "k_omega"),
+    ("simulate", {"gains": {"lqri": {"r_f_dot": [1, 1]}}}, "gains.lqri: ", "r_f_dot"),
+    ("simulate", {"gains": {"lqri": {"r_tau_dot": [1, 1, float("nan")]}}}, "gains.lqri: ",
+     "r_tau_dot"),
+    ("optimize", {"design": {"beta_sweep": "no"}}, "design: ", "beta_sweep"),
+    ("optimize", {"design": {"hover_axis": [0, 0, 2]}}, "design: ", "hover_axis"),
+    ("optimize", {"design": {"force_ref": 0}}, "design: ", "force_ref"),
+    ("optimize", {"design": {"torque_ref": 1.0}}, "design: ", "torque_ref"),
 ])
 def test_config_errors_name_the_key(tmp_path, hover_file, capsys, command, config, path, key):
     cfg = tmp_path / "cfg.json"
@@ -166,7 +178,7 @@ def test_readme_lists_every_config_key():
     names = {f.name for cls in (SimConfig, AllocationConfig, BiasConfig, LqriGains, PidGains)
              for f in dataclasses.fields(cls)}
     for fn in (envelope, condition_scan):
-        names |= set(inspect.signature(fn).parameters) - {"m", "alloc", "bias_cfg"}
+        names |= set(inspect.signature(fn).parameters) - {"m", "bias_cfg"}
     missing = sorted(n for n in names if not re.search(rf"\b{n}\b", keys_paragraph))
     assert not missing
 

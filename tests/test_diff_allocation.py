@@ -27,7 +27,7 @@ def test_jacobian_finite_difference():
     rng = np.random.default_rng(21)
     omega_c = rng.uniform(300, 1000, m.n_rotors)
     alpha_c = rng.uniform(-1, 1, m.n_arms)
-    a_tilde, _ = build_diff_allocation(a, omega_c, alpha_c, m.arm_of_rotor)
+    a_tilde = build_diff_allocation(a, omega_c, alpha_c, m.arm_of_rotor)
     d_omega = rng.normal(size=m.n_rotors)
     d_alpha = rng.normal(size=m.n_arms)
     du = np.concatenate([d_omega, d_alpha])
@@ -44,13 +44,13 @@ def test_jacobian_finite_difference():
 
 def test_omega_zero_columns_vanish():
     m, a, alpha, _ = _hover_setup()
-    a_tilde, _ = build_diff_allocation(a, np.zeros(m.n_rotors), alpha, m.arm_of_rotor)
+    a_tilde = build_diff_allocation(a, np.zeros(m.n_rotors), alpha, m.arm_of_rotor)
     assert np.abs(a_tilde[:, :m.n_rotors]).max() == 0.0
 
 
 def test_alpha_column_at_hover_is_lateral_only():
     m, a, alpha, omega = _hover_setup()
-    a_tilde, _ = build_diff_allocation(a, omega, alpha, m.arm_of_rotor)
+    a_tilde = build_diff_allocation(a, omega, alpha, m.arm_of_rotor)
     col = a_tilde[:, m.n_rotors]    # first arm's tilt-rate column
     assert abs(col[2]) < 1e-12      # no f_z coupling at alpha = 0
     assert np.linalg.norm(col[:2]) > 0.0
@@ -77,7 +77,7 @@ def test_exact_wrench_rate_block_diagonal_at_rest():
 
 def test_solve_consistency_and_residual():
     m, a, alpha, omega = _hover_setup()
-    a_tilde, _ = build_diff_allocation(a, omega, alpha, m.arm_of_rotor)
+    a_tilde = build_diff_allocation(a, omega, alpha, m.arm_of_rotor)
     w_inv = np.concatenate([np.ones(m.n_rotors), np.full(m.n_arms, 1e-3)])
     rng = np.random.default_rng(22)
     u_star = rng.normal(size=18)
@@ -92,7 +92,7 @@ def test_solve_consistency_and_residual():
 
 def test_weighted_optimality_null_space():
     m, a, alpha, omega = _hover_setup()
-    a_tilde, _ = build_diff_allocation(a, omega, alpha, m.arm_of_rotor)
+    a_tilde = build_diff_allocation(a, omega, alpha, m.arm_of_rotor)
     w_inv = np.concatenate([np.ones(m.n_rotors), np.full(m.n_arms, 1e-3)])
     w_cost = 1.0 / w_inv
     rng = np.random.default_rng(23)
@@ -112,7 +112,7 @@ def test_weighted_optimality_null_space():
 
 def test_k_alpha_monotonicity():
     m, a, alpha, omega = _hover_setup()
-    a_tilde, _ = build_diff_allocation(a, omega, alpha, m.arm_of_rotor)
+    a_tilde = build_diff_allocation(a, omega, alpha, m.arm_of_rotor)
     rng = np.random.default_rng(24)
     w_dots = rng.normal(0, 20, (20, 6))
     for w_dot in w_dots:
@@ -127,8 +127,8 @@ def test_k_alpha_monotonicity():
 def test_regularized_flag_near_rank_loss():
     m, a, _, _ = _hover_setup()
     # all rotors stopped and all tilts identical: the Jacobian loses rank
-    a_tilde, _ = build_diff_allocation(a, np.zeros(m.n_rotors), np.zeros(m.n_arms),
-                                       m.arm_of_rotor)
+    a_tilde = build_diff_allocation(a, np.zeros(m.n_rotors), np.zeros(m.n_arms),
+                                    m.arm_of_rotor)
     w_inv = np.ones(18)
     u, reg = solve(a_tilde, w_inv, np.zeros(18), np.array([1.0, 0, 0, 0, 0, 0]))
     assert reg
@@ -139,7 +139,7 @@ def test_kinematic_singularity_finite_rates():
     # zero lateral demand: tilt angles not uniquely defined statically, but
     # the differential solve stays finite
     m, a, alpha, omega = _hover_setup()
-    a_tilde, _ = build_diff_allocation(a, omega, alpha, m.arm_of_rotor)
+    a_tilde = build_diff_allocation(a, omega, alpha, m.arm_of_rotor)
     w_inv = np.concatenate([np.ones(m.n_rotors), np.full(m.n_arms, 1e-3)])
     u, _ = solve(a_tilde, w_inv, np.zeros(18), np.array([0, 0, 5.0, 0, 0, 0]))
     assert np.all(np.isfinite(u))
@@ -307,7 +307,39 @@ def test_allocator_holds_hover():
     alloc = DifferentialAllocator(m)
     alpha, omega = hover_trim(m)
     alloc.set_commands(alpha, omega)
-    w0 = alloc.current_wrench()
+    w0 = alloc.wrench
     out = alloc.step(np.zeros(6), 0.01)
-    assert np.allclose(alloc.current_wrench(), w0, atol=1e-9)
+    assert np.allclose(alloc.wrench, w0, atol=1e-9)
     assert out["residual"] < 1e-9
+
+
+def test_held_wrench_is_the_wrench_of_the_held_commands():
+    m, _, alpha, omega = _hover_setup()
+    alloc = DifferentialAllocator(m, bias=BiasConfig(enabled=True), unwind=True)
+
+    def assert_held():
+        a_alpha = instantaneous_allocation(alloc.a, alloc.alpha_cmd, m.arm_of_rotor)
+        assert alloc.a_alpha.tobytes() == a_alpha.tobytes()
+        assert alloc.wrench.tobytes() == (alloc.a_alpha @ alloc.omega_cmd**2).tobytes()
+
+    assert_held()
+    alloc.set_commands(alpha + 2.0 * np.pi * (np.arange(m.n_arms) % 2), omega)
+    assert_held()
+    for w_dot in (np.zeros(6), np.array([3.0, -1.0, 8.0, 0.2, -0.4, 0.1])):
+        out = alloc.step(w_dot, 0.01)
+        assert out["command"].alpha_ref.tobytes() == alloc.alpha_cmd.tobytes()
+        assert out["command"].omega_ref.tobytes() == alloc.omega_cmd.tobytes()
+        assert_held()
+        assert out["kappa"] == condition_number(alloc.a_alpha)
+
+
+def test_condition_scan_bias_on_switches_a_given_bias_config():
+    m = prototype_morphology()
+    # bias_on alone switches the bias; the config supplies delta and tolerance.
+    on = condition_scan(m, bias_on=True, n_dirs=100, bias_cfg=BiasConfig(delta=0.2))
+    assert np.isfinite(on["max_log_kappa"]) and on["max_log_kappa"] <= 10.0
+    off = condition_scan(m, bias_on=False, n_dirs=100)
+    forced_off = condition_scan(m, bias_on=False, n_dirs=100, bias_cfg=BiasConfig(enabled=True))
+    assert forced_off["log_kappa"].tobytes() == off["log_kappa"].tobytes()
+    default_on = condition_scan(m, bias_on=True, n_dirs=100)
+    assert default_on["log_kappa"].tobytes() != on["log_kappa"].tobytes()

@@ -5,7 +5,7 @@ from tiltmav import envelope as envelope_module
 from tiltmav.design import DesignProblem, build_candidate
 from tiltmav.envelope import (envelope, hover_sphere, icosphere, max_wrench_in_direction,
                               min_total_thrust, pinv_radii)
-from tiltmav.vehicle import GRAVITY, RotorParams, hexarotor, prototype_morphology
+from tiltmav.vehicle import GRAVITY, Morphology, RotorParams, hexarotor, prototype_morphology
 
 from oracles import max_wrench_alpha_grid, min_thrusts_linprog, optimal_radii_linprog
 
@@ -232,3 +232,17 @@ def test_envelope_eta_sampled():
     assert metrics.eta[z_idx] > 0.98
     _, eta_exact = pinv_radii(m, np.array([[0.0, 0.0, 1.0]]), return_eta=True)
     assert np.isclose(eta_exact[0], 1.0)
+
+
+@pytest.mark.parametrize("allocation", ["pinv", "optimal"])
+def test_torque_eta_levers_on_the_longest_arm(allocation):
+    # With a short arm 0, a lever read from arm 0 alone overstates eta past
+    # its clamp of 1 in every direction; the longest arm bounds it.
+    spec = prototype_morphology().to_dict()
+    for i, arm in enumerate(spec["arms"]):
+        arm["length"] = 0.1 if i == 0 else 0.3
+    m = Morphology.from_dict(spec)
+    metrics = envelope(m, "torque", n_dirs=320, hover_force=[0.0, 0.0, m.body.mass * GRAVITY],
+                       allocation=allocation)
+    assert np.all(metrics.eta <= 1.0)
+    assert np.any(metrics.eta < 1.0)

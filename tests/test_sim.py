@@ -1,11 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from tiltmav.allocation import instantaneous_allocation
 from tiltmav.cli import main as cli_main
 from tiltmav.diff_allocation import BiasConfig
-from tiltmav.pid import PidGains
 from tiltmav.sim import Plant, SimConfig, hover_trim, run
 from tiltmav.so3 import is_rotation
 from tiltmav.trajectory import Trajectory, Waypoint
@@ -155,11 +156,15 @@ def test_determinism_bitwise(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_divergence_abort_partial_log():
+def _overweight():
+    # Four times the prototype's mass outweighs the rotors' full thrust: it falls.
     m = prototype_morphology()
-    gains = {"pid": PidGains(k_p=-5.0)}    # positive feedback: guaranteed blow-up
-    log = run(SimConfig(controller="pid"), m, _hover_traj(20.0),
-              gains=gains, p_offset=[0.2, 0, 0])
+    return dataclasses.replace(m, body=dataclasses.replace(m.body, mass=4.0 * m.body.mass))
+
+
+def test_divergence_abort_partial_log():
+    log = run(SimConfig(controller="pid"), _overweight(), _hover_traj(20.0),
+              p_offset=[0.2, 0, 0])
     assert log.diverged
     assert len(log) > 0
     assert log.column("t")[-1] < 20.0
@@ -167,9 +172,7 @@ def test_divergence_abort_partial_log():
 
 def test_divergence_raises_when_requested():
     # A divergence is reported once, on the log: its time and its cause.
-    m = prototype_morphology()
-    gains = {"pid": PidGains(k_p=-5.0)}
-    log = run(SimConfig(controller="pid"), m, _hover_traj(20.0), gains=gains,
+    log = run(SimConfig(controller="pid"), _overweight(), _hover_traj(20.0),
               p_offset=[0.2, 0, 0])
     assert len(log) > 0
     # The tick whose position error crossed the limit is the last one logged.
@@ -358,3 +361,26 @@ def test_static_pseudoinverse_is_factored_in_setup_not_per_tick(monkeypatch):
         assert log.divergence is None
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_allocator_forms_a_alpha_once_per_tick(monkeypatch):
+    # The held commands carry their A_alpha and wrench: the wrench-rate map,
+    # the secondary tasks and kappa read them instead of forming them again.
+    m = prototype_morphology()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return instantaneous_allocation(*args, **kwargs)
+
+    monkeypatch.setattr("tiltmav.diff_allocation.instantaneous_allocation", counting)
+    counts = []
+    for seconds in (0.5, 1.0):
+        alpha0, _ = hover_trim(m)
+        alpha0[::2] += 2.0 * np.pi
+        calls.clear()
+        log = run(SimConfig(), m, _hover_traj(seconds), bias=BiasConfig(enabled=True),
+                  unwind=True, alpha0=alpha0)
+        assert log.divergence is None
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 50

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tiltmav.so3 import (attitude_error, cross3, exp_so3, is_rotation, log_so3,
-                         project_to_so3, rot_x, rot_z, skew, vee)
+from tiltmav.so3 import (attitude_error, cross3, exp_so3, is_rotation, log_so3, rot_x,
+                         rot_z, skew, vee)
 
 from oracles import random_rotation
 
@@ -98,13 +98,6 @@ def test_attitude_error_zero_iff_equal():
 
 def test_rot_x_matches_exp():
     assert np.allclose(rot_x(0.7), exp_so3([0.7, 0, 0]))
-
-
-def test_project_to_so3():
-    rng = np.random.default_rng(5)
-    r = random_rotation(rng) + 1e-3 * rng.normal(size=(3, 3))
-    p = project_to_so3(r)
-    assert is_rotation(p)
 
 
 # Small values repeat often enough to give equal products, whose zero
