@@ -21,25 +21,30 @@ from .vehicle import Morphology
 RANK_EPS = 1e-12
 
 
-def static_allocation(m: Morphology) -> np.ndarray:
+def static_allocation(m: Morphology, frames: tuple | None = None) -> np.ndarray:
     """Static allocation matrix, 6 x (2 * n_rotors).
 
     Column 2r is the lateral component of rotor r, column 2r+1 the vertical
     one. Force rows are the thrust directions scaled by c_f; torque rows
     combine the moment of the thrust applied at the rotor position with the
     drag torque along the thrust axis (sign per rotor spin).
+
+    ``frames``, an (axis, lateral, vertical) triple of ``vehicle.arm_frames``
+    arrays of shape (..., n_arms, 3), turns m's arms (lengths, spins, rotors
+    kept) to those frames; the result then has shape (..., 6, 2 * n_rotors).
     """
+    axes, lat, vert = (m.arm_axes, m.lateral_dirs, m.vertical_dirs) if frames is None else frames
     c_f = m.rotor.c_f
     arm = m.arm_of_rotor
-    pos = (m.arm_lengths[:, None] * m.arm_axes)[arm]
+    pos = (m.arm_lengths[:, None] * axes)[..., arm, :]
     drag = (m.spins * m.rotor.c_d)[:, None]
-    lat = m.lateral_dirs[arm]
-    vert = m.vertical_dirs[arm]
-    a = np.empty((6, 2 * m.n_rotors))
-    a[:3, 0::2] = (c_f * lat).T
-    a[3:, 0::2] = (c_f * (np.cross(pos, lat) - drag * lat)).T
-    a[:3, 1::2] = (c_f * vert).T
-    a[3:, 1::2] = (c_f * (np.cross(pos, vert) - drag * vert)).T
+    lat = lat[..., arm, :]
+    vert = vert[..., arm, :]
+    a = np.empty(lat.shape[:-2] + (6, 2 * m.n_rotors))
+    a[..., :3, 0::2] = np.swapaxes(c_f * lat, -1, -2)
+    a[..., 3:, 0::2] = np.swapaxes(c_f * (np.cross(pos, lat) - drag * lat), -1, -2)
+    a[..., :3, 1::2] = np.swapaxes(c_f * vert, -1, -2)
+    a[..., 3:, 1::2] = np.swapaxes(c_f * (np.cross(pos, vert) - drag * vert), -1, -2)
     return a
 
 

@@ -276,7 +276,11 @@ def cmd_condition_scan(args, config: dict, out_dir: Path) -> list[Path]:
     scan_cfg = _section(config, "condition_scan")
     if args.bias is not None:
         scan_cfg["bias_on"] = args.bias == "on"
-    bias_cfg = _build("bias", BiasConfig, **_section(config, "bias"))
+    bias_section = _section(config, "bias")
+    if "enabled" in bias_section:
+        raise ConfigError("bias: condition-scan does not read bias.enabled; its one bias "
+                          "switch is --bias or condition_scan.bias_on")
+    bias_cfg = _build("bias", BiasConfig, **bias_section)
     result = _build("condition_scan", condition_scan, m, bias_cfg=bias_cfg, **scan_cfg)
     path = _write_csv(out_dir / "condition_scan.csv", "dir_x,dir_y,dir_z,log_kappa",
                       np.column_stack([result["directions"], result["log_kappa"]]))

@@ -47,7 +47,7 @@ from scipy.optimize import linprog  # noqa: F401
 from scipy.optimize._highspy import _core as _highs
 
 from .allocation import static_allocation
-from .vehicle import GRAVITY, Morphology
+from .vehicle import GRAVITY, Morphology, RotorParams
 
 
 # ---------------------------------------------------------------------------
@@ -158,42 +158,52 @@ def pinv_radii(m: Morphology, directions: np.ndarray, mode: str = "force",
     point comes along.
     """
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    a_inv = np.linalg.pinv(static_allocation(m))
-    w_max2 = m.rotor.omega_max**2
-    c_f = m.rotor.c_f
+    return radii_from_pinv(np.linalg.pinv(static_allocation(m)), dirs, m.rotor, mode,
+                           hover_force, return_eta, _torque_lever(m))
+
+
+def radii_from_pinv(a_inv: np.ndarray, dirs: np.ndarray, rotor: RotorParams,
+                    mode: str = "force", hover_force=None, return_eta: bool = False,
+                    lever: float = 1.0):
+    """The radii of ``pinv_radii`` from an already factored a_inv = pinv(A).
+
+    a_inv may stack the pseudoinverses of several vehicles, (..., 2 n_r, 6);
+    the values (and efficiency indices) then come per vehicle, (..., D).
+    ``lever`` is the torque efficiency index's l_max.
+    """
+    w_max2 = rotor.omega_max**2
+    c_f = rotor.c_f
     if mode == "force":
-        wt = a_inv[:, :3] @ dirs.T                       # (2 n_r, D)
-        pairs = np.hypot(wt[0::2, :], wt[1::2, :])
-        worst = pairs.max(axis=0)
+        wt = a_inv[..., :3] @ dirs.T                     # (..., 2 n_r, D)
+        pairs = np.hypot(wt[..., 0::2, :], wt[..., 1::2, :])
+        worst = pairs.max(axis=-2)
         values = np.where(worst > 0.0, w_max2 / np.maximum(worst, 1e-300), np.inf)
         if not return_eta:
             return values
         # eta_f = ||f|| / sum thrust = 1 / (c_f * sum per-rotor pairs)
-        eta = 1.0 / np.maximum(c_f * pairs.sum(axis=0), 1e-300)
+        eta = 1.0 / np.maximum(c_f * pairs.sum(axis=-2), 1e-300)
         return values, np.minimum(eta, 1.0)
     if mode != "torque":
         raise ValueError(f"unknown mode {mode!r}")
     hover = _hover(hover_force)
     w0 = a_inv @ np.concatenate([hover, np.zeros(3)])
-    dw = a_inv[:, 3:] @ dirs.T
-    a0 = np.stack([w0[0::2], w0[1::2]])                  # (2, n_r)
-    a1 = np.stack([dw[0::2, :], dw[1::2, :]])            # (2, n_r, D)
+    dw = a_inv[..., 3:] @ dirs.T
+    a0 = np.stack([w0[..., 0::2], w0[..., 1::2]])          # (2, ..., n_r)
+    a1 = np.stack([dw[..., 0::2, :], dw[..., 1::2, :]])    # (2, ..., n_r, D)
     # Per rotor, ||a0 + lam a1|| = w_max2 gives the saturating quadratic.
     qa = (a1**2).sum(axis=0)
-    qb = 2.0 * (a0[:, :, None] * a1).sum(axis=0)
-    qc = ((a0**2).sum(axis=0) - w_max2**2)[:, None]
-    if np.any(qc > 0.0):
-        zeros = np.zeros(dirs.shape[0])                   # hover alone infeasible
-        return (zeros, zeros) if return_eta else zeros
+    qb = 2.0 * (a0[..., None] * a1).sum(axis=0)
+    qc = ((a0**2).sum(axis=0) - w_max2**2)[..., None]
     disc = np.maximum(qb * qb - 4.0 * qa * qc, 0.0)
     lam = np.where(qa > 1e-300, (-qb + np.sqrt(disc)) / (2.0 * np.maximum(qa, 1e-300)), np.inf)
-    values = lam.min(axis=0)
+    values = lam.min(axis=-2)
+    hover_alone_fails = np.any(qc > 0.0, axis=(-2, -1))[..., None]
     if not return_eta:
-        return values
-    attained = a0[:, :, None] + lam.min(axis=0)[None, None, :] * a1
-    thrust = c_f * np.sqrt((attained**2).sum(axis=0)).sum(axis=0)
-    eta = values / np.maximum(_torque_lever(m) * thrust, 1e-300)
-    return values, np.minimum(eta, 1.0)
+        return np.where(hover_alone_fails, 0.0, values)
+    attained = a0[..., None] + values[..., None, :] * a1
+    thrust = c_f * np.sqrt((attained**2).sum(axis=0)).sum(axis=-2)
+    eta = np.minimum(values / np.maximum(lever * thrust, 1e-300), 1.0)
+    return np.where(hover_alone_fails, 0.0, values), np.where(hover_alone_fails, 0.0, eta)
 
 
 # ---------------------------------------------------------------------------

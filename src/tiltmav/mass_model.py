@@ -97,7 +97,7 @@ def compute_mass_inertia(arms: Sequence[ArmGeometry], model: MassModel) -> tuple
     j_arm[:, 1, 1] = j_arm[:, 2, 2] = (
         m_tube * (3.0 * r_sq + np.float_power(length, 2)) / 12.0 + m_tube * (0.5 * length)**2
         + 0.5 * (trans + axial) + m_rot * length**2)
-    axis, lateral, vertical = arm_frames(arms)
+    axis, lateral, vertical = arm_frames([arm.azimuth for arm in arms], [arm.beta for arm in arms])
     r_b_arm = np.stack([axis, -lateral, vertical], axis=2)
     terms = r_b_arm @ j_arm @ r_b_arm.transpose(0, 2, 1)
     # Both sums add the arms one by one onto the core; a pairwise sum would

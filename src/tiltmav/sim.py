@@ -97,6 +97,9 @@ class Plant:
     alpha: np.ndarray = None
     omega: np.ndarray = None
     rotor_slew: float = 1e4
+    #: Actuator wrench [f; tau] about the body origin that the last
+    #: ``refresh_accelerations`` formed (None before the first).
+    wrench: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = self.morphology
@@ -112,16 +115,13 @@ class Plant:
         """[f; tau] about the body origin at tilt angles alpha, rotor speeds omega."""
         return instantaneous_allocation(self._a, alpha, self._arm_of_rotor) @ omega**2
 
-    def wrench(self) -> np.ndarray:
-        """Actuator wrench [f; tau] about the body origin."""
-        return self._wrench_at(self.alpha, self.omega)
-
-    def _force_and_com_torque(self, alpha, omega) -> tuple[list, list]:
-        w = self._wrench_at(alpha, omega)
+    def _force_and_com_torque(self, w: np.ndarray) -> tuple[list, list]:
         return w[:3].tolist(), com_torque(w[:3], w[3:], self.morphology.body).tolist()
 
     def refresh_accelerations(self) -> None:
-        force_b, torque_c = self._force_and_com_torque(self.alpha, self.omega)
+        """Accelerations of the current state, and the ``wrench`` they follow."""
+        self.wrench = self._wrench_at(self.alpha, self.omega)
+        force_b, torque_c = self._force_and_com_torque(self.wrench)
         a_w, psi = newton_euler(self.state.r_wb.ravel().tolist(), self.state.omega.tolist(),
                                 force_b, torque_c, self._body)
         self.state.a = np.array(a_w)
@@ -141,7 +141,7 @@ class Plant:
         d_omega = np.minimum(np.maximum(omega_ref - self.omega, -slew), slew)
         omega_mid = self.omega + 0.5 * d_omega
         omega_end = self.omega + d_omega
-        force_b, torque_c = self._force_and_com_torque(alpha_mid, omega_mid)
+        force_b, torque_c = self._force_and_com_torque(self._wrench_at(alpha_mid, omega_mid))
         body = self._body
         r0 = self.state.r_wb.ravel().tolist()
         fx, fy, fz = force_b
@@ -272,7 +272,7 @@ def run(
         omega_ref = alloc_out["command"].omega_ref
 
         thrusts = c_f * plant.omega**2
-        force_net = plant.wrench()[:3]
+        force_net = plant.wrench[:3]
         eta = float(np.linalg.norm(force_net) / max(thrusts.sum(), 1e-30))
         stab_lhs, stab_rhs, stab_ok = out["stab"]
         log.append(

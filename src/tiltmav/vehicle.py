@@ -134,16 +134,23 @@ class ArmGeometry:
         return self.gamma + self.theta
 
 
-def arm_frames(arms: Sequence[ArmGeometry]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit axis, lateral and vertical vector of each arm, (n_arms, 3) each."""
-    phi = np.array([arm.azimuth for arm in arms])
-    beta = np.array([arm.beta for arm in arms])
+def arm_frames(phi, beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit axis, lateral and vertical vector of each arm at azimuth phi and
+    inclination beta, (..., n_arms, 3) each for (..., n_arms) angle arrays."""
+    phi = np.asarray(phi, dtype=float)
+    beta = np.asarray(beta, dtype=float)
     cb, sb = np.cos(beta), np.sin(beta)
     cp, sp = np.cos(phi), np.sin(phi)
-    axis = np.stack([cb * cp, cb * sp, sb], axis=1)
-    lateral = np.stack([sp, -cp, np.zeros_like(phi)], axis=1)
-    vertical = np.stack([-sb * cp, -sb * sp, cb], axis=1)
+    axis = np.stack([cb * cp, cb * sp, sb], axis=-1)
+    lateral = np.stack([sp, -cp, np.zeros_like(phi)], axis=-1)
+    vertical = np.stack([-sb * cp, -sb * sp, cb], axis=-1)
     return axis, lateral, vertical
+
+
+def layout_azimuths(n_arms: int) -> np.ndarray:
+    """Base azimuths gamma_i of the evenly spaced layout."""
+    return (np.pi / 6.0 * np.arange(1, 12, 2, dtype=float) if n_arms == 6
+            else np.linspace(0.0, 2.0 * np.pi, n_arms, endpoint=False))
 
 
 def evenly_spaced_arms(n_arms: int, length: float, thetas: Sequence[float] | float = 0.0,
@@ -152,10 +159,8 @@ def evenly_spaced_arms(n_arms: int, length: float, thetas: Sequence[float] | flo
     """The arms of the evenly spaced layout with alternating spins."""
     thetas = np.broadcast_to(np.asarray(thetas, dtype=float), (n_arms,))
     betas = np.broadcast_to(np.asarray(betas, dtype=float), (n_arms,))
-    gammas = (np.pi / 6.0 * np.arange(1, 12, 2, dtype=float) if n_arms == 6
-              else np.linspace(0.0, 2.0 * np.pi, n_arms, endpoint=False))
     arms = []
-    for i, gamma in enumerate(gammas):
+    for i, gamma in enumerate(layout_azimuths(n_arms)):
         s_up = 1 if i % 2 == 0 else -1
         arms.append(ArmGeometry(gamma=float(gamma), theta=float(thetas[i]), beta=float(betas[i]),
                                 length=length, spins=(s_up, -s_up)[:rotors_per_arm]))
@@ -194,7 +199,8 @@ class Morphology:
             if len(arm.spins) != self.rotor.rotors_per_arm:
                 raise ValueError("spin count must match rotors_per_arm")
         # Frozen: the derived arrays go into __dict__ directly.
-        axes, lateral, vertical = arm_frames(self.arms)
+        axes, lateral, vertical = arm_frames([arm.azimuth for arm in self.arms],
+                                             [arm.beta for arm in self.arms])
         vars(self).update(
             arm_axes=axes, lateral_dirs=lateral, vertical_dirs=vertical,
             arm_lengths=np.array([arm.length for arm in self.arms]),

@@ -8,6 +8,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from tiltmav.allocation import instantaneous_allocation, static_allocation
+from tiltmav.design import UP, build_candidate
 from tiltmav.envelope import _disc_lp
 from tiltmav.riccati import CareError, _validate
 from tiltmav.rigid_body import BodyConstants, RigidBodyState, com_torque, newton_euler, tilt_step
@@ -161,6 +162,44 @@ def mass_inertia_loop(arms, model) -> tuple[float, np.ndarray]:
         r_b_arm = rot_z(arm.azimuth) @ rot_y(-arm.beta)
         j = j + r_b_arm @ j_arm @ r_b_arm.T
     return mass, j
+
+
+def pinv_radii_loop(m, dirs, mode="force", hover_force=None) -> np.ndarray:
+    """One vehicle's ``envelope.pinv_radii`` values, from its own pseudoinverse."""
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    a_inv = np.linalg.pinv(static_allocation(m))
+    w_max2 = m.rotor.omega_max**2
+    if mode == "force":
+        wt = a_inv[:, :3] @ dirs.T
+        worst = np.hypot(wt[0::2, :], wt[1::2, :]).max(axis=0)
+        return np.where(worst > 0.0, w_max2 / np.maximum(worst, 1e-300), np.inf)
+    hover = np.zeros(3) if hover_force is None else np.asarray(hover_force, dtype=float)
+    w0 = a_inv @ np.concatenate([hover, np.zeros(3)])
+    dw = a_inv[:, 3:] @ dirs.T
+    a0 = np.stack([w0[0::2], w0[1::2]])
+    a1 = np.stack([dw[0::2, :], dw[1::2, :]])
+    qa = (a1**2).sum(axis=0)
+    qb = 2.0 * (a0[:, :, None] * a1).sum(axis=0)
+    qc = ((a0**2).sum(axis=0) - w_max2**2)[:, None]
+    if np.any(qc > 0.0):
+        return np.zeros(dirs.shape[0])
+    disc = np.maximum(qb * qb - 4.0 * qa * qc, 0.0)
+    lam = np.where(qa > 1e-300, (-qb + np.sqrt(disc)) / (2.0 * np.maximum(qa, 1e-300)), np.inf)
+    return lam.min(axis=0)
+
+
+def design_objective_loop(problem, x, dirs, mg) -> float:
+    """The design search's penalized objective of one angle set x = [theta, beta]:
+    its own ``build_candidate`` vehicle and mass model, and a pseudoinverse per radius."""
+    n = problem.n_arms
+    m = build_candidate(problem, x[:n], x[n:])
+    f_min = float(pinv_radii_loop(m, dirs).min())
+    if problem.cost == 1:
+        value = -float(pinv_radii_loop(m, UP)[0])
+    else:
+        t_min = float(pinv_radii_loop(m, dirs, "torque", mg * UP).min())
+        value = -min(f_min / mg, t_min / (0.5 * mg * problem.arm_length))
+    return value + 1e3 * max(0.0, (mg - f_min) / mg) ** 2
 
 
 def accelerations(r_wb, omega, force_b, torque_c, params):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltmav.allocation import (condition_number, instantaneous_allocation,
                                 invert_static, static_allocation)
-from tiltmav.vehicle import Morphology, RotorParams, hexarotor, prototype_morphology
+from tiltmav.vehicle import (Morphology, RigidBodyParams, RotorParams, TiltParams,
+                             evenly_spaced_arms, hexarotor, prototype_morphology)
 
 from oracles import invert_static_loop, omega_tilde, static_allocation_loop
 
@@ -110,6 +113,39 @@ def test_invert_static_roundtrip():
     alpha, omega, _ = invert_static(a, wrench, m)
     w_back = a @ omega_tilde(omega**2, alpha, m.arm_of_rotor)
     assert np.allclose(w_back, wrench, atol=1e-8)
+
+
+@st.composite
+def _actuated_vehicles(draw):
+    """An evenly spaced morphology with a non-negative actuator set (alpha, omega**2)."""
+    n_arms, rotors_per_arm = draw(st.integers(3, 8)), draw(st.integers(1, 2))
+
+    def values(elements, size):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)))
+
+    angles = st.floats(-1.5, 1.5)
+    arms = evenly_spaced_arms(n_arms, 0.3, values(angles, n_arms), values(angles, n_arms),
+                              rotors_per_arm)
+    m = Morphology(arms, RotorParams(rotors_per_arm=rotors_per_arm), TiltParams(),
+                   RigidBodyParams(mass=4.0, inertia=np.eye(3)))
+    # A rotor is off or spins at 1 rad/s or more: invert_static treats an arm
+    # whose squared speeds sum below 1e-12 (rad/s)^2 as not thrusting.
+    speeds_sq = st.one_of(st.just(0.0), st.floats(1.0, m.rotor.omega_max**2))
+    return m, values(st.floats(-np.pi, np.pi), n_arms), values(speeds_sq, m.n_rotors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_actuated_vehicles())
+def test_invert_static_round_trip(vehicle):
+    # The wrench of a non-negative actuator set comes back from
+    # A_alpha @ omega**2 wherever the re-solved omega**2 is non-negative.
+    m, alpha_set, omega_sq_set = vehicle
+    a = static_allocation(m)
+    wrench = a @ omega_tilde(omega_sq_set, alpha_set, m.arm_of_rotor)
+    alpha, omega, _ = invert_static(a, wrench, m)
+    a_alpha = instantaneous_allocation(a, alpha, m.arm_of_rotor)
+    if np.all(np.linalg.pinv(a_alpha) @ wrench >= 0.0):
+        assert np.linalg.norm(a_alpha @ omega**2 - wrench) <= 1e-9 * np.linalg.norm(wrench)
 
 
 def test_invert_static_holds_degenerate_arm():

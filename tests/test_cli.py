@@ -314,6 +314,18 @@ def test_condition_scan_command(tmp_path):
     assert on["max_log_kappa"] <= 10.0
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_condition_scan_rejects_bias_enabled(tmp_path, capsys, enabled):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bias": {"enabled": enabled, "delta": 0.2}}))
+    for flags in ([], ["--bias", "on"]):
+        out = tmp_path / f"scan{len(flags)}"
+        assert main(["condition-scan", "--config", str(cfg), *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bias.enabled" in err and "--bias" in err and "condition_scan.bias_on" in err
+        assert not (out / "condition_scan.json").exists()
+
+
 def test_unwind_flag_outputs(tmp_path, hover_file):
     out = tmp_path / "unw"
     code = main(["simulate", "--traj", hover_file, "--unwind", "2",

@@ -98,7 +98,7 @@ def test_offset_com_turns_origin_thrust_into_torque():
     plant = Plant(m)
     plant.alpha, plant.omega = alpha, omega
     plant.refresh_accelerations()
-    w = plant.wrench()
+    w = plant.wrench
     assert np.abs(w[3:]).max() < 1e-9
     expected = np.linalg.solve(body.inertia, -np.cross(body.r_com, w[:3]))
     assert np.abs(expected[1]) > 1.0
@@ -126,6 +126,24 @@ def test_run_hover_both_controllers():
         e = np.linalg.norm(log.block("e_p"), axis=1)
         assert e.max() < 1e-6
         assert np.allclose(log.column("eta_f"), 1.0, atol=1e-9)
+
+
+def test_logged_eta_reads_the_plant_wrench_of_the_last_refresh(monkeypatch):
+    calls = []
+    wrench_at = Plant._wrench_at
+
+    def counted(self, alpha, omega):
+        calls.append(1)
+        return wrench_at(self, alpha, omega)
+
+    monkeypatch.setattr(Plant, "_wrench_at", counted)
+    cfg = SimConfig(controller="pid")
+    log = run(cfg, prototype_morphology(), _hover_traj(1.0))
+    steps_per_tick = round(cfg.dt_control / cfg.dt_physics)
+    # The initial refresh, then per physics step the midpoint wrench and the
+    # refresh; the 101 logged ticks form none of their own.
+    assert len(log) == 101
+    assert len(calls) == 1 + 2 * steps_per_tick * (len(log) - 1)
 
 
 def test_step_recovery_within_five_seconds():

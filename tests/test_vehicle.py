@@ -71,7 +71,7 @@ def test_arm_frame_geometry():
         assert lat[i, 2] == 0.0
         assert np.sign(axis[i, 2]) == np.sign(arm.beta)  # positive beta inclines it upward
     # One arm alone gets the frame it has in the whole morphology.
-    for alone, whole in zip(arm_frames(m.arms[3:4]), (axis, lat, vert)):
+    for alone, whole in zip(arm_frames([m.arms[3].azimuth], [m.arms[3].beta]), (axis, lat, vert)):
         assert np.array_equal(alone[0], whole[3])
 
 
