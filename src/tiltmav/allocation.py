@@ -84,7 +84,7 @@ def invert_static(a: np.ndarray, wrench: np.ndarray, m: Morphology,
     lat, vert = wt.reshape(m.n_arms, m.rotor.rotors_per_arm, 2).sum(axis=1).T
 
     alpha = np.zeros(m.n_arms) if alpha_hold is None else np.array(alpha_hold, dtype=float)
-    thrusting = np.hypot(lat, vert) > 1e-12 * max(np.abs(wt).max(), 1.0)
+    thrusting = np.hypot(lat, vert) > 1e-12 * np.abs(wt).max()
     alpha[thrusting] = np.arctan2(lat, vert)[thrusting]
 
     a_inst = instantaneous_allocation(a, alpha, m.arm_of_rotor)

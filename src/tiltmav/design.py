@@ -261,25 +261,3 @@ def beta_sweep(problem: DesignProblem, betas,
     for rows, a_inv in _pinv_chunks(ref, x, len(dirs)):
         values[rows] = radii_from_pinv(a_inv, dirs, problem.rotor).min(axis=-1)
     return betas, values
-
-
-def compare(results: list[dict]) -> list[dict]:
-    """Metrics of each result divided by the first (reference) entry."""
-    if len(results) < 2:
-        raise ValueError("need at least two results to compare")
-
-    def flatten(r: dict) -> dict:
-        out = {"mass": r["mass"]}
-        for i, axis in enumerate("xyz"):
-            out[f"J_{axis}{axis}"] = r["inertia"][i]
-        for mode in ("force", "torque"):
-            for key in ("min", "max", "volume"):
-                out[f"{mode}_{key}"] = r[mode][key]
-        out["eta_min"] = r["eta_f_hover"]["min"]
-        out["eta_max"] = r["eta_f_hover"]["max"]
-        return out
-
-    ref = flatten(results[0])
-    if any(v == 0.0 for v in ref.values()):
-        raise ValueError("reference result has a zero metric")
-    return [{k: v / ref[k] for k, v in flatten(r).items()} for r in results]

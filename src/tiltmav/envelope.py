@@ -16,24 +16,26 @@ Two radial models are provided per direction:
   reachable wrench set is the Minkowski sum of the arm discs mapped by
   their 6x2 blocks B_a. The flat hexarotor's optimal ratio is sqrt(3).
 
-One linear program answers every query of that set. Each disc is replaced
-by its inscribed regular N-gon, whose vertices p_ak become the columns
-B_a p_ak with weights mu_ak >= 0, sum_k mu_ak <= 1 per arm, and thrust cost
-c_f R_a mu_ak. The radial value maximizes lambda with sum mu B p = lambda d
-(plus the hover force in torque mode); the minimum thrust minimizes the
-cost with sum mu B p equal to the wrench. Each N-gon lies inside its disc
-and holds cos(pi/N) of it, so the radial value never exceeds the disc
-optimum and, without a hover offset, lies at most 1 - cos(pi/N) below it
-(1.2e-3 at N = 64, 3.0e-4 at N = 128); the minimum thrust never falls below
-the disc's.
-
-Each query builds one HiGHS model of its LP, through the binding that
-scipy's own HiGHS ``linprog`` method drives, and re-solves it once per
-direction or wrench: only the -d column or the equality right-hand side
-moves, and the dual simplex starts from the previous basis. At the largest
-lambda the optimal mu is in general not unique, so the efficiency index of
-the optimal envelope is defined by the least total thrust that attains
-lambda*d, which a second warm model finds.
+One batched numpy kernel answers every query of that set, S = sum_a C_a disc
+with C_a = R_a B_a. The radial value along d from a base b (the hover force
+in torque mode), lambda* = max{lambda : b + lambda d in S}, has a sum of
+Euclidean norms as its dual: lambda* = min over d.y = 1 of
+sum_a |C_a^T y| - b.y. The least thrust for a wrench w, the least
+sum_a c_f R_a |u_a| with sum_a C_a u_a = w and |u_a| <= 1, is the largest
+w.y - sum_a max(0, |C_a^T y| - c_f R_a); w is reachable when the radial value
+along its own 6-D direction is at least |w|. Each direction or wrench follows
+its own damped Newton path on the smoothed dual (Andersen, Christiansen,
+Conn & Overton, SIAM J. Sci. Comput. 22(1), 2000; Boyd & Vandenberghe,
+Convex Optimization, 11.7) and stops once the allocation read from its dual
+point, after a few Newton steps on the exact optimality conditions, closes
+the duality gap to 1e-10 of the value with a wrench residual under 1e-8 of
+the arms' scale; one that cannot within _MAX_STEPS raises RuntimeError. The
+exact values never fall below those of the LP over inscribed N-gons (the
+test oracle) and, without a hover offset, exceed them by at most
+1/cos(pi/N). The optimal envelope's efficiency index is lambda over (lever
+x the least total thrust that attains lambda*d plus the hover force); that
+allocation is unique unless the free arms' block has a null space, over
+which a least-thrust solve picks it.
 """
 
 from __future__ import annotations
@@ -41,13 +43,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-# Unused here: bound because perfbench/tracer.py TARGETS and its tests look up envelope.linprog.
-from scipy.optimize import linprog  # noqa: F401
-from scipy.optimize._highspy import _core as _highs
 
 from .allocation import static_allocation
 from .vehicle import GRAVITY, Morphology, RotorParams
+
+
+def __getattr__(name):
+    # perfbench/tracer.py TARGETS and its tests look up envelope.linprog, which
+    # nothing here calls: bind it on first lookup, so that importing the
+    # package does not import scipy.optimize.
+    if name != "linprog":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import linprog
+    globals()["linprog"] = linprog
+    return linprog
 
 
 # ---------------------------------------------------------------------------
@@ -207,177 +216,220 @@ def radii_from_pinv(a_inv: np.ndarray, dirs: np.ndarray, rotor: RotorParams,
 
 
 # ---------------------------------------------------------------------------
-# The polygonal disc LP (optimal allocation)
+# The exact disc set (optimal allocation)
 # ---------------------------------------------------------------------------
 
-# Vertices per arm disc in envelope sweeps (1,280 directions in a full
-# sweep): a 128-gon sweep costs about 2.4x as much.
-_SWEEP_VERTICES = 64
-# Vertices per arm disc in point queries and the hover sphere: with 64, the
-# flat hexarotor's best hover efficiency next to +z drops to 0.99885.
-_POINT_VERTICES = 128
+_GAP, _RESIDUAL = 1e-10, 1e-8  # certified relative duality gap; relative wrench residual
+_MAX_STEPS = 200                # Newton steps one batch may take before it raises
+_SHRINK, _CENTRE = 0.1, 0.3     # the smoothing shrinks by _SHRINK once a row's Newton
+                                # decrement is below _CENTRE times it
+_POLISH = 4                     # Newton steps on the exact optimality conditions per attempt
+_EDGE = 1e-9                    # relative distance within which a wrench is on the boundary
 
 
-def _disc_lp(m: Morphology, n_vertices: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns, budget rows and column thrust costs of the polygonized disc LP.
-
-    Returns (cols, budget, cost): cols (6, n_arms*N) stacks each arm's block
-    B_a applied to the vertices of the N-gon inscribed in its disc, budget
-    (n_arms, n_arms*N) holds the rows of sum_k mu_ak <= 1, and cost[k] is
-    column k's thrust, c_f times its disc radius.
-    """
+def _disc_maps(m: Morphology) -> tuple[np.ndarray, np.ndarray]:
+    """(cm, k): cm (6, 2 n_arms) stacks C_a = R_a B_a; k[a] = c_f R_a is arm a's full thrust."""
     blocks, radii = arm_wrench_blocks(m)
-    ang = 2.0 * np.pi * np.arange(n_vertices) / n_vertices
-    unit = np.stack([np.sin(ang), np.cos(ang)], axis=1)
-    cols = np.concatenate([b @ (r * unit).T for b, r in zip(blocks, radii)], axis=1)
-    budget = np.kron(np.eye(len(radii)), np.ones(n_vertices))
-    return cols, budget, m.rotor.c_f * np.repeat(radii, n_vertices)
+    return np.concatenate(blocks * radii[:, None, None], axis=1), m.rotor.c_f * radii
 
 
-_DUAL_SIMPLEX = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-_PRIMAL_SIMPLEX = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal)
+def _gram(cm, a, b, vh) -> np.ndarray:
+    """sum_a C_a (a_a I + b_a vh_a vh_a^T) C_a^T per row, (R, 6, 6)."""
+    c0, c1 = cm[:, 0::2].T, cm[:, 1::2].T
+    outer = np.stack([c0[:, :, None] * c0[:, None, :], c1[:, :, None] * c1[:, None, :],
+                      c0[:, :, None] * c1[:, None, :] + c1[:, :, None] * c0[:, None, :]], 1)
+    m = np.stack([a + b * vh[..., 0]**2, a + b * vh[..., 1]**2, b * vh[..., 0] * vh[..., 1]], -1)
+    return (m.reshape(len(m), -1) @ outer.reshape(-1, 36)).reshape(-1, 6, 6)
 
 
-class _WarmLp:
-    """One HiGHS model of min cost.x s.t. a_eq x = b_eq, budget x <= 1, x >= 0.
+def _smoothed(cm, kappa, c, y, eps, derivatives=True):
+    """F(y) = sum_a phi(C_a^T y) - c.y and, optionally, its gradient and Hessian.
 
-    Between solves a caller moves one column (``set_column``) or the equality
-    right-hand side (``set_rhs``). With presolve off, each solve warm-starts
-    the dual simplex from the previous basis; a fresh model per query keeps
-    every result independent of what ran before the query. The solver's own
-    primal values carry update round-off (about 1e-11 relative) that depends
-    on the path to the final basis, so ``solve`` recomputes x from that basis
-    and a dense copy of the constraints.
-
-    ``ceiling`` must exceed every feasible objective value. The dual simplex
-    keeps a lower bound on the optimum, so once that passes the ceiling the
-    LP is infeasible: this certificate ends the many infeasible solves whose
-    dual ray HiGHS would otherwise fail to confirm ("Unknown" status).
+    phi = (z + sqrt(z^2 + eps^2)) / 2 with z = sqrt(|v|^2 + eps^2) - kappa_a
+    lies within eps above max(0, |v| - kappa_a).
     """
-
-    def __init__(self, cost: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray,
-                 budget: np.ndarray, ceiling: float):
-        self.a = np.concatenate([a_eq, budget])
-        # Nonbasic rows sit at these values: b_eq, or the budget of 1.
-        self.bound = np.concatenate([b_eq, np.ones(len(budget))])
-        a = sparse.csc_array(self.a)
-        lp = _highs.HighsLp()
-        lp.num_row_, lp.num_col_ = a.shape
-        lp.col_cost_ = cost
-        lp.col_lower_ = np.zeros(a.shape[1])
-        lp.col_upper_ = np.full(a.shape[1], np.inf)
-        lp.row_lower_ = np.concatenate([b_eq, np.full(len(budget), -np.inf)])
-        lp.row_upper_ = self.bound.copy()
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
-        lp.a_matrix_.start_ = a.indptr
-        lp.a_matrix_.index_ = a.indices
-        lp.a_matrix_.value_ = a.data
-        self.model = _highs._Highs()
-        self.model.setOptionValue("output_flag", False)
-        self.model.setOptionValue("presolve", "off")
-        self.model.setOptionValue("objective_bound", ceiling)
-        self.model.passModel(lp)
-
-    def set_column(self, col: int, rows: range, values: np.ndarray) -> None:
-        for row, value in zip(rows, values):
-            self.model.changeCoeff(row, col, value)
-        self.a[rows, col] = values
-
-    def set_rhs(self, b_eq: np.ndarray) -> None:
-        for row, value in enumerate(b_eq):
-            self.model.changeRowBounds(row, value, value)
-        self.bound[:len(b_eq)] = b_eq
-
-    def solve(self) -> np.ndarray | None:
-        """The optimal x, or None if the LP is infeasible.
-
-        A solve that still ends "Unknown" is repeated once from a cold start
-        with the primal simplex. Any status other than optimal, infeasible or
-        the ceiling certificate raises RuntimeError.
-        """
-        status = self._run()
-        if status == _highs.HighsModelStatus.kUnknown:
-            self.model.clearSolver()
-            self.model.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
-            status = self._run()
-            self.model.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
-        if status in (_highs.HighsModelStatus.kInfeasible,
-                      _highs.HighsModelStatus.kObjectiveBound):
-            return None
-        if status != _highs.HighsModelStatus.kOptimal:
-            raise RuntimeError(f"disc LP solve ended with HiGHS model status "
-                               f"{self.model.modelStatusToString(status)!r}")
-        # Basic columns j >= 0 and basic rows -1-i, each in ascending order so
-        # that one basis always gives the same bits.
-        basic = np.sort(self.model.getBasicVariables()[1])
-        cols, rows = basic[basic >= 0], -1 - basic[basic < 0]
-        n_rows = len(self.a)
-        lhs = np.concatenate([self.a[:, cols], -np.eye(n_rows)[:, rows]], axis=1)
-        rhs = self.bound.copy()
-        rhs[rows] = 0.0
-        x = np.zeros(self.a.shape[1])
-        x[cols] = np.linalg.solve(lhs, rhs)[:len(cols)]
-        return x
-
-    def _run(self):
-        self.model.run()
-        return self.model.getModelStatus()
+    v = (y @ cm).reshape(len(y), -1, 2)
+    e = eps[:, None]
+    rho = np.sqrt((v * v).sum(-1) + e * e)
+    z = rho - kappa
+    q = np.sqrt(z * z + e * e)
+    f = 0.5 * (z + q).sum(-1) - (c * y).sum(-1)
+    if not derivatives:
+        return f
+    d1 = 0.5 * (1.0 + z / q)                   # dphi/drho, in (0, 1)
+    grad = (d1[..., None] * v / rho[..., None]).reshape(len(y), -1) @ cm.T - c
+    return f, grad, _gram(cm, d1 / rho, 0.5 * e * e / q**3 - d1 / rho, v / rho[..., None])
 
 
-def _min_thrusts(lp: tuple, wrenches: np.ndarray) -> np.ndarray:
-    """Least summed rotor thrust per wrench row of one disc LP; inf where unreachable."""
-    cols, budget, cost = lp
-    # No feasible point thrusts more than every arm at its costliest vertex.
-    model = _WarmLp(cost, cols, np.zeros(len(cols)), budget, 2.0 * len(budget) * cost.max())
-    totals = np.full(len(wrenches), np.inf)
-    for i, w in enumerate(wrenches):
-        model.set_rhs(w)
-        x = model.solve()
-        if x is not None:
-            totals[i] = cost @ x
+def _solve(cm, k, kappa, c, d=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radial values along the rows of d from c (kappa = 0), or without d the
+    least thrusts that realize the rows of c (kappa = k), each certified.
+
+    Returns (lam, y, thrust): lam is 0 without d or where no lambda >= 0 is
+    reachable, y the certifying dual point (d.y = 1), thrust the certified
+    allocation's summed thrust or, where the free arms' block has a null
+    space, the least one over it. A row's steps depend on that row alone.
+    """
+    n, radial, e1 = len(k), d is not None, np.array([1.0, 0.0])
+    arm = np.linalg.norm(cm.reshape(6, n, 2), axis=(0, 2))
+    d = d if radial else np.zeros_like(c)
+    lam, thrust, y, loose = np.zeros(len(c)), np.zeros(len(c)), d.copy(), []
+    start = 0.2 * np.linalg.norm(cm, axis=0).mean()
+    eps, rows = np.full(len(c), start), np.arange(len(c))
+
+    def local(y, kink):
+        # t = |C_a^T y|, its unit vector vh (0 where t = 0), C_a vh, and C_a P_a for
+        # a kink arm's u_a = P_a s_a: s_a itself when kappa_a = 0, s_a[0] vh_a otherwise
+        v = (y @ cm).reshape(len(y), n, 2)
+        t = np.linalg.norm(v, axis=-1)
+        vh = v / np.where(t > 0.0, t, 1.0)[..., None]
+        cvh = np.einsum("iaj,raj->ria", cm.reshape(6, n, 2), vh)
+        cp = np.where(np.repeat(kappa > 0.0, 2),
+                      np.stack([cvh, 0.0 * cvh], -1).reshape(len(y), 6, -1), cm)
+        return t, vh, cvh, cp * np.repeat(kink, 2, axis=1)[:, None, :]
+
+    def polish(y, kink, full, dr, cr):
+        # Newton on sum_full C_a vh_a + sum_kink C_a P_a s_a - lambda d = c,
+        # P_a^T C_a^T y = (kappa_a, 0) on the kink arms and d.y = 1 (or
+        # lambda = 0), the slots no arm uses held at 0. A tiny quasi-definite
+        # shift keeps a row with a non-unique solution solvable.
+        held = np.stack([~kink, ~kink | (kappa > 0.0)], -1).reshape(len(y), -1)
+        j = np.zeros((len(y), 7 + 2 * n, 7 + 2 * n))
+        j[:, :6, -1], j[:, -1, :6], j[:, -1, -1] = -dr, dr, not radial
+        j[:, 6:-1, 6:-1] = np.eye(2 * n) * held[:, None, :]
+        x = np.zeros((len(y), 2 * n + 1))
+        x[:, :-1:2] = 0.5 * (kink & (kappa > 0.0))      # sharing arms start half on
+        for _ in range(_POLISH):
+            t, vh, cvh, cp = local(y, kink)
+            bend = (np.where(full, 1.0, kink * (kappa > 0.0) * x[:, :-1:2])
+                    / np.where(t > 0.0, t, 1.0))
+            j[:, :6, :6], j[:, :6, 6:-1], j[:, 6:-1, :6] = (_gram(cm, bend, -bend, vh), cp,
+                                                            cp.transpose(0, 2, 1))
+            arms = kink[..., None] * np.where((kappa > 0.0)[:, None], (t - kappa)[..., None] * e1,
+                                              (y @ cm).reshape(len(y), n, 2))
+            r = np.concatenate([(cvh * full[:, None, :]).sum(-1) - x[:, -1:] * dr - cr
+                                + np.einsum("rij,rj->ri", cp, x[:, :-1]),
+                                arms.reshape(len(y), -1) + held * x[:, :-1],
+                                (dr * y).sum(-1, keepdims=True) - 1.0 if radial else x[:, -1:]], 1)
+            shift = (1e-12 * np.abs(j).max(axis=(1, 2))[:, None]
+                     * np.r_[np.ones(6), -np.ones(2 * n + 1)])
+            step = np.linalg.solve(j + shift[:, :, None] * np.eye(7 + 2 * n), -r[..., None])[..., 0]
+            y, x = y + step[:, :6], x + step[:, 6:]
+        return y / (dr * y).sum(-1, keepdims=True) if radial else y
+
+    def primal(y, kink, full, dr, cr):
+        # The least-norm kink slots and lambda given the full arms: ok, x, |u_a|,
+        # the dual value and the block's rank.
+        t, vh, cvh, cp = local(y, kink)
+        block, rhs = np.concatenate([cp, -dr[:, :, None]], 2), cr - (cvh * full[:, None, :]).sum(-1)
+        u, s, vt = np.linalg.svd(block, full_matrices=False)
+        keep = s > 1e-10 * s[:, :1]
+        x = np.einsum("rji,rj->ri", vt, np.where(keep, 1.0 / np.maximum(s, 1e-300), 0.0)
+                      * np.einsum("rji,rj->ri", u, rhs))
+        res = np.linalg.norm(np.einsum("rij,rj->ri", block, x) - rhs, axis=-1)
+        s = x[:, :-1].reshape(len(y), n, 2)
+        size = np.where(full, 1.0, kink * np.where(kappa > 0.0, np.abs(s[..., 0]),
+                                                   np.linalg.norm(s, axis=-1)))
+        dual = np.maximum(t - kappa, 0.0).sum(-1) - (cr * y).sum(-1)
+        value = x[:, -1] if radial else -(size @ k)
+        ok = ((dual - value <= _GAP * np.maximum(np.abs(value), 1e-6 * arm.sum()))
+              & (res <= _RESIDUAL * arm.sum()) & (size.max(-1) <= 1.0 + 1e-9))
+        return ok, x, size, dual, keep.sum(-1)
+
+    def certify(rows, y, eps):
+        dr, cr = d[rows], c[rows]
+        y = y / (dr * y).sum(-1, keepdims=True) if radial else y
+        t = np.linalg.norm((y @ cm).reshape(len(y), n, 2), axis=-1)
+        tau = np.sqrt(eps[:, None] * arm)
+        kink, full = np.abs(t - kappa) <= tau, t - kappa > tau
+        empty = radial & (t.sum(-1) - (cr * y).sum(-1) <= 0.0)
+        y_p = polish(y, kink, full, dr, cr)
+        ok, x, size, dual, rank = primal(y_p, kink, full, dr, cr)
+        i = np.flatnonzero(~ok & ~empty)    # where the polished point fails, the smoothed may hold
+        if i.size:
+            y_p[i] = y[i]
+            ok[i], x[i], size[i], dual[i], rank[i] = primal(y[i], kink[i], full[i], dr[i], cr[i])
+        ok |= empty
+        y_p[empty] = y[empty]
+        lam[rows[ok]] = np.where(empty | (not radial), 0.0, np.minimum(x[:, -1], dual))[ok]
+        thrust[rows[ok]] = np.where(empty, 0.0, size @ k)[ok]
+        for i in np.flatnonzero(ok & ~empty & radial & (rank < 2 * kink.sum(-1) + 1)):
+            cols = np.repeat(kink[i], 2)
+            loose.append((rows[i], kink[i], cm[:, cols] @ x[i, :-1][cols]))
+        return ok, y_p
+
+    for _ in range(_MAX_STEPS):
+        if not rows.size:
+            break
+        yr, er, cr = y[rows], eps[rows], c[rows]
+        f0, g, h = _smoothed(cm, kappa, cr, yr, er)
+        kkt = np.zeros((len(rows), 7, 7))      # with d, steps keep d.y = 1
+        # A vehicle whose blocks span less than R^6 leaves h singular.
+        kkt[:, :6, :6] = h + (1e-13 * np.trace(h, axis1=1, axis2=2))[:, None, None] * np.eye(6)
+        kkt[:, :6, 6] = kkt[:, 6, :6] = d[rows]
+        kkt[:, 6, 6] = not radial
+        step = np.linalg.solve(kkt, -np.concatenate([g, 0.0 * g[:, :1]], 1)[..., None])[:, :6, 0]
+        slope, t = (g * step).sum(-1), np.ones(len(rows))
+        for _ in range(40):
+            trial = _smoothed(cm, kappa, cr, yr + t[:, None] * step, er, False)
+            worse = trial > f0 + 0.25 * t * slope
+            if not worse.any():
+                break
+            t[worse] *= 0.5
+        y[rows] = yr + t[:, None] * step
+        # A negative value proves an empty ray, since F lies below its smoothing.
+        centred = np.flatnonzero((-slope <= _CENTRE * er) | ((f0 < 0.0) & radial))
+        done = np.zeros(len(rows), bool)
+        if centred.size:
+            done[centred], y_p = certify(rows[centred], y[rows[centred]], er[centred])
+            y[rows[centred[done[centred]]]] = y_p[done[centred]]
+        eps[rows[centred]] = np.maximum(_SHRINK * er[centred], 1e-12 * start)
+        rows = rows[~done]
+    if rows.size:
+        raise RuntimeError(f"{rows.size} disc-set queries not certified within {_MAX_STEPS} steps")
+    for row, free, wrench in loose:
+        cols = np.repeat(free, 2)
+        thrust[row] = k[~free].sum() + _min_thrusts(cm[:, cols], k[free], wrench[None])[0]
+    return lam, y, thrust
+
+
+def _min_thrusts(cm, k, wrenches) -> np.ndarray:
+    """Least summed rotor thrust per wrench row; inf where unreachable.
+
+    w is reachable when the radial value along its own 6-D direction is at
+    least |w|; within _EDGE of it, w is on the boundary, where the radial
+    solve's own least thrust answers.
+    """
+    norm = np.linalg.norm(wrenches, axis=1)
+    totals, rows = np.where(norm > 0.0, np.inf, 0.0), np.flatnonzero(norm > 0.0)
+    lam, _, thrust = _solve(cm, k, 0.0 * k, 0.0 * wrenches[rows], wrenches[rows] / norm[rows, None])
+    ratio = norm[rows] / np.maximum(lam, 1e-300)
+    edge = np.abs(ratio - 1.0) <= _EDGE
+    totals[rows[edge]] = thrust[edge] * ratio[edge]
+    inner = rows[ratio < 1.0 - _EDGE]
+    totals[inner] = _solve(cm, k, k, wrenches[inner])[2]
     return totals
 
 
-def _optimal_radii(m: Morphology, dirs: np.ndarray, mode: str, hover_force,
-                   n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
+def _optimal_radii(m: Morphology, dirs: np.ndarray, mode: str,
+                   hover_force) -> tuple[np.ndarray, np.ndarray]:
     """Largest attainable magnitude and its efficiency index per direction.
 
-    The magnitude lambda is the largest weight of the -d column. At that
-    maximum the optimal mu is in general not unique, so the efficiency index
-    is defined by the least total thrust that attains lambda*d (plus the
-    hover force in torque mode), found by a second warm model:
-    eta = lambda / (lever * thrust), with lever 1 for force and
-    ``_torque_lever`` for torque. Infeasible directions get 0 for both.
+    eta = lambda / (lever * thrust), with thrust the least total thrust that
+    attains lambda*d (plus the hover force in torque mode) and lever 1 for
+    force, ``_torque_lever`` for torque. Infeasible directions get 0 for both.
     """
+    d6, base = np.zeros((len(dirs), 6)), np.zeros((len(dirs), 6))
     if mode == "force":
-        rows, b_eq = range(0, 3), np.zeros(6)
+        d6[:, :3], lever = dirs, 1.0
     elif mode == "torque":
-        rows, b_eq = range(3, 6), np.concatenate([_hover(hover_force), np.zeros(3)])
+        d6[:, 3:], base[:, :3], lever = dirs, _hover(hover_force), _torque_lever(m)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    lp = _disc_lp(m, n_vertices)
-    cols, budget, _ = lp
-    n = cols.shape[1]
-    # Column n carries lambda; its entries in the equality rows are -d.
-    # The objective is -lambda <= 0; at a ceiling of 0 a feasible lambda of
-    # exactly 0 may read as infeasible, which gives the same 0.
-    model = _WarmLp(np.r_[np.zeros(n), -1.0], np.concatenate([cols, np.zeros((6, 1))], axis=1),
-                    b_eq, np.concatenate([budget, np.zeros((len(budget), 1))], axis=1), 0.0)
-    values = np.zeros(len(dirs))
-    for i, d in enumerate(dirs):
-        model.set_column(n, rows, -d)
-        x = model.solve()
-        if x is not None:
-            values[i] = x[n]
-    reached = values > 0.0
-    d6 = np.zeros((reached.sum(), 6))
-    d6[:, rows] = values[reached, None] * dirs[reached]
-    thrust = _min_thrusts(lp, b_eq + d6)
-    lever = 1.0 if mode == "force" else _torque_lever(m)
-    eta = np.zeros(len(dirs))
-    eta[reached] = np.minimum(values[reached] / (lever * thrust), 1.0)
-    return values, eta
+    cm, k = _disc_maps(m)
+    values, _, thrust = _solve(cm, k, 0.0 * k, base, d6)
+    eta = np.where(values > 0.0, values / (lever * np.where(values > 0.0, thrust, 1.0)), 0.0)
+    return values, np.minimum(eta, 1.0)
 
 
 def max_wrench_in_direction(m: Morphology, direction, mode: str = "force",
@@ -390,7 +442,7 @@ def max_wrench_in_direction(m: Morphology, direction, mode: str = "force",
     direction = np.asarray(direction, dtype=float)
     if abs(np.linalg.norm(direction) - 1.0) > 1e-8:
         raise ValueError("direction must be a unit vector")
-    values, _ = _optimal_radii(m, direction[None, :], mode, hover_force, _POINT_VERTICES)
+    values, _ = _optimal_radii(m, direction[None, :], mode, hover_force)
     return float(values[0])
 
 
@@ -400,7 +452,7 @@ def min_total_thrust(m: Morphology, wrench) -> float:
     Returns inf when the wrench is unreachable.
     """
     wrench = np.asarray(wrench, dtype=float)
-    return float(_min_thrusts(_disc_lp(m, _POINT_VERTICES), wrench[None, :])[0])
+    return float(_min_thrusts(*_disc_maps(m), wrench[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +475,8 @@ class EnvelopeMetrics:
             raise ValueError("envelope metric ordering violated")
 
 
-def envelope(
-    m: Morphology,
-    mode: str = "force",
-    n_dirs: int = 1280,
-    hover_force=None,
-    allocation: str = "pinv",
-) -> EnvelopeMetrics:
+def envelope(m: Morphology, mode: str = "force", n_dirs: int = 1280, hover_force=None,
+             allocation: str = "pinv") -> EnvelopeMetrics:
     """Radial envelope metrics over icosphere face-centroid directions.
 
     The volume triangulates the radial surface: each face contributes the
@@ -443,7 +490,7 @@ def envelope(
         values, eta = pinv_radii(m, dirs, mode=mode, hover_force=hover_force,
                                  return_eta=True)
     elif allocation == "optimal":
-        values, eta = _optimal_radii(m, dirs, mode, hover_force, _SWEEP_VERTICES)
+        values, eta = _optimal_radii(m, dirs, mode, hover_force)
     else:
         raise ValueError(f"unknown allocation {allocation!r}")
 
@@ -467,7 +514,7 @@ def hover_sphere(m: Morphology, n_dirs: int = 320) -> dict:
     """
     dirs, _, _ = sample_directions(n_dirs)
     mg = m.body.mass * GRAVITY
-    totals = _min_thrusts(_disc_lp(m, _POINT_VERTICES),
+    totals = _min_thrusts(*_disc_maps(m),
                           np.concatenate([mg * dirs, np.zeros((len(dirs), 3))], axis=1))
     feasible = np.isfinite(totals) & (totals > 0.0)
     eta = np.zeros(len(dirs))

@@ -1,4 +1,4 @@
-"""Rotation utilities: skew/vee maps, axis rotations, exponential/log maps.
+"""Rotation utilities: the vee map, axis rotations, exponential/log maps.
 
 All rotation matrices are body-to-world ("R_WB" style): for a vector x
 expressed in the body frame, R @ x gives its world-frame coordinates.
@@ -13,14 +13,6 @@ import numpy as np
 ORTHONORMALITY_TOL = 1e-9
 
 
-def skew(v) -> np.ndarray:
-    """Skew-symmetric matrix of a 3-vector, so that skew(v) @ w == cross(v, w)."""
-    x, y, z = np.asarray(v, dtype=float)
-    return np.array([[0.0, -z, y],
-                     [z, 0.0, -x],
-                     [-y, x, 0.0]])
-
-
 def cross3(a, b) -> tuple:
     """a x b of two 3-sequences as a float tuple: np.cross's bits without its dispatch."""
     ax, ay, az = a
@@ -29,7 +21,7 @@ def cross3(a, b) -> tuple:
 
 
 def vee(m, tol: float = ORTHONORMALITY_TOL) -> np.ndarray:
-    """Inverse of skew. Raises ValueError if the input is not antisymmetric."""
+    """The 3-vector v of an antisymmetric matrix [v]x. Raises ValueError otherwise."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"vee expects a 3x3 matrix, got {m.shape}")
@@ -106,14 +98,6 @@ def log_so3(r) -> np.ndarray:
             axis = -axis
         return angle * axis
     return angle / (2.0 * sin_angle) * w
-
-
-def is_rotation(r, tol: float = ORTHONORMALITY_TOL) -> bool:
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        return False
-    ortho = np.abs(r.T @ r - np.eye(3)).max()
-    return ortho <= tol and abs(np.linalg.det(r) - 1.0) <= tol
 
 
 def attitude_error(r_wb, r_wb_des) -> np.ndarray:

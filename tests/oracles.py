@@ -9,11 +9,49 @@ from scipy.optimize import linprog
 
 from tiltmav.allocation import instantaneous_allocation, static_allocation
 from tiltmav.design import UP, build_candidate
-from tiltmav.envelope import _disc_lp
+from tiltmav.envelope import arm_wrench_blocks
 from tiltmav.riccati import CareError, _validate
 from tiltmav.rigid_body import BodyConstants, RigidBodyState, com_torque, newton_euler, tilt_step
-from tiltmav.so3 import exp_so3, rot_y, rot_z, skew
+from tiltmav.so3 import ORTHONORMALITY_TOL, exp_so3, rot_y, rot_z
 from tiltmav.trajectory import TrajectorySample
+
+
+def skew(v) -> np.ndarray:
+    """Skew-symmetric matrix of a 3-vector, so that skew(v) @ w == cross(v, w)."""
+    x, y, z = np.asarray(v, dtype=float)
+    return np.array([[0.0, -z, y],
+                     [z, 0.0, -x],
+                     [-y, x, 0.0]])
+
+
+def is_rotation(r, tol: float = ORTHONORMALITY_TOL) -> bool:
+    r = np.asarray(r, dtype=float)
+    if r.shape != (3, 3):
+        return False
+    ortho = np.abs(r.T @ r - np.eye(3)).max()
+    return ortho <= tol and abs(np.linalg.det(r) - 1.0) <= tol
+
+
+def compare(results: list[dict]) -> list[dict]:
+    """Metrics of each result divided by the first (reference) entry."""
+    if len(results) < 2:
+        raise ValueError("need at least two results to compare")
+
+    def flatten(r: dict) -> dict:
+        out = {"mass": r["mass"]}
+        for i, axis in enumerate("xyz"):
+            out[f"J_{axis}{axis}"] = r["inertia"][i]
+        for mode in ("force", "torque"):
+            for key in ("min", "max", "volume"):
+                out[f"{mode}_{key}"] = r[mode][key]
+        out["eta_min"] = r["eta_f_hover"]["min"]
+        out["eta_max"] = r["eta_f_hover"]["max"]
+        return out
+
+    ref = flatten(results[0])
+    if any(v == 0.0 for v in ref.values()):
+        raise ValueError("reference result has a zero metric")
+    return [{k: v / ref[k] for k, v in flatten(r).items()} for r in results]
 
 
 def omega_tilde(omega_sq, alpha, arm_of_rotor) -> np.ndarray:
@@ -64,7 +102,7 @@ def invert_static_loop(a, wrench, m, alpha_hold=None):
     wt = np.linalg.pinv(a) @ wrench
     rpa = m.rotor.rotors_per_arm
     alpha = np.zeros(m.n_arms) if alpha_hold is None else np.array(alpha_hold, dtype=float)
-    scale = max(np.abs(wt).max(), 1.0)
+    scale = np.abs(wt).max()
     for arm in range(m.n_arms):
         sl = slice(arm * rpa, (arm + 1) * rpa)
         lat_sum, vert_sum = wt[0::2][sl].sum(), wt[1::2][sl].sum()
@@ -292,6 +330,25 @@ def max_wrench_alpha_grid(m, direction, mode="force", hover_force=None,
     return best_val
 
 
+def disc_lp(m, n_vertices: int, circumscribed: bool = False):
+    """Columns, budget rows and column thrust costs of the polygonized disc LP.
+
+    Returns (cols, budget, cost): cols (6, n_arms*N) stacks each arm's block
+    B_a applied to the vertices of the N-gon inscribed in its disc (or, with
+    ``circumscribed``, the N-gon around it, vertex radius r/cos(pi/N)),
+    budget (n_arms, n_arms*N) holds the rows of sum_k mu_ak <= 1, and
+    cost[k] is column k's thrust, c_f times its vertex radius.
+    """
+    blocks, radii = arm_wrench_blocks(m)
+    if circumscribed:
+        radii = radii / np.cos(np.pi / n_vertices)
+    ang = 2.0 * np.pi * np.arange(n_vertices) / n_vertices
+    unit = np.stack([np.sin(ang), np.cos(ang)], axis=1)
+    cols = np.concatenate([b @ (r * unit).T for b, r in zip(blocks, radii)], axis=1)
+    budget = np.kron(np.eye(len(radii)), np.ones(n_vertices))
+    return cols, budget, m.rotor.c_f * np.repeat(radii, n_vertices)
+
+
 def optimal_radii_linprog(m, dirs, mode="force", hover_force=None, n_vertices=64):
     """Cold per-direction linprog solves of the disc LP's radial problem.
 
@@ -303,7 +360,7 @@ def optimal_radii_linprog(m, dirs, mode="force", hover_force=None, n_vertices=64
     else:
         hover = np.zeros(3) if hover_force is None else np.asarray(hover_force, dtype=float)
         rows, b_eq = slice(3, 6), np.concatenate([hover, np.zeros(3)])
-    cols, budget, cost = _disc_lp(m, n_vertices)
+    cols, budget, cost = disc_lp(m, n_vertices)
     a_ub = np.concatenate([budget, np.zeros((len(budget), 1))], axis=1)
     c = np.zeros(cols.shape[1] + 1)
     c[-1] = -1.0
@@ -323,9 +380,9 @@ def optimal_radii_linprog(m, dirs, mode="force", hover_force=None, n_vertices=64
     return values, eta
 
 
-def min_thrusts_linprog(m, wrenches, n_vertices=128):
+def min_thrusts_linprog(m, wrenches, n_vertices=128, circumscribed=False):
     """Cold per-wrench linprog solves of the disc LP's least thrust; inf where unreachable."""
-    cols, budget, cost = _disc_lp(m, n_vertices)
+    cols, budget, cost = disc_lp(m, n_vertices, circumscribed)
     totals = np.full(len(wrenches), np.inf)
     for i, w in enumerate(wrenches):
         res = linprog(cost, A_ub=budget, b_ub=np.ones(len(budget)), A_eq=cols, b_eq=w,

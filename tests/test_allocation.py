@@ -128,9 +128,8 @@ def _actuated_vehicles(draw):
                               rotors_per_arm)
     m = Morphology(arms, RotorParams(rotors_per_arm=rotors_per_arm), TiltParams(),
                    RigidBodyParams(mass=4.0, inertia=np.eye(3)))
-    # A rotor is off or spins at 1 rad/s or more: invert_static treats an arm
-    # whose squared speeds sum below 1e-12 (rad/s)^2 as not thrusting.
-    speeds_sq = st.one_of(st.just(0.0), st.floats(1.0, m.rotor.omega_max**2))
+    # invert_static's thrust floor is relative, so any squared speeds will do.
+    speeds_sq = st.floats(0.0, m.rotor.omega_max**2)
     return m, values(st.floats(-np.pi, np.pi), n_arms), values(speeds_sq, m.n_rotors)
 
 

@@ -3,10 +3,10 @@ import pytest
 
 from tiltmav import design
 from tiltmav.design import (ANGLE_BOUND, DesignProblem, _CostEvaluator, _pattern_search,
-                            beta_sweep, build_candidate, compare)
+                            beta_sweep, build_candidate)
 from tiltmav.envelope import sample_directions
 
-from oracles import design_objective_loop, pinv_radii_loop
+from oracles import compare, design_objective_loop, pinv_radii_loop
 
 
 def test_build_candidate_mass_and_bounds():

@@ -1,13 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from tiltmav import envelope as envelope_module
 from tiltmav.design import DesignProblem, build_candidate
-from tiltmav.envelope import (envelope, hover_sphere, icosphere, max_wrench_in_direction,
-                              min_total_thrust, pinv_radii)
-from tiltmav.vehicle import GRAVITY, Morphology, RotorParams, hexarotor, prototype_morphology
+from tiltmav.envelope import (arm_wrench_blocks, envelope, hover_sphere, icosphere,
+                              max_wrench_in_direction, min_total_thrust, pinv_radii)
+from tiltmav.vehicle import (GRAVITY, ArmGeometry, Morphology, RotorParams, evenly_spaced_arms,
+                             hexarotor, prototype_morphology)
 
 from oracles import max_wrench_alpha_grid, min_thrusts_linprog, optimal_radii_linprog
+
+COS64 = np.cos(np.pi / 64)
 
 
 def _parity_morphology(name):
@@ -74,27 +84,92 @@ def test_optimal_matches_alpha_grid_oracle():
         assert abs(mine - oracle) / max(oracle, 1e-12) < 0.01, (d, mine, oracle)
 
 
+def _thrust_bracket(m, wrenches, n_vertices):
+    """(lower, upper) bounds on the least thrust of each wrench from polygon LPs.
+
+    The N-gon around each disc holds it, and any disc point costs at most
+    1/cos(pi/N) of its own thrust there, so cos(pi/N) times that LP's least
+    thrust is a lower bound. The N-gon inside each disc gives an upper bound,
+    inf where it cannot reach the wrench.
+    """
+    outer = min_thrusts_linprog(m, wrenches, n_vertices, circumscribed=True)
+    inner = min_thrusts_linprog(m, wrenches, n_vertices)
+    return np.cos(np.pi / n_vertices) * outer, inner
+
+
+def _radial_certificate_gap(m, y, base, values):
+    """sum_a |C_a^T y| - y.base - lambda per row, with C_a = r_a B_a built here."""
+    blocks, radii = arm_wrench_blocks(m)
+    support = np.linalg.norm(np.einsum("aij,ri->raj", blocks * radii[:, None, None], y),
+                             axis=-1).sum(-1)
+    return support - y @ base - values
+
+
 @pytest.mark.parametrize("name,mode", PARITY_CASES)
 def test_optimal_sweep_matches_cold_linprog_oracle(name, mode):
-    # The sweep re-solves one warm model; every 8th direction is checked
-    # against a cold linprog solve of the same polygonal LP.
+    # Every 8th direction of the exact sweep is bracketed by cold linprog
+    # solves of the 64-gon LP: the inscribed polygons never reach further,
+    # and without a hover offset they reach at least cos(pi/64) as far.
     m = _parity_morphology(name)
-    lever = 1.0 if mode == "force" else m.arms[0].length
+    lever = m.arm_lengths.max() if mode == "torque" else 1.0
     hover = m.body.mass * GRAVITY * np.array([0.0, 0.0, 1.0]) if mode == "torque" else None
     metrics = envelope(m, mode, n_dirs=320, hover_force=hover, allocation="optimal")
     dirs = metrics.directions[::8]
     values, eta = metrics.values[::8], metrics.eta[::8]
-    oracle, vertex_eta = optimal_radii_linprog(m, dirs, mode, hover)
+    oracle, _ = optimal_radii_linprog(m, dirs, mode, hover)
     assert np.all(oracle > 0.0)
-    assert np.max(np.abs(values - oracle) / oracle) < 1e-9
-    # eta is defined by the least thrust that attains lambda*d (plus hover),
-    # so it is never below the index read off any optimal vertex.
+    assert np.all(values >= oracle * (1.0 - 1e-9))
+    if hover is None:
+        assert np.all(values <= oracle / COS64 * (1.0 + 1e-9))
+    # eta is defined by the least thrust that attains lambda*d (plus hover);
+    # polygon LPs bracket that thrust on both sides.
     wrenches = np.zeros((len(dirs), 6))
     wrenches[:, :3] = 0.0 if hover is None else hover
     wrenches[:, slice(0, 3) if mode == "force" else slice(3, 6)] += values[:, None] * dirs
-    least = min_thrusts_linprog(m, wrenches, n_vertices=64)
-    assert np.max(np.abs(eta - np.minimum(values / (lever * least), 1.0))) < 1e-9
-    assert np.all(eta >= vertex_eta - 1e-9)
+    lower, upper = _thrust_bracket(m, wrenches, 64)
+    assert np.all(eta <= np.minimum(values / (lever * lower), 1.0) + 1e-9)
+    assert np.all(eta >= np.minimum(values / (lever * upper), 1.0) - 1e-9)
+
+
+@pytest.mark.parametrize("name,mode", PARITY_CASES)
+def test_radial_values_carry_their_duality_certificate(name, mode):
+    # The returned dual point y (d.y = 1) bounds lambda* from above by
+    # sum_a |C_a^T y| - y.base, and that bound is within 1e-10 of lambda.
+    m = _parity_morphology(name)
+    dirs = envelope_module.sample_directions(320)[0][::4]
+    d6, base = np.zeros((len(dirs), 6)), np.zeros(6)
+    if mode == "force":
+        d6[:, :3] = dirs
+    else:
+        d6[:, 3:] = dirs
+        base[2] = m.body.mass * GRAVITY
+    cm, k = envelope_module._disc_maps(m)
+    values, y, _ = envelope_module._solve(cm, k, 0.0 * k, np.tile(base, (len(dirs), 1)), d6)
+    assert np.all(values > 0.0)
+    assert np.allclose((d6 * y).sum(-1), 1.0, rtol=0.0, atol=1e-12)
+    assert np.all(_radial_certificate_gap(m, y, base, values) <= 1e-10 * values)
+
+
+@pytest.mark.parametrize("mode", ["force", "torque"])
+def test_eta_on_coincident_arms_takes_the_least_thrust(mode):
+    # Three pairs of coincident arms: the free arms' block at the optimum has
+    # a null space, so the attaining allocation is not unique and eta must
+    # come from the least thrust over it, inside the polygon-LP bracket.
+    proto = prototype_morphology()
+    arms = tuple(ArmGeometry(gamma=g, beta=b, length=0.3) for g, b in
+                 [(0.3, 0.5), (2.4, -0.3), (4.4, 0.1)] * 2)
+    m = Morphology(arms=arms, rotor=proto.rotor, tilt=proto.tilt, body=proto.body)
+    hover = 0.3 * m.body.mass * GRAVITY * np.array([0.0, 0.0, 1.0]) if mode == "torque" else None
+    dirs = envelope_module.sample_directions(320)[0][::16]
+    values, eta = envelope_module._optimal_radii(m, dirs, mode, hover)
+    wrenches = np.zeros((len(dirs), 6))
+    wrenches[:, :3] = 0.0 if hover is None else hover
+    wrenches[:, slice(0, 3) if mode == "force" else slice(3, 6)] += values[:, None] * dirs
+    lower, upper = _thrust_bracket(m, wrenches, 64)
+    lever = 1.0 if mode == "force" else 0.3
+    assert np.all(values > 0.0)
+    assert np.all(eta <= np.minimum(values / (lever * lower), 1.0) + 1e-9)
+    assert np.all(eta >= np.minimum(values / (lever * upper), 1.0) - 1e-9)
 
 
 @pytest.mark.parametrize("name,mode", PARITY_CASES)
@@ -102,9 +177,8 @@ def test_optimal_sweep_is_order_independent(name, mode):
     m = _parity_morphology(name)
     hover = m.body.mass * GRAVITY * np.array([0.0, 0.0, 1.0]) if mode == "torque" else None
     dirs = envelope_module.sample_directions(320)[0]
-    n_vertices = envelope_module._SWEEP_VERTICES
-    values, eta = envelope_module._optimal_radii(m, dirs, mode, hover, n_vertices)
-    rev_values, rev_eta = envelope_module._optimal_radii(m, dirs[::-1], mode, hover, n_vertices)
+    values, eta = envelope_module._optimal_radii(m, dirs, mode, hover)
+    rev_values, rev_eta = envelope_module._optimal_radii(m, dirs[::-1], mode, hover)
     assert np.max(np.abs(rev_values[::-1] - values) / values) < 1e-9
     assert np.max(np.abs(rev_eta[::-1] - eta)) < 1e-9
 
@@ -115,13 +189,15 @@ def test_hover_sphere_matches_cold_linprog_oracle(name):
     sphere = hover_sphere(m, n_dirs=320)
     mg = m.body.mass * GRAVITY
     dirs = sphere["directions"][::8]
-    least = min_thrusts_linprog(m, np.concatenate([mg * dirs, np.zeros((len(dirs), 3))], axis=1))
-    oracle = np.where(np.isfinite(least), np.minimum(mg / least, 1.0), 0.0)
-    assert np.array_equal(sphere["feasible"][::8], np.isfinite(least))
-    assert np.max(np.abs(sphere["eta_f"][::8] - oracle)) < 1e-9
+    lower, upper = _thrust_bracket(m, np.concatenate([mg * dirs, np.zeros((len(dirs), 3))], axis=1),
+                                   128)
+    assert np.all(sphere["feasible"][::8]) and np.all(np.isfinite(upper))
+    eta = sphere["eta_f"][::8]
+    assert np.all(eta <= np.minimum(mg / lower, 1.0) + 1e-9)
+    assert np.all(eta >= np.minimum(mg / upper, 1.0) - 1e-9)
 
 
-def test_disc_lp_status_handling():
+def test_disc_lp_status_handling(monkeypatch):
     m = prototype_morphology()
     # An unreachable hover force makes every torque direction infeasible: 0.
     assert max_wrench_in_direction(m, [0.0, 0.0, 1.0], mode="torque",
@@ -129,12 +205,57 @@ def test_disc_lp_status_handling():
     metrics = envelope(m, "torque", n_dirs=320, hover_force=[0.0, 0.0, 1e5],
                        allocation="optimal")
     assert np.all(metrics.values == 0.0) and np.all(metrics.eta == 0.0)
-    # Any status other than optimal or infeasible is an error, not a value.
-    cols, budget, cost = envelope_module._disc_lp(m, 64)
-    lp = envelope_module._WarmLp(cost, cols, np.r_[0.0, 0.0, 50.0, 0.0, 0.0, 0.0], budget, np.inf)
-    lp.model.setOptionValue("simplex_iteration_limit", 0)
-    with pytest.raises(RuntimeError, match="Iteration limit"):
-        lp.solve()
+    # A sweep that cannot certify its queries within the step cap is an
+    # error, not a value.
+    monkeypatch.setattr(envelope_module, "_MAX_STEPS", 2)
+    with pytest.raises(RuntimeError, match="not certified"):
+        envelope(m, "force", n_dirs=320, allocation="optimal")
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_arms=st.integers(3, 8), rotors_per_arm=st.integers(1, 2),
+       betas=st.lists(st.floats(-1.2, 1.2), min_size=8, max_size=8),
+       direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       mode=st.sampled_from(["force", "torque"]))
+# A degenerate dual: Newton on the exact optimality conditions diverges
+# there, and the smoothed dual point itself certifies.
+@example(n_arms=3, rotors_per_arm=1, betas=[1.0, 1e-9, 1.0] + [0.0] * 5,
+         direction=[0.0, 0.0, 1.0], mode="force")
+def test_disc_kernel_on_random_layouts(n_arms, rotors_per_arm, betas, direction, mode):
+    d = np.asarray(direction)
+    assume(np.linalg.norm(d) > 0.1)
+    d /= np.linalg.norm(d)
+    m = Morphology(arms=evenly_spaced_arms(n_arms, 0.3, betas=betas[:n_arms],
+                                           rotors_per_arm=rotors_per_arm),
+                   rotor=RotorParams(rotors_per_arm=rotors_per_arm),
+                   tilt=prototype_morphology().tilt, body=prototype_morphology().body)
+    # Torque mode holds half the largest force along +z, which is reachable.
+    hover = None
+    if mode == "torque":
+        hover = 0.5 * max_wrench_in_direction(m, [0.0, 0.0, 1.0]) * np.array([0.0, 0.0, 1.0])
+    base = np.zeros(6) if hover is None else np.r_[hover, np.zeros(3)]
+    d6 = np.r_[d, np.zeros(3)] if mode == "force" else np.r_[np.zeros(3), d]
+    cm, k = envelope_module._disc_maps(m)
+    values, y, _ = envelope_module._solve(cm, k, 0.0 * k, base[None], d6[None])
+    lam = values[0]
+    assume(lam > 0.0)
+    assert _radial_certificate_gap(m, y, base, values)[0] <= 1e-10 * lam
+    assert lam >= optimal_radii_linprog(m, d[None], mode, hover)[0][0] * (1.0 - 1e-9)
+    assert np.isfinite(min_total_thrust(m, base + 0.999 * lam * d6))
+    assert np.isinf(min_total_thrust(m, base + 1.001 * lam * d6))
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # The disc kernel is plain numpy; envelope.linprog binds on first lookup.
+    code = "import sys, tiltmav.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(envelope_module.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
+    from scipy.optimize import linprog
+    assert envelope_module.linprog is linprog
+    with pytest.raises(AttributeError):
+        envelope_module.no_such_name
 
 
 def test_pinv_envelope_ratio_flat_hex():
@@ -154,8 +275,8 @@ def test_envelope_volume_monotone_in_omega_max():
 
 
 def test_max_wrench_and_min_thrust_agree():
-    # Both queries solve the same polygonal LP, so the largest wrench along a
-    # direction is exactly where the minimum thrust stops being finite.
+    # Both queries go through the same radial kernel, so the largest wrench
+    # along a direction is exactly where the minimum thrust stops being finite.
     octahedral = build_candidate(DesignProblem(), np.zeros(6),
                                  np.arctan(1.0 / np.sqrt(2.0)) * (-1.0) ** np.arange(6))
     dirs = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.6, 0.0, 0.8], [-0.48, 0.6, -0.64]])

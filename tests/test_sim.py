@@ -8,12 +8,11 @@ from tiltmav.allocation import instantaneous_allocation
 from tiltmav.cli import main as cli_main
 from tiltmav.diff_allocation import BiasConfig
 from tiltmav.sim import Plant, SimConfig, hover_trim, run
-from tiltmav.so3 import is_rotation
 from tiltmav.trajectory import Trajectory, Waypoint
 from tiltmav.vehicle import (GRAVITY, RigidBodyParams, hexarotor,
                              prototype_morphology)
 
-from oracles import kinetic_energy, random_rotation
+from oracles import is_rotation, kinetic_energy, random_rotation
 
 
 def _hover_traj(duration=3.0, z=1.3):

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tiltmav.so3 import (attitude_error, cross3, exp_so3, is_rotation, log_so3, rot_x,
-                         rot_z, skew, vee)
+from tiltmav.so3 import attitude_error, cross3, exp_so3, log_so3, rot_x, rot_z, vee
 
-from oracles import random_rotation
+from oracles import is_rotation, random_rotation, skew
 
 
 def test_skew_cross_product():
