@@ -26,11 +26,12 @@ from .design import DesignProblem, beta_sweep, optimize
 from .diff_allocation import AllocationConfig, BiasConfig, condition_scan
 from .envelope import envelope
 from .lqri import LqriGains
+from .mass_model import MassModel
 from .pid import PidGains
 from .sim import SimConfig, hover_trim, run
 from .simlog import stats_to_dict, tracking_stats
 from .trajectory import load_waypoints, named_trajectory
-from .vehicle import GRAVITY, Morphology, prototype_morphology
+from .vehicle import GRAVITY, Morphology, RotorParams, prototype_morphology
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -188,8 +189,10 @@ def cmd_optimize(args, config: dict, out_dir: Path) -> list[Path]:
         problem_cfg["cost"] = args.cost
     if args.seed is not None:
         problem_cfg["seed"] = args.seed
-    _check_kinds("design", DesignProblem, problem_cfg)
-    problem = _build("design", DesignProblem.from_dict, problem_cfg)
+    for key, make in (("rotor", RotorParams), ("mass_model", MassModel)):
+        if key in problem_cfg:
+            problem_cfg[key] = _build(f"design.{key}", make, **_section(config, f"design.{key}"))
+    problem = _build("design", DesignProblem, **problem_cfg)
     result = optimize(problem)
     outputs = [_write_json(out_dir / "design_result.json", result.to_dict())]
     for mode, metrics in (("force", result.force), ("torque", result.torque)):

@@ -27,8 +27,8 @@ from .allocation import static_allocation
 from .envelope import (EnvelopeMetrics, envelope, hover_sphere, pinv_radii,  # noqa: F401
                        radii_from_pinv, sample_directions)
 from .mass_model import MassModel, compute_mass_inertia, default_mass_model
-from .vehicle import (GRAVITY, Morphology, RigidBodyParams, RotorParams, TiltParams,
-                      arm_frames, check_int, evenly_spaced_arms, layout_azimuths)
+from .vehicle import (GRAVITY, Morphology, RigidBodyParams, RotorParams, TiltParams, arm_frames,
+                      check_int, check_real, evenly_spaced_arms, layout_azimuths)
 
 ANGLE_BOUND = np.pi / 2 - 1e-3
 #: Hover axis of the search: body +z.
@@ -50,22 +50,15 @@ class DesignProblem:
     step_min: float = 0.002
 
     def __post_init__(self):
-        if self.cost not in (1, 2):
-            raise ValueError("cost must be 1 or 2")
-        for name, least in (("n_arms", 3), ("seed", 0), ("n_random_starts", 0),
+        for name, least in (("cost", 1), ("n_arms", 3), ("seed", 0), ("n_random_starts", 0),
                             ("n_dirs_search", 1), ("n_dirs_final", 100)):
             check_int(name, getattr(self, name), least)
-        if not self.arm_length > 0.0:
-            raise ValueError(f"arm_length must be positive, got {self.arm_length!r}")
-
-    @staticmethod
-    def from_dict(data: dict) -> "DesignProblem":
-        kwargs = dict(data)
-        if "rotor" in kwargs:
-            kwargs["rotor"] = RotorParams(**kwargs["rotor"])
-        if "mass_model" in kwargs:
-            kwargs["mass_model"] = MassModel(**kwargs["mass_model"])
-        return DesignProblem(**kwargs)
+        if self.cost > 2:
+            raise ValueError(f"cost must be 1 or 2, got {self.cost}")
+        check_real("arm_length", self.arm_length, 0.0, strict=True)
+        check_real("step_min", self.step_min, 0.0, strict=True)
+        # A first step below step_min would end the search before it polls.
+        check_real("step_init", self.step_init, self.step_min)
 
 
 @dataclass

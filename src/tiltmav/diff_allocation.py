@@ -26,7 +26,8 @@ from .allocation import (condition_number, instantaneous_allocation, invert_stat
                          static_allocation)
 from .envelope import sample_directions
 from .so3 import cross3
-from .vehicle import GRAVITY, Morphology, RigidBodyParams, check_int
+from .vehicle import (GRAVITY, Morphology, RigidBodyParams, check_int, check_real,
+                      check_vector)
 
 REGULARIZATION_CONDITION = 1e12
 
@@ -45,14 +46,10 @@ class AllocationConfig:
     unwind_release: float = 0.02
 
     def __post_init__(self):
-        if not (math.isfinite(self.k_alpha) and self.k_alpha > 0.0):
-            raise ValueError(f"k_alpha must be positive and finite, got {self.k_alpha!r}")
-        for name in ("v_alpha_dot", "v_omega_dot"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
-        if not math.isfinite(self.home_alpha):
-            raise ValueError(f"home_alpha must be finite, got {self.home_alpha!r}")
+        check_real("k_alpha", self.k_alpha, 0.0, strict=True)
+        for name in ("v_alpha_dot", "v_omega_dot", "unwind_engage", "unwind_release"):
+            check_real(name, getattr(self, name), 0.0)
+        check_real("home_alpha", self.home_alpha)
         check_int("max_unwind_arms", self.max_unwind_arms, 1)
         if not self.unwind_release < self.unwind_engage:
             raise ValueError(f"unwind_release must be below unwind_engage "
@@ -66,9 +63,9 @@ class BiasConfig:
     colinearity_tol: float = 0.1
 
     def __post_init__(self):
-        if not math.isfinite(self.delta):
-            raise ValueError(f"delta must be finite, got {self.delta!r}")
-        if not 0.0 < self.colinearity_tol <= 0.5 * math.pi:
+        check_real("delta", self.delta)
+        check_real("colinearity_tol", self.colinearity_tol, 0.0, strict=True)
+        if self.colinearity_tol > 0.5 * math.pi:
             raise ValueError(f"colinearity_tol must be in (0, pi/2], got {self.colinearity_tol!r}")
 
 
@@ -360,13 +357,12 @@ def condition_scan(
     ``bias_cfg`` sets its delta and tolerance) and the instantaneous
     allocation at the resulting tilt angles is scored.
     """
-    hover_dir = np.asarray(hover_dir, dtype=float)
-    if hover_dir.shape != (3,) or not np.all(np.isfinite(hover_dir)):
-        raise ValueError(f"hover_dir must be a finite 3-vector, got {hover_dir.tolist()!r}")
-    if isinstance(extra_force_mag, bool):
-        raise ValueError(f"extra_force_mag must be a number, got {extra_force_mag!r}")
+    hover_dir = check_vector("hover_dir", hover_dir, (3,))
+    if extra_force_mag is not None:
+        check_real("extra_force_mag", extra_force_mag, 0.0)
     bias_cfg = replace(bias_cfg or BiasConfig(), enabled=bias_on)
     a = static_allocation(m)
+    a_pinv, alloc = np.linalg.pinv(a), AllocationConfig()
     mg = m.body.mass * GRAVITY
     extra = mg if extra_force_mag is None else extra_force_mag
     hover = mg * hover_dir
@@ -379,7 +375,7 @@ def condition_scan(
     for i, d in enumerate(dirs):
         wrench = np.concatenate([hover + extra * d, np.zeros(3)])
         alpha_star, _, _ = optimal_targets(m, a, np.zeros(m.n_arms), np.zeros(m.n_rotors),
-                                           wrench, AllocationConfig(), bias_cfg)
+                                           wrench, alloc, bias_cfg, a_pinv)
         a_inst = instantaneous_allocation(a, alpha_star, m.arm_of_rotor)
         log_kappa[i] = np.log(condition_number(a_inst))
     return {"directions": dirs, "log_kappa": log_kappa,

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import static_allocation
-from .vehicle import GRAVITY, Morphology, RotorParams
+from .vehicle import GRAVITY, Morphology, RotorParams, check_vector
 
 
 def __getattr__(name):
@@ -143,12 +143,7 @@ def arm_wrench_blocks(m: Morphology) -> tuple[np.ndarray, np.ndarray]:
 
 def _hover(hover_force) -> np.ndarray:
     """The torque mode's fixed body force: a finite 3-vector, zero when None."""
-    if hover_force is None:
-        return np.zeros(3)
-    hover = np.asarray(hover_force, dtype=float)
-    if hover.shape != (3,) or not np.all(np.isfinite(hover)):
-        raise ValueError(f"hover_force must be a finite 3-vector, got {hover_force!r}")
-    return hover
+    return np.zeros(3) if hover_force is None else check_vector("hover_force", hover_force, (3,))
 
 
 def _torque_lever(m: Morphology) -> float:

@@ -13,22 +13,21 @@ PID controller.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .pid import WINDUP_P, WINDUP_R
 from .riccati import lqr_gain, solve_care
 from .rigid_body import RigidBodyState
 from .so3 import attitude_error, cross3
 from .trajectory import TrajectorySample
+from .vehicle import check_real, check_vector
 
 N_ERR = 24
 BLOCKS = ("p", "p_i", "v", "a", "R", "R_i", "omega", "psi")
 STABILITY_COEFF = (3.0 + np.sqrt(2.0)) / np.sqrt(2.0)
-#: Integrator clamps: position [m s], attitude [rad s].
-WINDUP_P = 2.0
-WINDUP_R = 1.0
+Q_GAINS = ("k_p", "k_p_i", "k_v", "k_a", "k_r", "k_r_i", "k_omega", "k_psi")
 
 
 @dataclass(frozen=True)
@@ -47,22 +46,15 @@ class LqriGains:
     r_tau_dot: tuple = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        self.weight_matrices()   # rejects bad Q gains and R weights
+        for name in Q_GAINS:
+            check_real(f"{name} of the Q gains", getattr(self, name), 0.0)
+        for name in ("r_f_dot", "r_tau_dot"):
+            for weight in check_vector(name, getattr(self, name), (3,)):
+                check_real(f"each R weight of {name}", weight, 0.0, strict=True)
 
     def weight_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        q_gains = {name: getattr(self, name) for name in (
-            "k_p", "k_p_i", "k_v", "k_a", "k_r", "k_r_i", "k_omega", "k_psi")}
-        for name, g in q_gains.items():
-            if not (math.isfinite(g) and g >= 0.0):
-                raise ValueError(f"Q gains must be non-negative and finite, got {name}={g!r}")
-        r_blocks = []
-        for name in ("r_f_dot", "r_tau_dot"):
-            r = np.asarray(getattr(self, name), dtype=float)
-            if r.shape != (3,) or not np.all(np.isfinite(r) & (r > 0.0)):
-                raise ValueError(f"{name} must be 3 positive finite R weights, got {r.tolist()}")
-            r_blocks.append(r)
-        q_diag = np.concatenate([np.full(3, g) for g in q_gains.values()])
-        return np.diag(q_diag), np.diag(np.concatenate(r_blocks))
+        q_diag = np.repeat(np.array([getattr(self, name) for name in Q_GAINS], dtype=float), 3)
+        return np.diag(q_diag), np.diag(np.array([*self.r_f_dot, *self.r_tau_dot], dtype=float))
 
 
 @dataclass

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vehicle import ArmGeometry, arm_frames, evenly_spaced_arms
+from .vehicle import ArmGeometry, arm_frames, check_real, evenly_spaced_arms
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,7 @@ class MassModel:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            check_real(name, getattr(self, name), 0.0, strict=True)
 
 
 def _base_mass_model() -> MassModel:

@@ -18,6 +18,7 @@ import numpy as np
 from .rigid_body import RigidBodyState
 from .so3 import attitude_error
 from .trajectory import TrajectorySample
+from .vehicle import check_real
 
 #: Integrator clamps: position [m s], attitude [rad s].
 WINDUP_P = 2.0
@@ -39,9 +40,8 @@ class PidGains:
     def __post_init__(self):
         for f in fields(self):
             value, limit = getattr(self, f.name), f.name.startswith("j_max_")
-            if not (value > 0.0 if limit else math.isfinite(value) and value >= 0.0):
-                rule = "positive (+inf: no limit)" if limit else "non-negative and finite"
-                raise ValueError(f"{f.name} must be {rule}, got {value!r}")
+            if not (limit and value == math.inf):  # +inf: no slew limit
+                check_real(f.name, value, 0.0, strict=limit)
 
 
 @dataclass

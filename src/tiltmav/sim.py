@@ -41,7 +41,7 @@ from .sgfilter import SavitzkyGolay
 from .simlog import SimLog
 from .so3 import rodrigues
 from .trajectory import Trajectory
-from .vehicle import Morphology, check_int
+from .vehicle import Morphology, check_int, check_real, check_vector
 
 
 @dataclass(frozen=True)
@@ -59,16 +59,11 @@ class SimConfig:
     divergence_limit: float = 10.0
 
     def __post_init__(self):
-        for name in ("dt_physics", "dt_control"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("dt_physics", "rotor_slew", "divergence_limit"):
+            check_real(name, getattr(self, name), 0.0, strict=True)
+        check_real("dt_control", self.dt_control, self.dt_physics)
         for name in ("sigma_a", "sigma_omega"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
-        if not (np.isfinite(self.rotor_slew) and self.rotor_slew > 0.0):
-            raise ValueError(f"rotor_slew must be positive and finite, got {self.rotor_slew!r}")
+            check_real(name, getattr(self, name), 0.0)
         if not isinstance(self.use_estimator, bool):
             raise ValueError(f"use_estimator must be true or false, got {self.use_estimator!r}")
         for name, least in (("seed", 0), ("sg_window", 3), ("sg_order", 0)):
@@ -79,10 +74,6 @@ class SimConfig:
             raise ValueError(f"sg_order must be below sg_window, got {self.sg_order}")
         if self.controller not in ("pid", "lqri"):
             raise ValueError(f"controller must be pid or lqri, got {self.controller!r}")
-        if not self.divergence_limit > 0.0:
-            raise ValueError(f"divergence_limit must be positive, got {self.divergence_limit!r}")
-        if self.dt_physics > self.dt_control:
-            raise ValueError("dt_physics must not exceed dt_control")
         ratio = self.dt_control / self.dt_physics
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("dt_control must be an integer multiple of dt_physics")
@@ -220,17 +211,15 @@ def run(
     turned non-finite) stops the run and returns the partial log with the
     divergence time and cause in ``log.divergence``.
     """
-    for name, value in (("alpha0", alpha0), ("p_offset", p_offset)):
-        if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
-            raise ValueError(f"{name} must be finite, got {value!r}")
     rng = np.random.default_rng(config.seed)
     ref0 = trajectory.sample(trajectory.t0)
     alpha_trim, omega_trim = hover_trim(morphology, ref0.r_wb)
     if alpha0 is not None:
-        alpha_trim = np.asarray(alpha0, dtype=float)
+        alpha_trim = check_vector("alpha0", alpha0, (morphology.n_arms,))
 
     plant = Plant(morphology, rotor_slew=config.rotor_slew)
-    plant.state.p = ref0.p + (0.0 if p_offset is None else np.asarray(p_offset, dtype=float))
+    plant.state.p = ref0.p + (0.0 if p_offset is None
+                              else check_vector("p_offset", p_offset, (3,)))
     plant.state.r_wb = ref0.r_wb.copy()
     plant.alpha = alpha_trim.copy()
     plant.omega = omega_trim.copy()

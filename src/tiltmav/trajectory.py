@@ -130,7 +130,6 @@ class Trajectory:
         times = np.array([w.t for w in waypoints])
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("waypoint times must be strictly increasing")
-        self.waypoints = list(waypoints)
         self.times = times
         self._knots = times.tolist()
         positions = np.stack([w.p for w in waypoints])

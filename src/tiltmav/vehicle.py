@@ -26,8 +26,9 @@ the axis, and the arm's orientation in the body is
 from __future__ import annotations
 
 import json
+import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -43,13 +44,34 @@ def check_int(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def check_real(name: str, value, floor: float = -math.inf, strict: bool = False) -> None:
+    """Raise ValueError unless value is a finite real number (true/false is not)
+    at or above floor, or strictly above it when strict."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and (value > floor if strict else value >= floor))):
+        bound = "" if floor == -math.inf else f" {'>' if strict else '>='} {floor:g}"
+        raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
+
+
+def check_vector(name: str, value, *shapes: tuple) -> np.ndarray:
+    """value as a float array, or a ValueError unless it has one of the given
+    shapes and each of its entries passes ``check_real``."""
+    array = np.asarray(value, dtype=object)
+    if array.shape not in shapes:
+        raise ValueError(f"{name} must have shape {' or '.join(map(str, shapes))}, "
+                         f"got {value!r}")
+    for entry in array.flat:
+        check_real(f"each entry of {name}", entry)
+    return array.astype(float)
+
+
 @dataclass(frozen=True)
 class RotorParams:
     """Propeller constants shared by all rotors.
 
     c_f: thrust coefficient [N s^2 / rad^2], f = c_f * omega^2.
-    c_d: drag moment arm relative to thrust [m]; the rotor drag torque
-         coefficient is c_m = c_f * c_d.
+    c_d: drag moment arm relative to thrust [m]; a rotor's drag torque is
+         c_d times its thrust.
     """
 
     c_f: float = 7.1e-6
@@ -59,16 +81,13 @@ class RotorParams:
     rotors_per_arm: int = 2
 
     def __post_init__(self):
-        if self.c_f <= 0.0:
-            raise ValueError("c_f must be positive")
-        if not (0.0 <= self.omega_min < self.omega_max):
-            raise ValueError("need 0 <= omega_min < omega_max")
-        if self.rotors_per_arm not in (1, 2):
-            raise ValueError("rotors_per_arm must be 1 or 2")
-
-    @property
-    def c_m(self) -> float:
-        return self.c_f * self.c_d
+        check_real("c_f", self.c_f, 0.0, strict=True)
+        check_real("c_d", self.c_d, 0.0)
+        check_real("omega_min", self.omega_min, 0.0)
+        check_real("omega_max", self.omega_max, self.omega_min, strict=True)
+        check_int("rotors_per_arm", self.rotors_per_arm, 1)
+        if self.rotors_per_arm > 2:
+            raise ValueError(f"rotors_per_arm must be 1 or 2, got {self.rotors_per_arm}")
 
 
 @dataclass(frozen=True)
@@ -85,15 +104,15 @@ class TiltParams:
     omega_accel_max: float = 2000.0
 
     def __post_init__(self):
-        if self.tau <= 0.0 or self.alpha_rate_max <= 0.0 or self.omega_accel_max <= 0.0:
-            raise ValueError("tilt parameters must be positive")
+        for name in ("tau", "alpha_rate_max", "omega_accel_max"):
+            check_real(name, getattr(self, name), 0.0, strict=True)
 
 
 @dataclass(frozen=True)
 class RigidBodyParams:
     """Mass properties. The rotor wrench is expressed about the body origin
     (the geometric center); r_com locates the center of mass in the body
-    frame and the inertia is taken about it."""
+    frame and the inertia, a 3x3 matrix or its diagonal, is taken about it."""
 
     mass: float
     inertia: np.ndarray
@@ -101,16 +120,16 @@ class RigidBodyParams:
     gravity_w: np.ndarray = field(default_factory=lambda: GRAVITY_W.copy())
 
     def __post_init__(self):
-        object.__setattr__(self, "inertia", np.asarray(self.inertia, dtype=float))
-        object.__setattr__(self, "r_com", np.asarray(self.r_com, dtype=float))
-        object.__setattr__(self, "gravity_w", np.asarray(self.gravity_w, dtype=float))
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
-        j = self.inertia
-        if j.shape != (3, 3) or np.abs(j - j.T).max() > 1e-9:
+        check_real("mass", self.mass, 0.0, strict=True)
+        j = check_vector("inertia", self.inertia, (3, 3), (3,))
+        j = np.diag(j) if j.ndim == 1 else j
+        if np.abs(j - j.T).max() > 1e-9:
             raise ValueError("inertia must be a symmetric 3x3 matrix")
         if np.any(np.linalg.eigvalsh(j) <= 0.0):
             raise ValueError("inertia must be positive definite")
+        object.__setattr__(self, "inertia", j)
+        for name in ("r_com", "gravity_w"):
+            object.__setattr__(self, name, check_vector(name, getattr(self, name), (3,)))
 
 
 @dataclass(frozen=True)
@@ -122,12 +141,15 @@ class ArmGeometry:
     spins: tuple = (1, -1)
 
     def __post_init__(self):
-        if self.length <= 0.0:
-            raise ValueError("arm length must be positive")
+        for name in ("gamma", "theta", "beta"):
+            check_real(name, getattr(self, name))
+        check_real("length", self.length, 0.0, strict=True)
         if abs(self.theta) >= np.pi / 2 or abs(self.beta) >= np.pi / 2:
             raise ValueError("|theta| and |beta| must be < pi/2")
-        if any(s not in (-1, 1) for s in self.spins):
-            raise ValueError("spins must be +-1")
+        if not isinstance(self.spins, (list, tuple)) or any(
+                isinstance(s, bool) or s not in (-1, 1) for s in self.spins):
+            raise ValueError(f"spins must be a list of +1 and -1, got {self.spins!r}")
+        object.__setattr__(self, "spins", tuple(self.spins))
 
     @property
     def azimuth(self) -> float:
@@ -167,14 +189,37 @@ def evenly_spaced_arms(n_arms: int, length: float, thetas: Sequence[float] | flo
     return tuple(arms)
 
 
-def _required(section: dict, key: str, prefix: str = ""):
-    """section[key], or a ValueError naming the path of a missing key or a non-object."""
-    if not isinstance(section, dict):
-        raise ValueError(f"{prefix.rstrip('.') or 'morphology'} must be an object, "
-                         f"got {section!r}")
-    if key not in section:
-        raise ValueError(f"morphology is missing required key {prefix}{key}")
-    return section[key]
+def _fields(value, path: str, keys, required=(), rename=None) -> dict:
+    """The keyword arguments of the morphology document's object at path.
+
+    ``keys`` are the object's keys and ``required`` those it must state; a
+    key is its field's name unless ``rename`` maps it onto another. A
+    non-object, an unknown key or a missing required key raises ValueError
+    naming its path.
+    """
+    where = path or "morphology"
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object, got {value!r}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"morphology is missing required key {f'{path}.{key}' if path else key}")
+    rename = rename or {}
+    return {rename.get(key, key): v for key, v in value.items()}
+
+
+def _make(path: str, make, kwargs: dict):
+    """make(**kwargs), a rejected value reported under path."""
+    try:
+        return make(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+_SECTIONS = ("arms", "rotor", "tilt", "body")
+_RATE_LIMITS = {"alpha_dot": "alpha_rate_max", "omega_dot": "omega_accel_max"}
 
 
 @dataclass(frozen=True)
@@ -194,10 +239,11 @@ class Morphology:
     def __post_init__(self):
         object.__setattr__(self, "arms", tuple(self.arms))
         if self.n_arms < 3:
-            raise ValueError("need at least 3 arms")
-        for arm in self.arms:
+            raise ValueError(f"arms: need at least 3 arms, got {self.n_arms}")
+        for i, arm in enumerate(self.arms):
             if len(arm.spins) != self.rotor.rotors_per_arm:
-                raise ValueError("spin count must match rotors_per_arm")
+                raise ValueError(f"arms[{i}].spins has {len(arm.spins)} spin(s), but "
+                                 f"rotor.rotors_per_arm is {self.rotor.rotors_per_arm}")
         # Frozen: the derived arrays go into __dict__ directly.
         axes, lateral, vertical = arm_frames([arm.azimuth for arm in self.arms],
                                              [arm.beta for arm in self.arms])
@@ -217,79 +263,40 @@ class Morphology:
 
     def to_dict(self) -> dict:
         return {
-            "arms": [
-                {
-                    "gamma": arm.gamma,
-                    "theta": arm.theta,
-                    "beta": arm.beta,
-                    "length": arm.length,
-                    "spins": list(arm.spins),
-                }
-                for arm in self.arms
-            ],
-            "rotor": {
-                "c_f": self.rotor.c_f,
-                "c_d": self.rotor.c_d,
-                "omega_min": self.rotor.omega_min,
-                "omega_max": self.rotor.omega_max,
-                "rotors_per_arm": self.rotor.rotors_per_arm,
-            },
-            "tilt": {
-                "tau": self.tilt.tau,
-                "rate_limits": {
-                    "alpha_dot": self.tilt.alpha_rate_max,
-                    "omega_dot": self.tilt.omega_accel_max,
-                },
-            },
-            "body": {
-                "m": self.body.mass,
-                "J": self.body.inertia.tolist(),
-                "r_com": self.body.r_com.tolist(),
-            },
+            "arms": [{**asdict(arm), "spins": list(arm.spins)} for arm in self.arms],
+            "rotor": asdict(self.rotor),
+            "tilt": {"tau": self.tilt.tau, "rate_limits": {
+                key: getattr(self.tilt, name) for key, name in _RATE_LIMITS.items()}},
+            "body": {"m": self.body.mass, "J": self.body.inertia.tolist(),
+                     "r_com": self.body.r_com.tolist()},
         }
 
     @staticmethod
     def from_dict(data: dict) -> "Morphology":
-        """Build from ``to_dict`` output; a missing required key raises
-        ValueError naming its path (``tilt.tau``, ``arms[2].gamma``, ...)."""
-        arm_specs = _required(data, "arms")
-        if not isinstance(arm_specs, (list, tuple)):
-            raise ValueError(f"arms must be a list of arm objects, got {arm_specs!r}")
-        arms = tuple(
-            ArmGeometry(
-                gamma=_required(a, "gamma", f"arms[{i}]."),
-                theta=a.get("theta", 0.0),
-                beta=a.get("beta", 0.0),
-                length=_required(a, "length", f"arms[{i}]."),
-                spins=tuple(_required(a, "spins", f"arms[{i}].")),
-            )
-            for i, a in enumerate(arm_specs)
-        )
-        r = _required(data, "rotor")
-        rotor = RotorParams(
-            c_f=_required(r, "c_f", "rotor."),
-            c_d=_required(r, "c_d", "rotor."),
-            omega_min=r.get("omega_min", RotorParams.omega_min),
-            omega_max=_required(r, "omega_max", "rotor."),
-            rotors_per_arm=r.get("rotors_per_arm", RotorParams.rotors_per_arm),
-        )
-        t = _required(data, "tilt")
-        tau = _required(t, "tau", "tilt.")
-        limits = t.get("rate_limits", {})
-        if not isinstance(limits, dict):
-            raise ValueError(f"tilt.rate_limits must be an object, got {limits!r}")
-        tilt = TiltParams(
-            tau=tau,
-            alpha_rate_max=limits.get("alpha_dot", TiltParams.alpha_rate_max),
-            omega_accel_max=limits.get("omega_dot", TiltParams.omega_accel_max),
-        )
-        b = _required(data, "body")
-        inertia = np.asarray(_required(b, "J", "body."), dtype=float)
-        if inertia.ndim == 1:
-            inertia = np.diag(inertia)
-        body = RigidBodyParams(mass=_required(b, "m", "body."), inertia=inertia,
-                               r_com=np.asarray(b.get("r_com", [0, 0, 0]), dtype=float))
-        return Morphology(arms=arms, rotor=rotor, tilt=tilt, body=body)
+        """Build from ``to_dict`` output, whose keys are the field names but
+        for ``tilt.rate_limits`` and ``body.m``/``J``. A key left out takes
+        its field's default; a non-object, a missing required key, an unknown
+        key or a rejected value raises ValueError naming its path
+        (``tilt.tau``, ``arms[2].gamma``, ...)."""
+        # The arms come first, so a malformed list is named before a missing section.
+        specs = _fields(data, "", _SECTIONS, ("arms",))["arms"]
+        if not isinstance(specs, (list, tuple)):
+            raise ValueError(f"arms must be a list of arm objects, got {specs!r}")
+        arm_keys = [f.name for f in fields(ArmGeometry)]
+        arms = [_make(f"arms[{i}]", ArmGeometry,
+                      _fields(spec, f"arms[{i}]", arm_keys, ("gamma", "length", "spins")))
+                for i, spec in enumerate(specs)]
+        doc = _fields(data, "", _SECTIONS, _SECTIONS)
+        rotor = _fields(doc["rotor"], "rotor", [f.name for f in fields(RotorParams)],
+                        ("c_f", "c_d", "omega_max"))
+        tilt = _fields(doc["tilt"], "tilt", ("tau", "rate_limits"), ("tau",))
+        tilt.update(_fields(tilt.pop("rate_limits", {}), "tilt.rate_limits", _RATE_LIMITS,
+                            rename=_RATE_LIMITS))
+        body = _fields(doc["body"], "body", ("m", "J", "r_com"), ("m", "J"),
+                       rename={"m": "mass", "J": "inertia"})
+        return Morphology(arms=arms, rotor=_make("rotor", RotorParams, rotor),
+                          tilt=_make("tilt", TiltParams, tilt),
+                          body=_make("body", RigidBodyParams, body))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -1,21 +1,37 @@
+import copy
 import dataclasses
 import inspect
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tiltmav.cli import _sim_pieces, build_parser, main
+from tiltmav.cli import ConfigError, _morphology_from_config, _sim_pieces, build_parser, main
+from tiltmav.design import DesignProblem
 from tiltmav.diff_allocation import AllocationConfig, BiasConfig, condition_scan
 from tiltmav.envelope import envelope, pinv_radii
 from tiltmav.lqri import LqriGains
+from tiltmav.mass_model import default_mass_model
 from tiltmav.pid import PidGains
 from tiltmav.sim import SimConfig
-from tiltmav.vehicle import prototype_morphology
+from tiltmav.vehicle import Morphology, prototype_morphology
 
 HOVER_WPS = [{"t": 0.0, "p": [0.0, 0.0, 1.3]}, {"t": 2.0, "p": [0.0, 0.0, 1.3]}]
+
+
+def _morphology_with(value, *path):
+    """A config whose inline morphology is the prototype's with value set at path."""
+    doc = prototype_morphology().to_dict()
+    section = doc
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    return {"morphology": doc}
 
 
 @pytest.fixture
@@ -154,6 +170,23 @@ def test_divergence_exit_code(tmp_path, hover_file, capsys):
     ("optimize", {"design": {"hover_axis": [0, 0, 2]}}, "design: ", "hover_axis"),
     ("optimize", {"design": {"force_ref": 0}}, "design: ", "force_ref"),
     ("optimize", {"design": {"torque_ref": 1.0}}, "design: ", "torque_ref"),
+    # Unknown morphology keys are rejected like those of every other section.
+    ("simulate", _morphology_with(1000.0, "rotor", "omega_mx"), "morphology: rotor: ",
+     "omega_mx"),
+    ("simulate", _morphology_with(0.3, "arms", 0, "lenght"), "morphology: arms[0]: ", "lenght"),
+    ("simulate", _morphology_with({}, "bodyy"), "morphology: ", "bodyy"),
+    # Non-finite numbers and short vectors stop at the config boundary, before any computation.
+    ("envelope", _morphology_with(float("nan"), "rotor", "c_f"), "morphology: rotor: ", "c_f"),
+    ("envelope", _morphology_with(float("nan"), "rotor", "c_d"), "morphology: rotor: ", "c_d"),
+    ("simulate", _morphology_with(float("nan"), "tilt", "tau"), "morphology: tilt: ", "tau"),
+    ("simulate", _morphology_with(float("inf"), "body", "m"), "morphology: body: ", "mass"),
+    ("optimize", {"design": {"arm_length": float("inf")}}, "design: ", "arm_length"),
+    ("simulate", _morphology_with([0, 0], "body", "r_com"), "morphology: body: ", "r_com"),
+    # A first step below step_min skipped the search.
+    ("optimize", {"design": {"step_init": -1}}, "design: ", "step_init"),
+    ("optimize", {"design": {"rotor": {"c_f": float("nan")}}}, "design.rotor: ", "c_f"),
+    ("optimize", {"design": {"mass_model": {"r_core": 0.1}}}, "design.mass_model: ",
+     "m_core_const"),
 ])
 def test_config_errors_name_the_key(tmp_path, hover_file, capsys, command, config, path, key):
     cfg = tmp_path / "cfg.json"
@@ -172,11 +205,22 @@ def test_empty_sections_build_the_defaults():
     assert gains == {"pid": PidGains(), "lqri": LqriGains()}
 
 
+def _document_keys(doc) -> set:
+    """Every key of a JSON document, at any depth."""
+    if isinstance(doc, list):
+        return set().union(*map(_document_keys, doc))
+    if isinstance(doc, dict):
+        return set(doc).union(*map(_document_keys, doc.values()))
+    return set()
+
+
 def test_readme_lists_every_config_key():
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     keys_paragraph = text[text.index("Configuration keys"):].split("\n\n")[0]
-    names = {f.name for cls in (SimConfig, AllocationConfig, BiasConfig, LqriGains, PidGains)
+    names = {f.name for cls in (SimConfig, AllocationConfig, BiasConfig, LqriGains, PidGains,
+                                DesignProblem)
              for f in dataclasses.fields(cls)}
+    names |= _document_keys(prototype_morphology().to_dict())
     for fn in (envelope, condition_scan):
         names |= set(inspect.signature(fn).parameters) - {"m", "bias_cfg"}
     missing = sorted(n for n in names if not re.search(rf"\b{n}\b", keys_paragraph))
@@ -346,3 +390,67 @@ def test_optimize_with_config_beta_sweep(tmp_path):
     lines = (out / "beta_sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "beta_rad,f_min"
     assert len(lines) > 100
+
+
+@pytest.mark.parametrize("base", [
+    default_mass_model(), DesignProblem(), SimConfig(), AllocationConfig(), BiasConfig(),
+    PidGains(), LqriGains()], ids=lambda base: type(base).__name__)
+def test_every_number_field_takes_only_finite_numbers(base):
+    # The vehicle's own dataclasses have these cases in tests/test_vehicle.py.
+    for f in dataclasses.fields(base):
+        if not isinstance(getattr(base, f.name), float):
+            continue
+        for value in (math.nan, math.inf, -math.inf, True, False, "1.0", None, [1.0]):
+            if f.name.startswith("j_max_") and value == math.inf:
+                continue                    # the PID slew limits take +inf: no limit
+            with pytest.raises(ValueError, match=f.name):
+                dataclasses.replace(base, **{f.name: value})
+
+
+# Copies, since a later mutation may edit an inserted list or object.
+_BAD_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, True, False, "text", None,
+                               [1.0], {"x": 1.0}]).map(copy.deepcopy)
+
+
+@st.composite
+def _mutated_documents(draw):
+    """The prototype's morphology document with 1-3 keys dropped, unknown keys
+    added or values replaced, and the label (section or unknown key) of each."""
+    doc = prototype_morphology().to_dict()
+    labels = []
+    for _ in range(draw(st.integers(1, 3))):
+        path, node = [], doc
+        while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            path.append(key)
+            node = node[key]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        op = draw(st.sampled_from(["drop", "replace", "add"]))
+        if op == "add" and isinstance(node, dict):
+            node["extra_key"] = draw(_BAD_VALUES)
+            path = path or ["extra_key"]
+        elif not path:
+            continue
+        elif op == "drop" and isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_BAD_VALUES)
+        labels.append(f"arms[{path[1]}]" if path[0] == "arms" and len(path) > 1 else path[0])
+    return doc, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_documents())
+def test_morphology_loader_builds_or_names_a_path(mutated):
+    doc, labels = mutated
+    try:
+        m = _morphology_from_config({"morphology": doc})
+    except ConfigError as exc:
+        message = str(exc)
+        assert message.startswith("morphology: ")
+        assert any(label in message for label in labels), message
+    else:
+        assert isinstance(m, Morphology)

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import re
 
 import numpy as np
@@ -31,6 +33,13 @@ def test_rotor_params_validation():
         RotorParams(omega_min=100.0, omega_max=50.0)
     with pytest.raises(ValueError):
         RotorParams(rotors_per_arm=3)
+    for name in ("c_f", "c_d", "omega_min", "omega_max"):
+        for value in (math.nan, math.inf, -math.inf, True, "1.0"):
+            with pytest.raises(ValueError, match=name):
+                RotorParams(**{name: value})
+    for value in (2.0, True, 0, "2"):
+        with pytest.raises(ValueError, match="rotors_per_arm"):
+            RotorParams(rotors_per_arm=value)
 
 
 def test_body_params_validation():
@@ -40,6 +49,17 @@ def test_body_params_validation():
         RigidBodyParams(mass=1.0, inertia=np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError):
         RigidBodyParams(mass=1.0, inertia=np.ones((3, 3)))
+    for value in (math.nan, math.inf, True, "1.0"):
+        with pytest.raises(ValueError, match="mass"):
+            RigidBodyParams(mass=value, inertia=np.eye(3))
+    base = RigidBodyParams(mass=1.0, inertia=np.eye(3))
+    for name in ("r_com", "gravity_w", "inertia"):
+        for value in ([0.0, 0.0], [0.0, math.nan, 0.0], [0.0, True, 0.0], ["1", "2", "3"],
+                      [[1.0, 0.0], [0.0]], None, "abc", np.full((3, 3), math.inf)):
+            with pytest.raises(ValueError, match=name):
+                dataclasses.replace(base, **{name: value})
+    assert np.array_equal(dataclasses.replace(base, inertia=[1, 2, 3]).inertia,
+                          np.diag([1.0, 2.0, 3.0]))
 
 
 def test_arm_geometry_validation():
@@ -49,6 +69,13 @@ def test_arm_geometry_validation():
         ArmGeometry(gamma=0.0, beta=2.0)
     with pytest.raises(ValueError):
         ArmGeometry(gamma=0.0, spins=(2, -1))
+    for name in ("gamma", "theta", "beta", "length"):
+        for value in (math.nan, math.inf, False, "0.1"):
+            with pytest.raises(ValueError, match=name):
+                ArmGeometry(**{"gamma": 0.0, name: value})
+    for spins in ((True, -1), (1, 0), (1, "x"), 1, None, {"a": 1}):
+        with pytest.raises(ValueError, match="spins"):
+            ArmGeometry(gamma=0.0, spins=spins)
 
 
 def test_min_arms():
@@ -90,6 +117,10 @@ def test_json_roundtrip(tmp_path):
 def test_tilt_params_validation():
     with pytest.raises(ValueError):
         TiltParams(tau=-0.1)
+    for name in ("tau", "alpha_rate_max", "omega_accel_max"):
+        for value in (math.nan, math.inf, True, "0.1"):
+            with pytest.raises(ValueError, match=name):
+                TiltParams(**{name: value})
 
 
 def test_from_dict_accepts_diagonal_inertia():
