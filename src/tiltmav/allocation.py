@@ -49,9 +49,8 @@ def static_allocation(m: Morphology, frames: tuple | None = None) -> np.ndarray:
 
 
 def instantaneous_allocation(a: np.ndarray, alpha: np.ndarray, arm_of_rotor: np.ndarray) -> np.ndarray:
-    """Tilt-dependent allocation A_alpha with A_alpha @ W == A @ omega_tilde(W, alpha)."""
-    alpha = np.asarray(alpha, dtype=float)
-    a_r = alpha[np.asarray(arm_of_rotor)]
+    """A_alpha, with A_alpha @ W == A @ omega_tilde(W, alpha); rows of alpha give a stack."""
+    a_r = np.asarray(alpha, dtype=float)[..., None, arm_of_rotor]
     return a[:, 0::2] * np.sin(a_r) + a[:, 1::2] * np.cos(a_r)
 
 
@@ -88,6 +87,6 @@ def invert_static(a: np.ndarray, wrench: np.ndarray, m: Morphology,
     alpha[thrusting] = np.arctan2(lat, vert)[thrusting]
 
     a_inst = instantaneous_allocation(a, alpha, m.arm_of_rotor)
-    omega_sq = np.linalg.pinv(a_inst) @ wrench
+    omega_sq = np.linalg.pinv(a_inst, rcond=RANK_EPS) @ wrench
     omega = np.sqrt(np.clip(omega_sq, 0.0, None))
     return alpha, omega, wt

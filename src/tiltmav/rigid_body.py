@@ -7,7 +7,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .so3 import cross3
 from .vehicle import RigidBodyParams
 
 
@@ -29,10 +28,10 @@ class RigidBodyState:
 
 def com_torque(force_b: np.ndarray, torque_b: np.ndarray,
                params: RigidBodyParams) -> np.ndarray:
-    """Torque about the center of mass of a wrench given about the body origin."""
+    """Torque about the center of mass of wrenches (or rows of them) given about the body origin."""
     if not params.r_com.any():
         return torque_b   # centered CoM: the thrust has no moment about it
-    return torque_b - cross3(params.r_com.tolist(), force_b.tolist())
+    return torque_b - np.cross(params.r_com, force_b)
 
 
 class BodyConstants(NamedTuple):
@@ -82,9 +81,9 @@ def newton_euler(r, omega, force_b, torque_c, k: BodyConstants) -> tuple[tuple, 
     return a_w, psi
 
 
-def tilt_step(alpha: np.ndarray, alpha_ref: np.ndarray, tau: float, dt: float) -> np.ndarray:
-    """Exact step of the first-order tilt dynamics alphadot = (ref - alpha)/tau."""
-    if dt <= 0.0:
+def tilt_step(alpha: np.ndarray, alpha_ref: np.ndarray, tau: float, dt) -> np.ndarray:
+    """Exact step of the first-order tilt dynamics alphadot = (ref - alpha)/tau, a row per dt."""
+    if not np.all(np.asarray(dt) > 0.0):
         raise ValueError("dt must be positive")
-    decay = np.exp(-dt / tau)
+    decay = np.exp(-np.asarray(dt) / tau)[..., None]
     return alpha_ref + (np.asarray(alpha, dtype=float) - alpha_ref) * decay

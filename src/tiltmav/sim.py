@@ -1,27 +1,23 @@
 """Deterministic closed-loop simulation of the tiltrotor vehicle.
 
-The plant integrates the rigid body with classical RK4 (exponential-map
-attitude update) at dt_physics while tilt angles follow their exact
-first-order response and rotor speeds slew toward the references. The
-actuator wrench acts about the body origin; p is the center of mass, which
-sits at r_com in the body frame, and the inertia is taken about it.
+The controller and differential allocation run at dt_control. The plant
+advances each control period at once under the held commands: tilt angles
+follow their exact first-order response and rotor speeds slew toward the
+references, both in closed form, one batched product gives the actuator
+wrench at every physics step's midpoint, and the rigid body takes classical
+RK4 steps of dt_physics (exponential-map attitude) on plain Python floats,
+where numpy's per-call overhead would dwarf the arithmetic on one 3-vector.
+Accelerations are formed once per period, at its end, where the controller
+reads them. The wrench acts about the body origin; p is the center of mass,
+which sits at r_com in the body frame, and the inertia is taken about it. A
+step that would make the state non-finite raises NonFiniteState; ``run``
+ends such a run as diverged with its partial log (exit code 3 on the CLI).
 
-The RK4 stages run on plain Python floats (``rigid_body.newton_euler`` and
-the closed-form ``so3.rodrigues``): each numpy call costs microseconds of
-overhead, far more than the arithmetic on one 3-vector, and the stages make
-dozens of them per physics step. Numpy is left with the actuator wrench
-and the end-of-step rotation product. A plant state that turns non-finite
-raises FloatingPointError; ``run`` ends such a run as diverged with its
-partial log, which the command line reports with exit code 3.
-
-The controller and differential allocation run at dt_control with
-zero-order hold in between. Either controller emits a world jerk and a body
-angular-acceleration rate, ``exact_wrench_rate`` maps them to body wrench
-rates, and the allocator integrates those into actuator commands. The tick
-uses floats where they keep every bit (trajectory derivative tables, and
-``so3.cross3``), and the allocator factors the static pseudoinverse once.
-Acceleration feedback defaults to ground truth; the Savitzky-Golay
-estimator path is opt-in.
+Either controller emits a world jerk and a body angular-acceleration rate,
+``exact_wrench_rate`` maps them to body wrench rates, and the allocator
+integrates those into actuator commands, factoring the static
+pseudoinverse once. Acceleration feedback defaults to ground truth; the
+Savitzky-Golay estimator path is opt-in.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from .pid import PidController, PidGains
 from .rigid_body import BodyConstants, RigidBodyState, com_torque, newton_euler, tilt_step
 from .sgfilter import SavitzkyGolay
 from .simlog import SimLog
-from .so3 import rodrigues
+from .so3 import matmul3, rodrigues
 from .trajectory import Trajectory
 from .vehicle import Morphology, check_int, check_real, check_vector
 
@@ -79,6 +75,14 @@ class SimConfig:
             raise ValueError("dt_control must be an integer multiple of dt_physics")
 
 
+class NonFiniteState(FloatingPointError):
+    """A plant call's physics step ``step`` (counted from 1) would make the state non-finite."""
+
+    def __init__(self, step: int):
+        super().__init__(f"non-finite plant state in physics step {step}")
+        self.step = step
+
+
 @dataclass
 class Plant:
     """Physical vehicle: rigid body plus actuator states."""
@@ -99,74 +103,72 @@ class Plant:
         if self.omega is None:
             self.omega = np.zeros(m.n_rotors)
         self._a = static_allocation(m)
-        self._arm_of_rotor = m.arm_of_rotor
         self._body = BodyConstants.of(m.body)
 
     def _wrench_at(self, alpha: np.ndarray, omega: np.ndarray) -> np.ndarray:
-        """[f; tau] about the body origin at tilt angles alpha, rotor speeds omega."""
-        return instantaneous_allocation(self._a, alpha, self._arm_of_rotor) @ omega**2
+        """[f; tau] about the body origin at tilt angles alpha, rotor speeds omega (or rows)."""
+        a_alpha = instantaneous_allocation(self._a, alpha, self.morphology.arm_of_rotor)
+        return (a_alpha @ (omega**2)[..., None])[..., 0]
 
     def _force_and_com_torque(self, w: np.ndarray) -> tuple[list, list]:
-        return w[:3].tolist(), com_torque(w[:3], w[3:], self.morphology.body).tolist()
+        f, tau = w[..., :3], w[..., 3:]
+        return f.tolist(), com_torque(f, tau, self.morphology.body).tolist()
 
     def refresh_accelerations(self) -> None:
         """Accelerations of the current state, and the ``wrench`` they follow."""
         self.wrench = self._wrench_at(self.alpha, self.omega)
-        force_b, torque_c = self._force_and_com_torque(self.wrench)
         a_w, psi = newton_euler(self.state.r_wb.ravel().tolist(), self.state.omega.tolist(),
-                                force_b, torque_c, self._body)
-        self.state.a = np.array(a_w)
-        self.state.psi = np.array(psi)
+                                *self._force_and_com_torque(self.wrench), self._body)
+        self.state.a, self.state.psi = np.array(a_w), np.array(psi)
 
-    def step(self, alpha_ref: np.ndarray, omega_ref: np.ndarray, dt: float) -> None:
-        """Advance actuators and rigid body by dt (RK4, exp-map attitude).
+    def step(self, alpha_ref: np.ndarray, omega_ref: np.ndarray, dt: float, n: int = 1) -> None:
+        """Advance actuators and rigid body by n steps of dt under held references.
 
-        Raises FloatingPointError, leaving the state as it was, when the
-        step would make it non-finite.
+        Each RK4 step (exp-map attitude) holds its midpoint actuator wrench;
+        accelerations are formed once, at the end. Raises NonFiniteState,
+        leaving the state as it was, when a step would make it non-finite.
         """
-        m = self.morphology
-        # Actuators move first; the step uses their midpoint wrench.
-        alpha_mid = tilt_step(self.alpha, alpha_ref, m.tilt.tau, 0.5 * dt)
-        alpha_end = tilt_step(self.alpha, alpha_ref, m.tilt.tau, dt)
-        slew = self.rotor_slew * dt
-        d_omega = np.minimum(np.maximum(omega_ref - self.omega, -slew), slew)
-        omega_mid = self.omega + 0.5 * d_omega
-        omega_end = self.omega + d_omega
-        force_b, torque_c = self._force_and_com_torque(self._wrench_at(alpha_mid, omega_mid))
-        body = self._body
+        # Tilt angles at every half step and rotor speeds at every step end
+        # in closed form; a step's midpoint speeds are the mean of its ends.
+        times = np.arange(1, 2 * n + 1) * (0.5 * dt)
+        alpha = tilt_step(self.alpha, alpha_ref, self.morphology.tilt.tau, times)
+        reach = np.arange(n + 1)[:, None] * (self.rotor_slew * dt)
+        ends = self.omega + np.minimum(np.maximum(omega_ref - self.omega, -reach), reach)
+        forces, torques = self._force_and_com_torque(
+            self._wrench_at(alpha[0::2], 0.5 * (ends[:-1] + ends[1:])))
         r0 = self.state.r_wb.ravel().tolist()
-        fx, fy, fz = force_b
+        y0 = [*self.state.p.tolist(), *self.state.v.tolist(), 0.0, 0.0, 0.0,
+              *self.state.omega.tolist()]
 
         def deriv(y):
-            # y = [p, v, rotation increment phi, omega]; R = r0 exp(phi), and
-            # R f = r0 (exp(phi) f) saves the matrix product.
+            # y = [p, v, phi, omega], R = r0 exp(phi); R f = r0 (exp(phi) f) skips a 3x3 product.
             e00, e01, e02, e10, e11, e12, e20, e21, e22 = rodrigues(y[6], y[7], y[8])
             f_inc = (e00 * fx + e01 * fy + e02 * fz,
                      e10 * fx + e11 * fy + e12 * fz,
                      e20 * fx + e21 * fy + e22 * fz)
-            acc, omega_dot = newton_euler(r0, y[9:12], f_inc, torque_c, body)
+            acc, omega_dot = newton_euler(r0, y[9:12], f_inc, torque_c, self._body)
             return (*y[3:6], *acc, *y[9:12], *omega_dot)
 
-        y0 = (*self.state.p.tolist(), *self.state.v.tolist(), 0.0, 0.0, 0.0,
-              *self.state.omega.tolist())
-        half = 0.5 * dt
-        k1 = deriv(y0)
-        k2 = deriv([a + half * b for a, b in zip(y0, k1)])
-        k3 = deriv([a + half * b for a, b in zip(y0, k2)])
-        k4 = deriv([a + dt * b for a, b in zip(y0, k3)])
-        sixth = dt / 6.0
-        y1 = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-              for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
-        if not math.isfinite(sum(y1)):
-            raise FloatingPointError(f"non-finite plant state: {y1}")
+        half, sixth = 0.5 * dt, dt / 6.0
+        try:
+            for k, ((fx, fy, fz), torque_c) in enumerate(zip(forces, torques), 1):
+                k1 = deriv(y0)
+                k2 = deriv([a + half * b for a, b in zip(y0, k1)])
+                k3 = deriv([a + half * b for a, b in zip(y0, k2)])
+                k4 = deriv([a + dt * b for a, b in zip(y0, k3)])
+                y0 = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                      for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
+                if not math.isfinite(sum(y0)):
+                    raise FloatingPointError(f"non-finite plant state: {y0}")
+                # The exp-map update keeps R orthonormal (drift < 1e-13 in 100k steps).
+                r0 = matmul3(r0, rodrigues(*y0[6:9]))
+                y0[6:9] = 0.0, 0.0, 0.0
+        except FloatingPointError as err:
+            raise NonFiniteState(k) from err
 
-        # The exp-map update keeps R orthonormal (drift < 1e-13 in 100k steps).
-        self.state.r_wb = self.state.r_wb @ np.array(rodrigues(*y1[6:9])).reshape(3, 3)
-        self.state.p = np.array(y1[0:3])
-        self.state.v = np.array(y1[3:6])
-        self.state.omega = np.array(y1[9:12])
-        self.alpha = alpha_end
-        self.omega = omega_end
+        self.state.r_wb = np.array(r0).reshape(3, 3)
+        self.state.p, self.state.v, self.state.omega = (np.array(y0[i:i + 3]) for i in (0, 3, 9))
+        self.alpha, self.omega = alpha[-1], ends[-1]
         self.refresh_accelerations()
 
 
@@ -179,8 +181,7 @@ def hover_trim(m: Morphology, r_wb=None) -> tuple[np.ndarray, np.ndarray]:
     r = np.eye(3) if r_wb is None else np.asarray(r_wb, dtype=float)
     f_b = -m.body.mass * (r.T @ m.body.gravity_w)
     wrench = np.concatenate([f_b, np.cross(m.body.r_com, f_b)])
-    alpha, omega, _ = invert_static(static_allocation(m), wrench, m)
-    return alpha, omega
+    return invert_static(static_allocation(m), wrench, m)[:2]
 
 
 def _make_controller(config: SimConfig, gains: dict | None):
@@ -217,12 +218,11 @@ def run(
     if alpha0 is not None:
         alpha_trim = check_vector("alpha0", alpha0, (morphology.n_arms,))
 
-    plant = Plant(morphology, rotor_slew=config.rotor_slew)
+    plant = Plant(morphology, alpha=alpha_trim.copy(), omega=omega_trim.copy(),
+                  rotor_slew=config.rotor_slew)
     plant.state.p = ref0.p + (0.0 if p_offset is None
                               else check_vector("p_offset", p_offset, (3,)))
     plant.state.r_wb = ref0.r_wb.copy()
-    plant.alpha = alpha_trim.copy()
-    plant.omega = omega_trim.copy()
     plant.refresh_accelerations()
 
     controller = _make_controller(config, gains)
@@ -245,10 +245,8 @@ def run(
 
         est_state = plant.state.copy()
         if config.use_estimator:
-            a_meas = plant.state.a + rng.normal(0.0, config.sigma_a, 3)
-            w_meas = plant.state.omega + rng.normal(0.0, config.sigma_omega, 3)
-            estimator_a.push(a_meas)
-            estimator_w.push(w_meas)
+            estimator_a.push(plant.state.a + rng.normal(0.0, config.sigma_a, 3))
+            estimator_w.push(plant.state.omega + rng.normal(0.0, config.sigma_omega, 3))
             est_state.a = estimator_a.value()
             est_state.omega = estimator_w.value()
             est_state.psi = estimator_w.derivative(config.dt_control)
@@ -260,9 +258,7 @@ def run(
         alpha_ref = alloc_out["command"].alpha_ref
         omega_ref = alloc_out["command"].omega_ref
 
-        thrusts = c_f * plant.omega**2
-        force_net = plant.wrench[:3]
-        eta = float(np.linalg.norm(force_net) / max(thrusts.sum(), 1e-30))
+        eta = float(np.linalg.norm(plant.wrench[:3]) / max((c_f * plant.omega**2).sum(), 1e-30))
         stab_lhs, stab_rhs, stab_ok = out["stab"]
         log.append(
             t=t, state=plant.state, ref=ref, e_p=out["e_p"], e_r=out["e_r"],
@@ -278,10 +274,9 @@ def run(
         if tick == n_ticks - 1:
             break
         try:
-            for k in range(steps_per_tick):
-                plant.step(alpha_ref, omega_ref, config.dt_physics)
-        except FloatingPointError:
-            divergence = (t + (k + 1) * config.dt_physics, "plant state turned non-finite")
+            plant.step(alpha_ref, omega_ref, config.dt_physics, steps_per_tick)
+        except NonFiniteState as err:
+            divergence = (t + err.step * config.dt_physics, "plant state turned non-finite")
             break
 
     log.divergence = divergence

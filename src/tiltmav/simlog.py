@@ -91,12 +91,11 @@ class SimLog:
         return arr[:, idx]
 
     def to_csv(self, path) -> None:
-        arr = self.array()
+        line = ",".join(["{:.17g}"] * len(self.columns)) + "\n"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"# simlog schema v{SCHEMA_VERSION} diverged={int(self.diverged)}\n")
             fh.write(",".join(self.columns) + "\n")
-            for row in arr:
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+            fh.writelines(line.format(*row) for row in self._rows)
 
     @staticmethod
     def read_csv(path) -> tuple[list[str], np.ndarray, bool]:

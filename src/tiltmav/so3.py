@@ -20,6 +20,14 @@ def cross3(a, b) -> tuple:
     return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
 
 
+def matmul3(a, b) -> tuple:
+    """a @ b of two row-major 9-sequences (3x3 matrices) as a row-major 9-tuple."""
+    (a0, a1, a2, a3, a4, a5, a6, a7, a8), (b0, b1, b2, b3, b4, b5, b6, b7, b8) = a, b
+    return (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+            a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+            a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8)
+
+
 def vee(m, tol: float = ORTHONORMALITY_TOL) -> np.ndarray:
     """The 3-vector v of an antisymmetric matrix [v]x. Raises ValueError otherwise."""
     m = np.asarray(m, dtype=float)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiltmav.allocation import (condition_number, instantaneous_allocation,
@@ -133,8 +133,17 @@ def _actuated_vehicles(draw):
     return m, values(st.floats(-np.pi, np.pi), n_arms), values(speeds_sq, m.n_rotors)
 
 
+def _flat_octorotor_last_rotor():
+    """Flat 8-arm layout, alpha = 0, omega**2 = e_8: A_alpha has sigma_min/sigma_max ~ 7e-15."""
+    arms = evenly_spaced_arms(8, 0.3, 0.0, 0.0, 1)
+    m = Morphology(arms, RotorParams(rotors_per_arm=1), TiltParams(),
+                   RigidBodyParams(mass=4.0, inertia=np.eye(3)))
+    return m, np.zeros(8), np.eye(8)[7]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_actuated_vehicles())
+@example(_flat_octorotor_last_rotor())
 def test_invert_static_round_trip(vehicle):
     # The wrench of a non-negative actuator set comes back from
     # A_alpha @ omega**2 wherever the re-solved omega**2 is non-negative.

@@ -7,7 +7,7 @@ import pytest
 from tiltmav.allocation import instantaneous_allocation
 from tiltmav.cli import main as cli_main
 from tiltmav.diff_allocation import BiasConfig
-from tiltmav.sim import Plant, SimConfig, hover_trim, run
+from tiltmav.sim import NonFiniteState, Plant, SimConfig, hover_trim, run
 from tiltmav.trajectory import Trajectory, Waypoint
 from tiltmav.vehicle import (GRAVITY, RigidBodyParams, hexarotor,
                              prototype_morphology)
@@ -38,8 +38,8 @@ def test_ballistic_drop():
     m = prototype_morphology()
     plant = Plant(m)
     plant.refresh_accelerations()
-    for _ in range(500):
-        plant.step(np.zeros(6), np.zeros(12), 1e-3)
+    for _ in range(50):
+        plant.step(np.zeros(6), np.zeros(12), 1e-3, 10)
     assert abs(plant.state.p[2] - (-0.5 * GRAVITY * 0.25)) < 1e-6
 
 
@@ -53,8 +53,8 @@ def test_torque_free_spin_conservation():
     params = m.body
     e0 = kinetic_energy(plant.state, params)
     h0 = np.linalg.norm(params.inertia @ plant.state.omega)
-    for _ in range(10_000):
-        plant.step(np.zeros(6), np.zeros(12), 1e-3)
+    for _ in range(100):
+        plant.step(np.zeros(6), np.zeros(12), 1e-3, 100)
     e1 = kinetic_energy(plant.state, params)
     h1 = np.linalg.norm(params.inertia @ plant.state.omega)
     assert abs(e1 - e0) / e0 < 1e-6
@@ -69,8 +69,8 @@ def test_energy_conservation_no_gravity():
     plant.state.omega = np.array([0.7, -0.2, 1.1])
     plant.refresh_accelerations()
     e0 = kinetic_energy(plant.state, m.body)
-    for _ in range(10_000):
-        plant.step(np.zeros(6), np.zeros(12), 1e-3)
+    for _ in range(100):
+        plant.step(np.zeros(6), np.zeros(12), 1e-3, 100)
     assert abs(kinetic_energy(plant.state, m.body) - e0) / e0 < 1e-6
 
 
@@ -80,8 +80,8 @@ def test_rotation_stays_orthonormal_100k_steps():
     plant = Plant(m)
     plant.state.omega = np.array([0.5, 1.5, -0.8])
     plant.refresh_accelerations()
-    for _ in range(100_000):
-        plant.step(np.zeros(6), np.zeros(12), 1e-3)
+    for _ in range(1_000):
+        plant.step(np.zeros(6), np.zeros(12), 1e-3, 100)
     r = plant.state.r_wb
     assert np.abs(r.T @ r - np.eye(3)).max() < 1e-9
     assert abs(np.linalg.det(r) - 1.0) < 1e-9
@@ -136,13 +136,11 @@ def test_logged_eta_reads_the_plant_wrench_of_the_last_refresh(monkeypatch):
         return wrench_at(self, alpha, omega)
 
     monkeypatch.setattr(Plant, "_wrench_at", counted)
-    cfg = SimConfig(controller="pid")
-    log = run(cfg, prototype_morphology(), _hover_traj(1.0))
-    steps_per_tick = round(cfg.dt_control / cfg.dt_physics)
-    # The initial refresh, then per physics step the midpoint wrench and the
-    # refresh; the 101 logged ticks form none of their own.
+    log = run(SimConfig(controller="pid"), prototype_morphology(), _hover_traj(1.0))
+    # The initial refresh, then per tick one batch of the midpoint wrenches of
+    # its physics steps and the refresh; the 101 logged ticks form none of their own.
     assert len(log) == 101
-    assert len(calls) == 1 + 2 * steps_per_tick * (len(log) - 1)
+    assert len(calls) == 1 + 2 * (len(log) - 1)
 
 
 def test_step_recovery_within_five_seconds():
@@ -292,6 +290,64 @@ def test_plant_step_matches_numpy_reference():
         assert np.array_equal(plant.omega, omega)
 
 
+def test_tick_matches_the_per_step_reference():
+    # One call of n steps equals n reference steps under the held commands,
+    # with rotors that slew all tick long and rotors that reach omega_ref mid-tick.
+    from oracles import rk4_step_reference
+
+    rng = np.random.default_rng(12)
+    n, dt = 10, 1e-3
+    saturated = reached = 0
+    for _ in range(100):
+        q = random_rotation(rng)
+        inertia = q @ np.diag(rng.uniform(0.05, 0.3, 3)) @ q.T
+        body = RigidBodyParams(mass=rng.uniform(2.0, 6.0), inertia=inertia,
+                               r_com=rng.normal(0.0, 0.02, 3))
+        m = hexarotor(body=body)
+        plant = Plant(m, rotor_slew=rng.choice([1e4, 1e5]))
+        plant.state.p = rng.normal(size=3)
+        plant.state.v = rng.normal(size=3)
+        plant.state.r_wb = random_rotation(rng)
+        w = rng.normal(size=3)
+        plant.state.omega = w / np.linalg.norm(w) * rng.uniform(0.0, 20.0)
+        plant.alpha = rng.uniform(-np.pi, np.pi, m.n_arms)
+        plant.omega = rng.uniform(0.0, m.rotor.omega_max, m.n_rotors)
+        alpha_ref = rng.uniform(-np.pi, np.pi, m.n_arms)
+        # Up to three ticks' worth of slew away: some rotors get there, some do not.
+        gap = rng.uniform(-3.0, 3.0, m.n_rotors) * n * dt * plant.rotor_slew
+        omega_ref = plant.omega + gap
+        saturated += np.sum(np.abs(gap) > n * dt * plant.rotor_slew)
+        reached += np.sum(np.abs(gap) < n * dt * plant.rotor_slew)
+        ref, alpha, omega = plant.state.copy(), plant.alpha, plant.omega
+        for _ in range(n):
+            ref, alpha, omega = rk4_step_reference(m, ref, alpha, omega, alpha_ref, omega_ref,
+                                                   dt, plant.rotor_slew)
+        plant.step(alpha_ref, omega_ref, dt, n)
+        for name in ("p", "v", "omega", "r_wb", "a", "psi"):
+            got, want = getattr(plant.state, name), getattr(ref, name)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+        assert np.abs(plant.alpha - alpha).max() <= 1e-12 * np.abs(alpha).max()
+        assert np.abs(plant.omega - omega).max() <= 1e-12 * np.abs(omega).max()
+    assert saturated > 100 and reached > 100
+
+
+def test_tick_names_its_non_finite_step_and_keeps_the_state(monkeypatch):
+    m = prototype_morphology()
+    alpha, omega = hover_trim(m)
+    plant = Plant(m, alpha=alpha, omega=omega)
+    plant.refresh_accelerations()
+    # The 17th physics step is the 7th of the second call.
+    monkeypatch.setattr(Plant, "_wrench_at", _poison_physics_step(17))
+    plant.step(alpha, omega, 1e-3, 10)
+    before, actuators = plant.state.copy(), (plant.alpha, plant.omega)
+    with pytest.raises(NonFiniteState) as err:
+        plant.step(alpha, omega, 1e-3, 10)
+    assert err.value.step == 7
+    for name in ("p", "v", "a", "r_wb", "omega", "psi"):
+        assert np.array_equal(getattr(plant.state, name), getattr(before, name)), name
+    assert plant.alpha is actuators[0] and plant.omega is actuators[1]
+
+
 def test_step_from_infinite_spin_raises_floating_point_error():
     m = prototype_morphology()
     plant = Plant(m)
@@ -303,20 +359,23 @@ def test_step_from_infinite_spin_raises_floating_point_error():
         assert np.array_equal(getattr(plant.state, name), getattr(before, name)), name
 
 
-def _fail_after(n_calls, original=Plant.step):
-    calls = []
+def _poison_physics_step(n, original=Plant._wrench_at):
+    """A ``Plant._wrench_at`` whose midpoint wrench of the n-th physics step is NaN."""
+    seen = [0]
 
-    def step(self, *args):
-        calls.append(None)
-        if len(calls) > n_calls:
-            raise FloatingPointError("non-finite plant state")
-        return original(self, *args)
-    return step
+    def wrench_at(self, alpha, omega):
+        w = original(self, alpha, omega)
+        if w.ndim == 2:     # the midpoint wrenches of one call's physics steps
+            if 0 <= n - 1 - seen[0] < len(w):
+                w[n - 1 - seen[0]] = np.nan
+            seen[0] += len(w)
+        return w
+    return wrench_at
 
 
 def test_non_finite_plant_state_is_a_divergence(monkeypatch, tmp_path):
     m = prototype_morphology()
-    monkeypatch.setattr(Plant, "step", _fail_after(205))
+    monkeypatch.setattr(Plant, "_wrench_at", _poison_physics_step(206))
     log = run(SimConfig(), m, _hover_traj(2.0))
     assert log.diverged
     assert len(log) == 21 and log.column("t")[-1] == pytest.approx(0.2)
@@ -326,7 +385,7 @@ def test_non_finite_plant_state_is_a_divergence(monkeypatch, tmp_path):
 
     traj = tmp_path / "hover.json"
     traj.write_text(json.dumps([{"t": 0.0, "p": [0, 0, 1.3]}, {"t": 2.0, "p": [0, 0, 1.3]}]))
-    monkeypatch.setattr(Plant, "step", _fail_after(205))
+    monkeypatch.setattr(Plant, "_wrench_at", _poison_physics_step(206))
     out = tmp_path / "out"
     assert cli_main(["simulate", "--traj", str(traj), "--out", str(out)]) == 3
     lines = (out / "simlog.csv").read_text().splitlines()
