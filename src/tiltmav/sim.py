@@ -128,6 +128,7 @@ class Plant:
         accelerations are formed once, at the end. Raises NonFiniteState,
         leaving the state as it was, when a step would make it non-finite.
         """
+        check_int("n", n, 1)
         # Tilt angles at every half step and rotor speeds at every step end
         # in closed form; a step's midpoint speeds are the mean of its ends.
         times = np.arange(1, 2 * n + 1) * (0.5 * dt)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,26 +10,28 @@ import numpy as np
 SCHEMA_VERSION = 1
 
 
-def _quat_wxyz(r: np.ndarray) -> np.ndarray:
-    """Rotation matrix to quaternion (w, x, y, z), w >= 0."""
-    t = np.trace(r)
+def _quat_wxyz(r: np.ndarray) -> tuple[float, float, float, float]:
+    """Rotation matrix to quaternion (w, x, y, z), w >= 0, in plain floats.
+
+    The trace adds left to right, as np.trace does, and math.sqrt rounds as
+    np.sqrt, so the result matches the numpy form bit for bit.
+    """
+    m = r.tolist()
+    diag = (m[0][0], m[1][1], m[2][2])
+    t = diag[0] + diag[1] + diag[2]
     if t > 0.0:
-        w = 0.5 * np.sqrt(1.0 + t)
-        x = (r[2, 1] - r[1, 2]) / (4.0 * w)
-        y = (r[0, 2] - r[2, 0]) / (4.0 * w)
-        z = (r[1, 0] - r[0, 1]) / (4.0 * w)
+        w = 0.5 * math.sqrt(1.0 + t)
+        q = (w, (m[2][1] - m[1][2]) / (4.0 * w), (m[0][2] - m[2][0]) / (4.0 * w),
+             (m[1][0] - m[0][1]) / (4.0 * w))
     else:
-        k = int(np.argmax(np.diag(r)))
+        k = diag.index(max(diag))       # the first largest, as np.argmax
         i, j = (k + 1) % 3, (k + 2) % 3
-        s = np.sqrt(max(1.0 + r[k, k] - r[i, i] - r[j, j], 1e-16))
-        q = np.zeros(4)
+        s = math.sqrt(max(1.0 + m[k][k] - m[i][i] - m[j][j], 1e-16))
+        q = [(m[j][i] - m[i][j]) / (2.0 * s), 0.0, 0.0, 0.0]
         q[1 + k] = 0.5 * s
-        q[1 + i] = (r[i, k] + r[k, i]) / (2.0 * s)
-        q[1 + j] = (r[j, k] + r[k, j]) / (2.0 * s)
-        q[0] = (r[j, i] - r[i, j]) / (2.0 * s)
-        w, x, y, z = q
-    quat = np.array([w, x, y, z])
-    return quat if quat[0] >= 0.0 else -quat
+        q[1 + i] = (m[i][k] + m[k][i]) / (2.0 * s)
+        q[1 + j] = (m[j][k] + m[k][j]) / (2.0 * s)
+    return tuple(q) if q[0] >= 0.0 else tuple(-c for c in q)
 
 
 class SimLog:
@@ -62,19 +65,14 @@ class SimLog:
     def append(self, t, state, ref, e_p, e_r, alpha_cmd, omega_cmd, alpha_act,
                omega_act, u, eta_f, kappa, residual, regularized,
                stab_lhs, stab_rhs, stab_ok) -> None:
-        row = (
-            [t]
-            + list(state.p) + list(_quat_wxyz(state.r_wb))
-            + list(state.v) + list(state.a)
-            + list(state.omega) + list(state.psi)
-            + list(ref.p) + list(_quat_wxyz(ref.r_wb))
-            + list(e_p) + list(e_r)
-            + list(u)
-            + list(alpha_cmd) + list(omega_cmd) + list(alpha_act)
-            + [eta_f, kappa, residual, float(regularized),
-               stab_lhs, stab_rhs, float(stab_ok)]
-        )
-        self._rows.append([float(x) for x in row])
+        self._rows.append([
+            float(t), *state.p.tolist(), *_quat_wxyz(state.r_wb),
+            *state.v.tolist(), *state.a.tolist(), *state.omega.tolist(), *state.psi.tolist(),
+            *ref.p.tolist(), *_quat_wxyz(ref.r_wb), *e_p.tolist(), *e_r.tolist(), *u.tolist(),
+            *alpha_cmd.tolist(), *omega_cmd.tolist(), *alpha_act.tolist(),
+            float(eta_f), float(kappa), float(residual), float(regularized),
+            float(stab_lhs), float(stab_rhs), float(stab_ok),
+        ])
 
     def __len__(self) -> int:
         return len(self._rows)

@@ -245,13 +245,40 @@ def test_disc_kernel_on_random_layouts(n_arms, rotors_per_arm, betas, direction,
     assert np.isinf(min_total_thrust(m, base + 1.001 * lam * d6))
 
 
+_BLOCK_SCIPY = """
+import importlib.abc, sys
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+import tiltmav.cli
+from tiltmav.sim import SimConfig, run
+from tiltmav.trajectory import Trajectory, Waypoint
+from tiltmav.vehicle import prototype_morphology
+hover = Trajectory([Waypoint(t=0.0, p=[0, 0, 1.3]), Waypoint(t=0.5, p=[0, 0, 1.3])])
+log = run(SimConfig(controller="lqri"), prototype_morphology(), hover)
+print(len(log), log.diverged)
+"""
+
+
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    # The disc kernel is plain numpy; envelope.linprog binds on first lookup.
-    code = "import sys, tiltmav.cli; print('scipy.optimize' in sys.modules)"
+    # The disc kernel and the CARE solver are plain numpy; envelope.linprog
+    # binds on first lookup.
+    code = ("import sys, tiltmav.cli; print('scipy.optimize' in sys.modules, "
+            "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(Path(envelope_module.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
+    # A numpy-only install: with scipy unimportable, the CLI loads and an
+    # LQRI hover runs.
+    out = subprocess.run([sys.executable, "-c", _BLOCK_SCIPY], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "51 False"
     from scipy.optimize import linprog
     assert envelope_module.linprog is linprog
     with pytest.raises(AttributeError):

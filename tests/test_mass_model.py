@@ -3,11 +3,12 @@ from pathlib import Path
 
 import numpy as np
 
-from tiltmav.mass_model import (MassModel, calibrate_mass_model, compute_mass_inertia,
-                                default_mass_model)
+from tiltmav.mass_model import MassModel, compute_mass_inertia, default_mass_model
 from tiltmav.vehicle import ArmGeometry, evenly_spaced_arms
 
 from oracles import mass_inertia_loop
+
+SCRIPT = Path(__file__).parents[1] / "scripts" / "calibrate_mass_model.py"
 
 
 def _arms(betas=0.0, length=0.3):
@@ -64,15 +65,14 @@ def test_calibrated_defaults_hit_paper_targets():
 
 
 def test_calibration_script_matches_frozen_defaults():
-    fresh = calibrate_mass_model()
+    fresh = runpy.run_path(str(SCRIPT))["calibrate_mass_model"]()
     frozen = default_mass_model()
     for name in frozen.__dataclass_fields__:
         assert np.isclose(getattr(fresh, name), getattr(frozen, name), rtol=1e-6)
 
 
 def test_calibration_script_prints_the_calibrated_model(capsys):
-    script = Path(__file__).parents[1] / "scripts" / "calibrate_mass_model.py"
-    runpy.run_path(str(script))["main"]()
+    runpy.run_path(str(SCRIPT))["main"]()
     out = capsys.readouterr().out
     assert "Calibrated MassModel(" in out
     assert "check: mass = 4.000000 kg" in out

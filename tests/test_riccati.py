@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tiltmav.lqri import LqriGains, linearized_system
 from tiltmav.riccati import CareError, care_residual, lqr_gain, solve_care
 
 from oracles import bass_stabilizing_gain, kleinman_newton
@@ -60,3 +61,37 @@ def test_non_stabilizable_raises():
 def test_indefinite_r_rejected():
     with pytest.raises(CareError):
         solve_care([[0.0]], [[1.0]], [[1.0]], [[-1.0]])
+
+
+def test_imaginary_axis_hamiltonians_raise_care_error():
+    # H singular: an integrator that B cannot move.
+    with pytest.raises(CareError):
+        solve_care([[0.0]], [[0.0]], [[1.0]], [[1.0]])
+    # Undetectable double integrator: Q does not see the position.
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    b = np.array([[0.0], [1.0]])
+    with pytest.raises(CareError):
+        solve_care(a, b, np.diag([0.0, 1.0]), [[1.0]])
+    # An undamped oscillator that neither B nor Q sees: H keeps +-i, which
+    # the sign iteration maps along the imaginary axis without converging.
+    a = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -3.0]])
+    with pytest.raises(CareError, match="did not converge"):
+        solve_care(a, [[0.0], [0.0], [1.0]], np.diag([0.0, 0.0, 1.0]), [[1.0]])
+
+
+def test_lqri_system_matches_kleinman_newton():
+    a, b = linearized_system()
+    q, r = LqriGains().weight_matrices()
+    p = solve_care(a, b, q, r)
+    p_kn = kleinman_newton(a, b, q, r)
+    assert np.linalg.norm(p - p_kn) / np.linalg.norm(p_kn) < 1e-8
+    assert care_residual(a, b, q, r, p) <= 1e-12
+
+
+def test_non_stabilizing_solution_is_rejected():
+    # An unstable mode that neither B moves nor Q weighs: P = 0 solves the
+    # CARE (zero residual) but leaves A - S P unstable.
+    with pytest.raises(CareError, match="does not stabilize"):
+        solve_care([[1.0]], [[0.0]], [[0.0]], [[1.0]])
+    with pytest.raises(CareError, match="does not stabilize"):
+        solve_care(np.diag([1.0, -1.0]), [[0.0], [1.0]], np.diag([0.0, 1.0]), [[1.0]])

@@ -348,6 +348,15 @@ def test_tick_names_its_non_finite_step_and_keeps_the_state(monkeypatch):
     assert plant.alpha is actuators[0] and plant.omega is actuators[1]
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.0, True, "1"])
+def test_step_count_must_be_a_positive_integer(n):
+    m = prototype_morphology()
+    alpha, omega = hover_trim(m)
+    plant = Plant(m, alpha=alpha, omega=omega)
+    with pytest.raises(ValueError, match="^n must be an integer >= 1"):
+        plant.step(alpha, omega, 1e-3, n)
+
+
 def test_step_from_infinite_spin_raises_floating_point_error():
     m = prototype_morphology()
     plant = Plant(m)
