@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import inspect
 import json
 import sys
 from datetime import datetime, timezone
@@ -31,7 +30,7 @@ from .pid import PidGains
 from .sim import SimConfig, hover_trim, run
 from .simlog import stats_to_dict, tracking_stats
 from .trajectory import load_waypoints, named_trajectory
-from .vehicle import GRAVITY, Morphology, RotorParams, prototype_morphology
+from .vehicle import GRAVITY, Morphology, RotorParams, check_bool, prototype_morphology
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,33 +79,15 @@ def _section(config: dict, path: str) -> dict:
     return dict(section)
 
 
-def _kind(value) -> str | None:
-    if isinstance(value, bool):
-        return "true or false"
-    if isinstance(value, (int, float)):
-        return "a number"
-    return "text" if isinstance(value, str) else None
-
-
-def _check_kinds(path: str, make, section: dict) -> None:
-    """Reject a value of another kind than its default in the signature of make."""
-    params = inspect.signature(make).parameters
-    for key, value in section.items():
-        want = _kind(params[key].default) if key in params else None
-        if want is not None and _kind(value) != want:
-            raise ConfigError(f"{path}: {key} must be {want}, got {value!r}")
-
-
 def _build(path: str, make, /, *args, **kwargs):
     """make(*args, **kwargs), a rejected key or value reported under its section path.
 
     Every default lives in the signature of ``make``, so a section's keys
-    are exactly its parameter names, and a value must be of its default's
-    kind: a number, true or false, or text. A ``LinAlgError`` (a
-    ``ValueError``) is a numerical fault inside a computing ``make`` such as
-    ``envelope``, not a config error, and propagates.
+    are exactly its parameter names, and ``make`` checks its own values. A
+    ``LinAlgError`` (a ``ValueError``) is a numerical fault inside a
+    computing ``make`` such as ``envelope``, not a config error, and
+    propagates.
     """
-    _check_kinds(path, make, kwargs)
     try:
         return make(*args, **kwargs)
     except np.linalg.LinAlgError:
@@ -121,8 +102,6 @@ def _read_input(load, path: str):
         return load(path)
     except FileNotFoundError as exc:
         raise ConfigError(f"input file not found: {path}") from exc
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -183,8 +162,7 @@ def _morphology_from_config(config: dict) -> Morphology:
 def cmd_optimize(args, config: dict, out_dir: Path) -> list[Path]:
     problem_cfg = _section(config, "design")
     want_sweep = problem_cfg.pop("beta_sweep", False)
-    if not isinstance(want_sweep, bool):
-        raise ConfigError(f"design: beta_sweep must be true or false, got {want_sweep!r}")
+    _build("design", check_bool, "beta_sweep", want_sweep)
     if args.cost is not None:
         problem_cfg["cost"] = args.cost
     if args.seed is not None:

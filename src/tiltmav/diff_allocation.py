@@ -26,8 +26,8 @@ from .allocation import (condition_number, instantaneous_allocation, invert_stat
                          static_allocation)
 from .envelope import sample_directions
 from .so3 import cross3
-from .vehicle import (GRAVITY, Morphology, RigidBodyParams, check_int, check_real,
-                      check_vector)
+from .vehicle import (GRAVITY, Morphology, RigidBodyParams, check_bool, check_int,
+                      check_real, check_vector)
 
 REGULARIZATION_CONDITION = 1e12
 
@@ -63,6 +63,7 @@ class BiasConfig:
     colinearity_tol: float = 0.1
 
     def __post_init__(self):
+        check_bool("enabled", self.enabled)
         check_real("delta", self.delta)
         check_real("colinearity_tol", self.colinearity_tol, 0.0, strict=True)
         if self.colinearity_tol > 0.5 * math.pi:
@@ -357,6 +358,7 @@ def condition_scan(
     ``bias_cfg`` sets its delta and tolerance) and the instantaneous
     allocation at the resulting tilt angles is scored.
     """
+    check_bool("bias_on", bias_on)
     hover_dir = check_vector("hover_dir", hover_dir, (3,))
     if extra_force_mag is not None:
         check_real("extra_force_mag", extra_force_mag, 0.0)

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import static_allocation
-from .vehicle import GRAVITY, Morphology, RotorParams, check_vector
+from .vehicle import GRAVITY, Morphology, RotorParams, check_real, check_vector
 
 
 def __getattr__(name):
@@ -106,6 +106,7 @@ def sample_directions(n_dirs: int = 1280) -> tuple[np.ndarray, np.ndarray, np.nd
     Returns (directions, vertices, faces); directions[i] is the normalized
     centroid of faces[i].
     """
+    check_real("n_dirs", n_dirs)
     if not float(n_dirs).is_integer():
         raise ValueError(f"n_dirs must be a whole number, got {n_dirs!r}")
     subdivisions = 0
@@ -141,9 +142,16 @@ def arm_wrench_blocks(m: Morphology) -> tuple[np.ndarray, np.ndarray]:
 # Pseudoinverse-fed radii (the morphology tool's model)
 # ---------------------------------------------------------------------------
 
-def _hover(hover_force) -> np.ndarray:
-    """The torque mode's fixed body force: a finite 3-vector, zero when None."""
-    return np.zeros(3) if hover_force is None else check_vector("hover_force", hover_force, (3,))
+def _hover(hover_force, mode: str) -> np.ndarray:
+    """The fixed body force of a mode: in torque mode a finite 3-vector, zero
+    when None; force mode fixes none, so a hover_force there is rejected."""
+    if mode not in ("force", "torque"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if hover_force is None:
+        return np.zeros(3)
+    if mode == "force":
+        raise ValueError(f"hover_force applies to torque mode only, got {hover_force!r}")
+    return check_vector("hover_force", hover_force, (3,))
 
 
 def _torque_lever(m: Morphology) -> float:
@@ -177,6 +185,7 @@ def radii_from_pinv(a_inv: np.ndarray, dirs: np.ndarray, rotor: RotorParams,
     """
     w_max2 = rotor.omega_max**2
     c_f = rotor.c_f
+    hover = _hover(hover_force, mode)
     if mode == "force":
         wt = a_inv[..., :3] @ dirs.T                     # (..., 2 n_r, D)
         pairs = np.hypot(wt[..., 0::2, :], wt[..., 1::2, :])
@@ -187,9 +196,6 @@ def radii_from_pinv(a_inv: np.ndarray, dirs: np.ndarray, rotor: RotorParams,
         # eta_f = ||f|| / sum thrust = 1 / (c_f * sum per-rotor pairs)
         eta = 1.0 / np.maximum(c_f * pairs.sum(axis=-2), 1e-300)
         return values, np.minimum(eta, 1.0)
-    if mode != "torque":
-        raise ValueError(f"unknown mode {mode!r}")
-    hover = _hover(hover_force)
     w0 = a_inv @ np.concatenate([hover, np.zeros(3)])
     dw = a_inv[..., 3:] @ dirs.T
     a0 = np.stack([w0[..., 0::2], w0[..., 1::2]])          # (2, ..., n_r)
@@ -415,12 +421,11 @@ def _optimal_radii(m: Morphology, dirs: np.ndarray, mode: str,
     force, ``_torque_lever`` for torque. Infeasible directions get 0 for both.
     """
     d6, base = np.zeros((len(dirs), 6)), np.zeros((len(dirs), 6))
+    base[:, :3] = _hover(hover_force, mode)
     if mode == "force":
         d6[:, :3], lever = dirs, 1.0
-    elif mode == "torque":
-        d6[:, 3:], base[:, :3], lever = dirs, _hover(hover_force), _torque_lever(m)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        d6[:, 3:], lever = dirs, _torque_lever(m)
     cm, k = _disc_maps(m)
     values, _, thrust = _solve(cm, k, 0.0 * k, base, d6)
     eta = np.where(values > 0.0, values / (lever * np.where(values > 0.0, thrust, 1.0)), 0.0)
@@ -478,8 +483,7 @@ def envelope(m: Morphology, mode: str = "force", n_dirs: int = 1280, hover_force
     origin tetrahedron of its unit triangle scaled by its centroid radius.
     ``allocation`` selects the radial model ("pinv" or "optimal").
     """
-    if not n_dirs >= 100:
-        raise ValueError(f"n_dirs must be at least 100, got {n_dirs!r}")
+    check_real("n_dirs", n_dirs, 100.0)
     dirs, verts, faces = sample_directions(n_dirs)
     if allocation == "pinv":
         values, eta = pinv_radii(m, dirs, mode=mode, hover_force=hover_force,

@@ -37,7 +37,7 @@ from .sgfilter import SavitzkyGolay
 from .simlog import SimLog
 from .so3 import matmul3, rodrigues
 from .trajectory import Trajectory
-from .vehicle import Morphology, check_int, check_real, check_vector
+from .vehicle import Morphology, check_bool, check_int, check_real, check_vector
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,7 @@ class SimConfig:
         check_real("dt_control", self.dt_control, self.dt_physics)
         for name in ("sigma_a", "sigma_omega"):
             check_real(name, getattr(self, name), 0.0)
-        if not isinstance(self.use_estimator, bool):
-            raise ValueError(f"use_estimator must be true or false, got {self.use_estimator!r}")
+        check_bool("use_estimator", self.use_estimator)
         for name, least in (("seed", 0), ("sg_window", 3), ("sg_order", 0)):
             check_int(name, getattr(self, name), least)
         if self.sg_window % 2 == 0:

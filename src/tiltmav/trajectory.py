@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .so3 import exp_so3, log_so3, rodrigues, rot_x, rot_y, rot_z
+from .vehicle import _fields, _make, check_real, check_vector
 
 
 def _derivative_table(coeffs: np.ndarray) -> tuple:
@@ -62,8 +63,9 @@ class Waypoint:
     r_wb: np.ndarray = field(default_factory=lambda: np.eye(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        object.__setattr__(self, "r_wb", np.asarray(self.r_wb, dtype=float))
+        check_real("t", self.t)
+        object.__setattr__(self, "p", check_vector("p", self.p, (3,)))
+        object.__setattr__(self, "r_wb", check_vector("r_wb", self.r_wb, (3, 3)))
 
 
 def _position_spline(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -200,18 +202,27 @@ class Trajectory:
 
 
 
+def _waypoint(t, p, rpy=None) -> Waypoint:
+    r = np.eye(3)
+    if rpy is not None:
+        roll, pitch, yaw = np.deg2rad(check_vector("rpy", rpy, (3,)))
+        r = rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)
+    return Waypoint(t=t, p=p, r_wb=r)
+
+
 def load_waypoints(path) -> Trajectory:
-    """Waypoint list from JSON: [{"t":, "p":[...], "rpy": [...](deg, optional)}]."""
+    """Waypoint list from JSON: [{"t":, "p":[...], "rpy": [...](deg, optional)}].
+
+    A non-list, an item that is not an object, lacks t or p or has another
+    key, or a value off the number rule raises ValueError naming its item.
+    """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    wps = []
-    for item in data:
-        r = np.eye(3)
-        if "rpy" in item:
-            roll, pitch, yaw = np.deg2rad(item["rpy"])
-            r = rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)
-        wps.append(Waypoint(t=item["t"], p=np.asarray(item["p"], dtype=float), r_wb=r))
-    return Trajectory(wps)
+    if not isinstance(data, list):
+        raise ValueError(f"waypoints must be a JSON list, got {type(data).__name__}")
+    return Trajectory([_make(f"[{i}]", _waypoint,
+                             _fields(item, f"[{i}]", ("t", "p", "rpy"), ("t", "p")))
+                       for i, item in enumerate(data)])
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +268,7 @@ def named_trajectory(kind: str, scale: float = 1.0) -> Trajectory:
     roll, 36.1 s; (e) cartwheel, 35.5 s; (f) roll flip, 16 s; (g) pitch
     flip, 8 s.
     """
+    check_real("scale", scale)
     x90 = np.deg2rad(90.0) * np.array([1.0, 0.0, 0.0])
     y90 = np.deg2rad(90.0) * np.array([0.0, 1.0, 0.0])
     z90 = np.deg2rad(90.0) * np.array([0.0, 0.0, 1.0])

@@ -53,6 +53,12 @@ def check_real(name: str, value, floor: float = -math.inf, strict: bool = False)
         raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
 
 
+def check_bool(name: str, value) -> None:
+    """Raise ValueError unless value is true or false (1 and "yes" are not)."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
 def check_vector(name: str, value, *shapes: tuple) -> np.ndarray:
     """value as a float array, or a ValueError unless it has one of the given
     shapes and each of its entries passes ``check_real``."""
@@ -190,7 +196,7 @@ def evenly_spaced_arms(n_arms: int, length: float, thetas: Sequence[float] | flo
 
 
 def _fields(value, path: str, keys, required=(), rename=None) -> dict:
-    """The keyword arguments of the morphology document's object at path.
+    """The keyword arguments of a JSON document's object at path.
 
     ``keys`` are the object's keys and ``required`` those it must state; a
     key is its field's name unless ``rename`` maps it onto another. A
@@ -205,7 +211,7 @@ def _fields(value, path: str, keys, required=(), rename=None) -> dict:
         raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}")
     for key in required:
         if key not in value:
-            raise ValueError(f"morphology is missing required key {f'{path}.{key}' if path else key}")
+            raise ValueError(f"missing required key {f'{path}.{key}' if path else key}")
     rename = rename or {}
     return {rename.get(key, key): v for key, v in value.items()}
 

@@ -2,7 +2,9 @@ import copy
 import dataclasses
 import inspect
 import json
+import functools
 import math
+import numbers
 import re
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from tiltmav.lqri import LqriGains
 from tiltmav.mass_model import default_mass_model
 from tiltmav.pid import PidGains
 from tiltmav.sim import SimConfig
+from tiltmav.trajectory import named_trajectory
 from tiltmav.vehicle import Morphology, prototype_morphology
 
 HOVER_WPS = [{"t": 0.0, "p": [0.0, 0.0, 1.3]}, {"t": 2.0, "p": [0.0, 0.0, 1.3]}]
@@ -187,6 +190,13 @@ def test_divergence_exit_code(tmp_path, hover_file, capsys):
     ("optimize", {"design": {"rotor": {"c_f": float("nan")}}}, "design.rotor: ", "c_f"),
     ("optimize", {"design": {"mass_model": {"r_core": 0.1}}}, "design.mass_model: ",
      "m_core_const"),
+    # An integral gain of 0 leaves its integral state unobservable: no CARE
+    # solution, whichever controller runs.
+    ("simulate", {"gains": {"lqri": {"k_p_i": 0}}}, "gains.lqri: ", "k_p_i"),
+    ("simulate", {"gains": {"lqri": {"k_r_i": 0}}}, "gains.lqri: ", "k_r_i"),
+    # Force mode fixes no force, so hover_force there would be ignored.
+    ("envelope", {"envelope": {"mode": "force", "n_dirs": 320, "hover_force": [0, 0, 40]}},
+     "envelope: ", "hover_force"),
 ])
 def test_config_errors_name_the_key(tmp_path, hover_file, capsys, command, config, path, key):
     cfg = tmp_path / "cfg.json"
@@ -247,9 +257,22 @@ def test_missing_input_files_are_config_errors(tmp_path, capsys):
 def test_malformed_input_files_are_config_errors(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text('[{"t": 0.0, ')
-    no_t = tmp_path / "no_t.json"
-    no_t.write_text(json.dumps([{"p": [0.0, 0.0, 1.3]}]))
-    for path, message in ((broken, "Expecting"), (no_t, "missing key 't'")):
+    files = [(broken, "Expecting")]
+    # Waypoint files follow the number rule and name the offending item.
+    for name, waypoints, message in (
+            ("no_t", [{"p": [0.0, 0.0, 1.3]}], "missing required key [0].t"),
+            ("nan_t", [HOVER_WPS[0], {**HOVER_WPS[1], "t": math.nan}], "[1]: t "),
+            ("bool_t", [{**HOVER_WPS[0], "t": True}, HOVER_WPS[1]], "[0]: t "),
+            ("nan_p", [HOVER_WPS[0], {**HOVER_WPS[1], "p": [0.0, math.nan, 1.3]}],
+             "[1]: each entry of p "),
+            ("inf_rpy", [{**HOVER_WPS[0], "rpy": [0.0, math.inf, 0.0]}, HOVER_WPS[1]],
+             "[0]: each entry of rpy "),
+            ("yaw", [HOVER_WPS[0], {**HOVER_WPS[1], "yaw": 90.0}], "[1]: unknown key(s) yaw"),
+            ("object", {"waypoints": HOVER_WPS}, "must be a JSON list")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(waypoints))
+        files.append((path, message))
+    for path, message in files:
         assert main(["simulate", "--traj", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and message in err
@@ -265,6 +288,11 @@ def test_trajectory_scale_is_checked(tmp_path, hover_file, capsys):
     assert main(["simulate", "--config", str(cfg), "--traj", "g",
                  "--out", str(tmp_path / "o")]) == 2
     assert "trajectory_scale: " in capsys.readouterr().err
+    # A NaN scale would otherwise reach the spline solve as a LinAlgError.
+    cfg.write_text(json.dumps({"trajectory_scale": math.nan}))
+    assert main(["simulate", "--config", str(cfg), "--traj", "g",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "trajectory_scale: scale must be a finite number" in capsys.readouterr().err
     # A waypoint file has no scale; the key would be silently ignored.
     cfg.write_text(json.dumps({"trajectory_scale": 7.0}))
     assert main(["simulate", "--config", str(cfg), "--traj", hover_file,
@@ -405,6 +433,54 @@ def test_every_number_field_takes_only_finite_numbers(base):
                 continue                    # the PID slew limits take +inf: no limit
             with pytest.raises(ValueError, match=f.name):
                 dataclasses.replace(base, **{f.name: value})
+
+
+def _other_kinds(value) -> tuple:
+    """Values of another kind than value: a number, true or false, text or a vector."""
+    if isinstance(value, bool):
+        return (1, "yes", "no")     # "no" is truthy: read as a switch it would turn it on
+    if isinstance(value, numbers.Real):
+        return ("1.0", True)
+    if isinstance(value, str):
+        return (1, True)
+    if isinstance(value, (tuple, np.ndarray)):
+        return ("text", True)
+    return ()      # a nested dataclass: its own section's constructor is covered here
+
+
+def _replacing(base):
+    """dataclasses.replace on base, with every field's valid value."""
+    return pytest.param(functools.partial(dataclasses.replace, base),
+                        {f.name: getattr(base, f.name) for f in dataclasses.fields(base)},
+                        id=type(base).__name__)
+
+
+_PROTOTYPE = prototype_morphology()
+
+
+@pytest.mark.parametrize("make,valid", [
+    *map(_replacing, (_PROTOTYPE.rotor, _PROTOTYPE.tilt, _PROTOTYPE.body, _PROTOTYPE.arms[0],
+                      default_mass_model(), DesignProblem(), SimConfig(), AllocationConfig(),
+                      BiasConfig(), PidGains(), LqriGains())),
+    # The computing functions a config section reaches; bias_cfg is built
+    # from the bias section, so BiasConfig above covers it.
+    pytest.param(functools.partial(envelope, _PROTOTYPE),
+                 {"mode": "torque", "n_dirs": 100, "hover_force": (0.0, 0.0, 40.0),
+                  "allocation": "pinv"}, id="envelope"),
+    pytest.param(functools.partial(condition_scan, _PROTOTYPE, bias_cfg=None),
+                 {"hover_dir": (0.0, 0.0, 1.0), "extra_force_mag": 10.0, "bias_on": False,
+                  "n_dirs": 100}, id="condition_scan"),
+    pytest.param(functools.partial(named_trajectory, "g"), {"scale": 1.0},
+                 id="named_trajectory"),
+])
+def test_every_field_rejects_a_value_of_another_kind(make, valid):
+    # The constructors own the kind rule; no later check catches what they let through.
+    if make.func is not dataclasses.replace:
+        assert set(inspect.signature(make).parameters) - set(make.keywords) == set(valid)
+    for name, value in valid.items():
+        for other in _other_kinds(value):
+            with pytest.raises(ValueError, match=rf"\b{re.escape(name)}\b"):
+                make(**{**valid, name: other})
 
 
 # Copies, since a later mutation may edit an inserted list or object.

@@ -369,6 +369,19 @@ def test_envelope_requires_enough_directions():
         envelope(prototype_morphology(), "torque", n_dirs=320, hover_force=[0.0, 40.0])
 
 
+def test_force_mode_rejects_a_hover_force():
+    # Force mode holds no force fixed, so a hover_force would be ignored.
+    m = prototype_morphology()
+    up = np.array([[0.0, 0.0, 1.0]])
+    for query in (lambda: envelope(m, "force", n_dirs=100, hover_force=[0.0, 0.0, 40.0]),
+                  lambda: envelope(m, "force", n_dirs=100, hover_force=[0.0, 0.0, 40.0],
+                                   allocation="optimal"),
+                  lambda: pinv_radii(m, up, hover_force=[0.0, 0.0, 40.0]),
+                  lambda: max_wrench_in_direction(m, up[0], hover_force=[0.0, 0.0, 40.0])):
+        with pytest.raises(ValueError, match="hover_force applies to torque mode only"):
+            query()
+
+
 def test_envelope_eta_sampled():
     m = hexarotor(body=prototype_morphology().body)
     metrics = envelope(m, n_dirs=320)

@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from tiltmav.diff_allocation import exact_wrench_rate
-from tiltmav.lqri import (LqriController, LqriGains, compute_error_state,
+from tiltmav.lqri import (LqriController, LqriGains, Q_GAINS, compute_error_state,
                           linearized_system, stability_rhs, STABILITY_COEFF)
-from tiltmav.riccati import lqr_gain, solve_care
+from tiltmav.riccati import CareError, lqr_gain, solve_care
 from tiltmav.rigid_body import RigidBodyState
 from tiltmav.so3 import rot_x
 from tiltmav.trajectory import TrajectorySample
@@ -179,6 +181,25 @@ def test_detectability_guard():
     with pytest.raises(ValueError):
         LqriController(LqriGains(k_p=0.0, k_p_i=0.0, k_v=0.0, k_a=0.0,
                                  k_r=0.0, k_r_i=0.0, k_omega=0.0, k_psi=0.0))
+
+
+def test_gains_accept_exactly_the_solvable_zero_patterns():
+    # Every zero/non-zero pattern of the eight Q gains: the gains are accepted
+    # exactly when the CARE of the error dynamics has a stabilizing solution.
+    a, b = linearized_system()
+    _, r = LqriGains().weight_matrices()
+    for pattern in itertools.product((0.0, 1.0), repeat=len(Q_GAINS)):
+        try:
+            solve_care(a, b, np.diag(np.repeat(pattern, 3)), r)
+            solvable = True
+        except CareError:
+            solvable = False
+        try:
+            LqriGains(**dict(zip(Q_GAINS, pattern)))
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == solvable, pattern
 
 
 def test_controller_step_at_hover_outputs_zero():

@@ -138,6 +138,14 @@ def test_load_waypoints(tmp_path):
     assert np.allclose(log_so3(r_end), [np.deg2rad(10.0), 0, 0], atol=1e-9)
 
 
+def test_waypoints_take_only_finite_numbers():
+    # A non-finite or misshapen value would otherwise surface deep in the spline solve.
+    for bad in ({"t": np.nan}, {"t": True}, {"p": [0.0, np.inf, 1.0]}, {"p": [0.0, 1.0]},
+                {"r_wb": np.full((3, 3), np.nan)}, {"r_wb": np.eye(2)}):
+        with pytest.raises(ValueError, match=rf"\b{next(iter(bad))}\b"):
+            Waypoint(**{"t": 0.0, "p": np.zeros(3), **bad})
+
+
 def test_named_trajectory_scale():
     small = named_trajectory("a", scale=0.5)
     full = named_trajectory("a", scale=1.0)
