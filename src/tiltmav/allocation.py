@@ -54,15 +54,16 @@ def instantaneous_allocation(a: np.ndarray, alpha: np.ndarray, arm_of_rotor: np.
     return a[:, 0::2] * np.sin(a_r) + a[:, 1::2] * np.cos(a_r)
 
 
-def condition_number(a_alpha: np.ndarray) -> float:
-    """sigma_max / sigma_min of the instantaneous allocation; inf at rank loss."""
-    s = np.linalg.svd(np.asarray(a_alpha, dtype=float), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.inf
-    smin = s.min()
-    if smin < RANK_EPS * s[0]:
-        return np.inf
-    return float(s[0] / smin)
+def condition_number(a_alpha: np.ndarray) -> float | np.ndarray:
+    """sigma_max / sigma_min of the instantaneous allocation, inf at rank loss: a
+    float for one matrix, an array of shape (...) for a stack (..., 6, n_rotors)."""
+    s = np.linalg.svd(a_alpha, compute_uv=False)
+    smax, smin = s[..., 0][()], s[..., -1][()]   # [()]: numpy scalars for one matrix
+    lost = (smax == 0.0) | (smin < RANK_EPS * smax)
+    # Rank loss divides a positive number by zero; full rank leaves smax / smin.
+    with np.errstate(divide="ignore"):
+        kappa = (smax + lost) / (smin - smin * lost)
+    return kappa if kappa.ndim else float(kappa)
 
 
 def invert_static(a: np.ndarray, wrench: np.ndarray, m: Morphology,
@@ -77,16 +78,18 @@ def invert_static(a: np.ndarray, wrench: np.ndarray, m: Morphology,
     angles, which restores wrench exactness the per-rotor pairs lose to the
     drag-sign asymmetry within an arm. A caller inverting many wrenches
     through one ``a`` may pass ``a_pinv``, which must equal ``np.linalg.pinv(a)``.
+    A stack of wrenches (..., 6) is inverted row by row into alpha (..., n_arms),
+    omega (..., n_rotors) and omega_tilde_star (..., 2 n_rotors); ``alpha_hold``
+    broadcasts to alpha.
     """
-    wrench = np.asarray(wrench, dtype=float)
-    wt = (np.linalg.pinv(a) if a_pinv is None else a_pinv) @ wrench
-    lat, vert = wt.reshape(m.n_arms, m.rotor.rotors_per_arm, 2).sum(axis=1).T
-
-    alpha = np.zeros(m.n_arms) if alpha_hold is None else np.array(alpha_hold, dtype=float)
-    thrusting = np.hypot(lat, vert) > 1e-12 * np.abs(wt).max()
-    alpha[thrusting] = np.arctan2(lat, vert)[thrusting]
+    wrench = np.asarray(wrench, dtype=float)[..., None]
+    wt = ((np.linalg.pinv(a) if a_pinv is None else a_pinv) @ wrench)[..., 0]
+    per_arm = wt.reshape(wt.shape[:-1] + (m.n_arms, m.rotor.rotors_per_arm, 2)).sum(axis=-2)
+    lat, vert = per_arm[..., 0], per_arm[..., 1]
+    thrusting = np.hypot(lat, vert) > 1e-12 * np.abs(wt).max(axis=-1, keepdims=True)
+    alpha = np.where(thrusting, np.arctan2(lat, vert), 0.0 if alpha_hold is None else alpha_hold)
 
     a_inst = instantaneous_allocation(a, alpha, m.arm_of_rotor)
-    omega_sq = np.linalg.pinv(a_inst, rcond=RANK_EPS) @ wrench
+    omega_sq = (np.linalg.pinv(a_inst, rcond=RANK_EPS) @ wrench)[..., 0]
     omega = np.sqrt(np.clip(omega_sq, 0.0, None))
     return alpha, omega, wt

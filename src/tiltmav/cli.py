@@ -245,7 +245,7 @@ def cmd_simulate(args, config: dict, out_dir: Path):
     outputs = [log_path, _write_json(out_dir / "tracking_stats.json",
                                      stats_to_dict(tracking_stats(log)))]
     if unwind:
-        final_alpha = [float(log.column(f"alpha_{i}")[-1]) for i in range(m.n_arms)]
+        final_alpha = log.block("alpha", range(m.n_arms))[-1].tolist()
         outputs.append(_write_json(out_dir / "unwinding.json", {
             "final_alpha": final_alpha,
             "all_below_pi": bool(np.all(np.abs(final_alpha) < np.pi))}))

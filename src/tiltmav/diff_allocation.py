@@ -129,23 +129,21 @@ def alpha_bias(thrust_dirs: np.ndarray, magnitudes: np.ndarray,
                cfg: BiasConfig) -> np.ndarray:
     """Alternating tilt offsets for arms whose thrusts are mutually colinear.
 
-    Arms with negligible demanded thrust count as colinear (their angle is
-    free). The bias is zero when the configuration is already diverse.
+    Each row of ``thrust_dirs`` (..., n_arms, 3) and ``magnitudes`` (..., n_arms)
+    is one arm set, and the offsets have shape (..., n_arms). Arms with negligible
+    demanded thrust count as colinear (their angle is free). The bias is zero when
+    two thrusting arms are diverse: for unit directions, |d_i x d_k|^2 =
+    |d_i|^2 |d_k|^2 - (d_i . d_k)^2 exceeds sin^2(colinearity_tol).
     """
-    n = thrust_dirs.shape[0]
     if not cfg.enabled:
-        return np.zeros(n)
-    scale = magnitudes.max() if magnitudes.size else 0.0
-    active = magnitudes > 1e-9 * max(scale, 1e-30)
-    dirs = thrust_dirs[active].tolist()
-    # Pairwise on floats, up to the first pair that is not colinear.
-    for i, d_i in enumerate(dirs):
-        for d_k in dirs[i + 1:]:
-            cx, cy, cz = cross3(d_i, d_k)
-            sin_angle = min(max(math.sqrt(cx * cx + cy * cy + cz * cz), 0.0), 1.0)
-            if math.asin(sin_angle) > cfg.colinearity_tol:
-                return np.zeros(n)
-    return cfg.delta * (-1.0) ** np.arange(n)
+        return np.zeros(thrust_dirs.shape[:-1])
+    active = magnitudes > 1e-9 * magnitudes.max(axis=-1, keepdims=True, initial=1e-30)
+    dirs = np.where(active[..., None], thrust_dirs, 0.0)   # a zero row is colinear with all
+    gram = dirs @ np.swapaxes(dirs, -1, -2)
+    sq = np.diagonal(gram, axis1=-2, axis2=-1)
+    sin_sq = np.minimum(sq[..., :, None] * sq[..., None, :] - gram * gram, 1.0)
+    diverse = (sin_sq > math.sin(cfg.colinearity_tol) ** 2).any(axis=(-2, -1))
+    return np.where(diverse[..., None], 0.0, cfg.delta * (-1.0) ** np.arange(dirs.shape[-2]))
 
 
 def optimal_targets(
@@ -164,16 +162,18 @@ def optimal_targets(
     optimal tilt angles pick the 2pi branch nearest the home winding, get
     the singularity bias where ``bias_cfg`` enables it, and the preferred
     differential command applies fixed unwinding speeds toward the targets.
-    ``a_pinv`` is passed on to ``invert_static``.
+    ``a_pinv`` is passed on to ``invert_static``. A stack of wrenches (..., 6)
+    gives stacked targets (..., n_arms), (..., n_rotors) and u_tilde*
+    (..., n_rotors + n_arms); the commands broadcast against them.
     """
     alpha_star, omega_star, _ = invert_static(a, wrench, m, alpha_hold=alpha_c, a_pinv=a_pinv)
     # Nearest-to-home 2pi branch (atan2 already yields (-pi, pi]).
     alpha_star = alpha_star + 2.0 * np.pi * np.round(
         (alloc.home_alpha - alpha_star) / (2.0 * np.pi))
     if bias_cfg.enabled:
-        dirs = (np.sin(alpha_star)[:, None] * m.lateral_dirs
-                + np.cos(alpha_star)[:, None] * m.vertical_dirs)
-        mags = (omega_star**2).reshape(m.n_arms, m.rotor.rotors_per_arm).sum(axis=1)
+        dirs = (np.sin(alpha_star)[..., None] * m.lateral_dirs
+                + np.cos(alpha_star)[..., None] * m.vertical_dirs)
+        mags = (omega_star**2).reshape(alpha_star.shape + (m.rotor.rotors_per_arm,)).sum(axis=-1)
         alpha_star = alpha_star + alpha_bias(dirs, mags, bias_cfg)
     # Deadbands keep sign(0) at zero under floating-point noise, so a
     # configuration already at its targets is a fixed point.
@@ -182,7 +182,7 @@ def optimal_targets(
     u_star = np.concatenate([
         np.where(np.abs(d_omega) > 2.5, np.sign(d_omega), 0.0) * alloc.v_omega_dot,
         np.where(np.abs(d_alpha) > 1e-2, np.sign(d_alpha), 0.0) * alloc.v_alpha_dot,
-    ])
+    ], axis=-1)
     return alpha_star, omega_star, u_star
 
 
@@ -275,15 +275,14 @@ class DifferentialAllocator:
         """
         m = self.morphology
         n_r = m.n_rotors
-        rpa = m.rotor.rotors_per_arm
         gap = np.abs(alpha_star - self.alpha_cmd)
-        self._unwind_active &= gap > self.alloc.unwind_release
+        active = self._unwind_active
+        active &= gap > self.alloc.unwind_release
         need = gap > self.alloc.unwind_engage
-        calm = (np.linalg.norm(w_dot_cmd[:3]) < 15.0
-                and np.linalg.norm(w_dot_cmd[3:]) < 5.0)
-        free = self.alloc.max_unwind_arms - int(self._unwind_active.sum())
+        calm = np.linalg.norm(w_dot_cmd[:3]) < 15.0 and np.linalg.norm(w_dot_cmd[3:]) < 5.0
+        free = self.alloc.max_unwind_arms - int(active.sum())
         if free > 0 and calm:
-            waiting = np.flatnonzero(need & ~self._unwind_active)
+            waiting = np.flatnonzero(need & ~active)
             order = waiting[np.lexsort((waiting, -np.round(gap[waiting], 6)))]
             for arm in order:
                 if free <= 0:
@@ -291,32 +290,24 @@ class DifferentialAllocator:
                 # Keep thrust-carrying arms spread out: never spin down two
                 # adjacent arms at once (the remaining support must still
                 # enclose the center of mass).
-                left = (arm - 1) % m.n_arms
-                right = (arm + 1) % m.n_arms
-                if self._unwind_active[left] or self._unwind_active[right]:
+                if active[(arm - 1) % m.n_arms] or active[(arm + 1) % m.n_arms]:
                     continue
-                self._unwind_active[arm] = True
+                active[arm] = True
                 free -= 1
-        u_star = u_star.copy()
-        tilt_gate = m.rotor.omega_min + 50.0
-        if self._unwind_active.any():
+        omega_pref = u_star[:n_r]
+        if active.any():
             # The equal-speed pull-down on carrier rotors would fight the
             # thrust redistribution, but spin-up preferences must survive: a
             # stopped rotor has no differential authority and can only be
             # restarted by its preference.
-            u_star[:n_r] = np.maximum(u_star[:n_r], 0.0)
-        for arm in range(m.n_arms):
-            rotors = slice(arm * rpa, (arm + 1) * rpa)
-            if self._unwind_active[arm]:
-                spinning = self.omega_cmd[rotors] > m.rotor.omega_min + 1.0
-                u_star[:n_r][rotors] = np.where(
-                    spinning, -self.alloc.v_omega_dot, 0.0)
-                if np.any(self.omega_cmd[rotors] > tilt_gate):
-                    # Thrust-free unwinding only: wait for the ramp-down.
-                    u_star[n_r + arm] = 0.0
-            elif need[arm]:
-                u_star[n_r + arm] = 0.0   # parked until scheduled
-        return u_star
+            omega_pref = np.maximum(omega_pref, 0.0)
+        # Active arms spin their rotors down and unwind thrust-free only, so
+        # their tilt waits for the ramp-down; waiting arms park until scheduled.
+        spin_down = np.where(self.omega_cmd > m.rotor.omega_min + 1.0, -self.alloc.v_omega_dot, 0.0)
+        omega_pref = np.where(active[m.arm_of_rotor], spin_down, omega_pref)
+        hot = (self.omega_cmd > m.rotor.omega_min + 50.0).reshape(m.n_arms, -1).any(axis=1)
+        alpha_pref = np.where(np.where(active, hot, need), 0.0, u_star[n_r:])
+        return np.concatenate([omega_pref, alpha_pref])
 
     def step(self, w_dot_cmd: np.ndarray, dt: float) -> dict:
         m = self.morphology
@@ -364,7 +355,6 @@ def condition_scan(
         check_real("extra_force_mag", extra_force_mag, 0.0)
     bias_cfg = replace(bias_cfg or BiasConfig(), enabled=bias_on)
     a = static_allocation(m)
-    a_pinv, alloc = np.linalg.pinv(a), AllocationConfig()
     mg = m.body.mass * GRAVITY
     extra = mg if extra_force_mag is None else extra_force_mag
     hover = mg * hover_dir
@@ -373,12 +363,9 @@ def condition_scan(
     axes = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
                      [0, 0, 1], [0, 0, -1]], dtype=float)
     dirs = np.concatenate([axes, hover_dir[None, :], -hover_dir[None, :], dirs])
-    log_kappa = np.empty(len(dirs))
-    for i, d in enumerate(dirs):
-        wrench = np.concatenate([hover + extra * d, np.zeros(3)])
-        alpha_star, _, _ = optimal_targets(m, a, np.zeros(m.n_arms), np.zeros(m.n_rotors),
-                                           wrench, alloc, bias_cfg, a_pinv)
-        a_inst = instantaneous_allocation(a, alpha_star, m.arm_of_rotor)
-        log_kappa[i] = np.log(condition_number(a_inst))
+    wrenches = np.concatenate([hover + extra * dirs, np.zeros((len(dirs), 3))], axis=1)
+    alpha_star, _, _ = optimal_targets(m, a, np.zeros(m.n_arms), np.zeros(m.n_rotors),
+                                       wrenches, AllocationConfig(), bias_cfg)
+    log_kappa = np.log(condition_number(instantaneous_allocation(a, alpha_star, m.arm_of_rotor)))
     return {"directions": dirs, "log_kappa": log_kappa,
             "max_log_kappa": float(log_kappa.max()), "bias_on": bias_on}

@@ -129,11 +129,9 @@ def tracking_stats(log: SimLog) -> dict:
     """Per-axis boxplot statistics of position [m] and attitude [rad] errors."""
     if len(log) == 0:
         raise ValueError("empty log")
-    out: dict[str, AxisStats] = {}
-    for axis in "xyz":
-        out[f"pos_{axis}"] = axis_stats(log.column(f"e_p_{axis}"))
-        out[f"att_{axis}"] = axis_stats(log.column(f"e_R_{axis}"))
-    return out
+    data, col = log.array(), log.columns.index
+    return {f"{key}_{axis}": axis_stats(data[:, col(f"{prefix}_{axis}")])
+            for axis in "xyz" for key, prefix in (("pos", "e_p"), ("att", "e_R"))}
 
 
 def stats_to_dict(stats: dict) -> dict:

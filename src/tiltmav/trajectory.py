@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .so3 import exp_so3, log_so3, rodrigues, rot_x, rot_y, rot_z
+from .so3 import ORTHONORMALITY_TOL, exp_so3, log_so3, rodrigues, rot_x, rot_y, rot_z
 from .vehicle import _fields, _make, check_real, check_vector
 
 
@@ -65,7 +65,10 @@ class Waypoint:
     def __post_init__(self):
         check_real("t", self.t)
         object.__setattr__(self, "p", check_vector("p", self.p, (3,)))
-        object.__setattr__(self, "r_wb", check_vector("r_wb", self.r_wb, (3, 3)))
+        r = check_vector("r_wb", self.r_wb, (3, 3))
+        if np.abs(r.T @ r - np.eye(3)).max() > ORTHONORMALITY_TOL or np.linalg.det(r) <= 0.0:
+            raise ValueError(f"r_wb must be a rotation (orthonormal, det +1), got {r.tolist()}")
+        object.__setattr__(self, "r_wb", r)
 
 
 def _position_spline(times: np.ndarray, values: np.ndarray) -> np.ndarray:

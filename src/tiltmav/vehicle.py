@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
@@ -216,16 +217,24 @@ def _fields(value, path: str, keys, required=(), rename=None) -> dict:
     return {rename.get(key, key): v for key, v in value.items()}
 
 
-def _make(path: str, make, kwargs: dict):
-    """make(**kwargs), a rejected value reported under path."""
+def _make(path: str, make, kwargs: dict, keys=None):
+    """make(**kwargs), a rejected value reported under path, or under the
+    document key that ``keys`` gives for the field the message names."""
     try:
         return make(**kwargs)
     except (TypeError, ValueError) as exc:
+        for name, key in (keys or {}).items():
+            if re.search(rf"\b{name}\b", str(exc)):
+                raise ValueError(re.sub(rf"\b{name}\b", key, str(exc))) from exc
         raise ValueError(f"{path}: {exc}") from exc
 
 
 _SECTIONS = ("arms", "rotor", "tilt", "body")
 _RATE_LIMITS = {"alpha_dot": "alpha_rate_max", "omega_dot": "omega_accel_max"}
+_BODY_KEYS = {"m": "mass", "J": "inertia"}
+#: The document key of each field that a morphology document states under another name.
+_KEY_PATHS = {**{name: f"body.{key}" for key, name in _BODY_KEYS.items()},
+              **{name: f"tilt.rate_limits.{key}" for key, name in _RATE_LIMITS.items()}}
 
 
 @dataclass(frozen=True)
@@ -298,11 +307,10 @@ class Morphology:
         tilt = _fields(doc["tilt"], "tilt", ("tau", "rate_limits"), ("tau",))
         tilt.update(_fields(tilt.pop("rate_limits", {}), "tilt.rate_limits", _RATE_LIMITS,
                             rename=_RATE_LIMITS))
-        body = _fields(doc["body"], "body", ("m", "J", "r_com"), ("m", "J"),
-                       rename={"m": "mass", "J": "inertia"})
+        body = _fields(doc["body"], "body", ("m", "J", "r_com"), ("m", "J"), rename=_BODY_KEYS)
         return Morphology(arms=arms, rotor=_make("rotor", RotorParams, rotor),
-                          tilt=_make("tilt", TiltParams, tilt),
-                          body=_make("body", RigidBodyParams, body))
+                          tilt=_make("tilt", TiltParams, tilt, _KEY_PATHS),
+                          body=_make("body", RigidBodyParams, body, _KEY_PATHS))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

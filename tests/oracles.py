@@ -7,13 +7,15 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
-from tiltmav.allocation import instantaneous_allocation, static_allocation
+from tiltmav.allocation import condition_number, instantaneous_allocation, static_allocation
 from tiltmav.design import UP, build_candidate
+from tiltmav.diff_allocation import AllocationConfig, BiasConfig, optimal_targets
 from tiltmav.envelope import arm_wrench_blocks
 from tiltmav.riccati import CareError, _validate
 from tiltmav.rigid_body import BodyConstants, RigidBodyState, com_torque, newton_euler, tilt_step
 from tiltmav.so3 import ORTHONORMALITY_TOL, exp_so3, rot_y, rot_z
 from tiltmav.trajectory import TrajectorySample
+from tiltmav.vehicle import GRAVITY, Morphology, prototype_morphology
 
 
 def skew(v) -> np.ndarray:
@@ -133,6 +135,77 @@ def alpha_bias_loop(thrust_dirs, magnitudes, cfg) -> np.ndarray:
     if not colinear:
         return np.zeros(n)
     return cfg.delta * (-1.0) ** np.arange(n)
+
+
+def condition_scan_loop(m, dirs, hover_dir=(0.0, 0.0, 1.0), extra_force_mag=None,
+                        bias_cfg=BiasConfig()) -> np.ndarray:
+    """Direction-by-direction log kappa of ``diff_allocation.condition_scan`` over
+    its directions; ``bias_cfg`` is the scan's, switched by its ``bias_on``."""
+    a = static_allocation(m)
+    a_pinv, alloc = np.linalg.pinv(a), AllocationConfig()
+    mg = m.body.mass * GRAVITY
+    extra = mg if extra_force_mag is None else extra_force_mag
+    hover = mg * np.asarray(hover_dir, dtype=float)
+    log_kappa = np.empty(len(dirs))
+    for i, d in enumerate(dirs):
+        wrench = np.concatenate([hover + extra * d, np.zeros(3)])
+        alpha_star, _, _ = optimal_targets(m, a, np.zeros(m.n_arms), np.zeros(m.n_rotors),
+                                           wrench, alloc, bias_cfg, a_pinv)
+        a_inst = instantaneous_allocation(a, alpha_star, m.arm_of_rotor)
+        log_kappa[i] = np.log(condition_number(a_inst))
+    return log_kappa
+
+
+def schedule_unwinding_loop(alloc, alpha_star, u_star, w_dot_cmd) -> np.ndarray:
+    """Arm-by-arm form of ``DifferentialAllocator._schedule_unwinding`` on ``alloc``."""
+    m = alloc.morphology
+    n_r = m.n_rotors
+    rpa = m.rotor.rotors_per_arm
+    gap = np.abs(alpha_star - alloc.alpha_cmd)
+    alloc._unwind_active &= gap > alloc.alloc.unwind_release
+    need = gap > alloc.alloc.unwind_engage
+    calm = (np.linalg.norm(w_dot_cmd[:3]) < 15.0
+            and np.linalg.norm(w_dot_cmd[3:]) < 5.0)
+    free = alloc.alloc.max_unwind_arms - int(alloc._unwind_active.sum())
+    if free > 0 and calm:
+        waiting = np.flatnonzero(need & ~alloc._unwind_active)
+        order = waiting[np.lexsort((waiting, -np.round(gap[waiting], 6)))]
+        for arm in order:
+            if free <= 0:
+                break
+            left = (arm - 1) % m.n_arms
+            right = (arm + 1) % m.n_arms
+            if alloc._unwind_active[left] or alloc._unwind_active[right]:
+                continue
+            alloc._unwind_active[arm] = True
+            free -= 1
+    u_star = u_star.copy()
+    tilt_gate = m.rotor.omega_min + 50.0
+    if alloc._unwind_active.any():
+        u_star[:n_r] = np.maximum(u_star[:n_r], 0.0)
+    for arm in range(m.n_arms):
+        rotors = slice(arm * rpa, (arm + 1) * rpa)
+        if alloc._unwind_active[arm]:
+            spinning = alloc.omega_cmd[rotors] > m.rotor.omega_min + 1.0
+            u_star[:n_r][rotors] = np.where(
+                spinning, -alloc.alloc.v_omega_dot, 0.0)
+            if np.any(alloc.omega_cmd[rotors] > tilt_gate):
+                u_star[n_r + arm] = 0.0
+        elif need[arm]:
+            u_star[n_r + arm] = 0.0
+    return u_star
+
+
+def random_morphology(rng) -> Morphology:
+    """The prototype with 3-8 random arms of 1 or 2 rotors each."""
+    data = prototype_morphology().to_dict()
+    rpa = int(rng.integers(1, 3))
+    data["rotor"]["rotors_per_arm"] = rpa
+    data["arms"] = [{"gamma": rng.uniform(0.0, 2.0 * np.pi), "theta": rng.uniform(-1.5, 1.5),
+                     "beta": rng.uniform(-1.5, 1.5), "length": rng.uniform(0.1, 0.5),
+                     "spins": [s, -s][:rpa]}
+                    for s in rng.choice([-1, 1], size=int(rng.integers(3, 9)))]
+    return Morphology.from_dict(data)
 
 
 def poly_eval(coeffs: np.ndarray, t, deriv: int = 0):

@@ -8,7 +8,7 @@ from tiltmav.allocation import (condition_number, instantaneous_allocation,
 from tiltmav.vehicle import (Morphology, RigidBodyParams, RotorParams, TiltParams,
                              evenly_spaced_arms, hexarotor, prototype_morphology)
 
-from oracles import invert_static_loop, omega_tilde, static_allocation_loop
+from oracles import invert_static_loop, omega_tilde, random_morphology, static_allocation_loop
 
 
 def test_rotor_wrench_table_values():
@@ -165,22 +165,11 @@ def test_invert_static_holds_degenerate_arm():
     assert np.allclose(omega, 0.0)
 
 
-def _random_morphology(rng) -> Morphology:
-    data = prototype_morphology().to_dict()
-    rpa = int(rng.integers(1, 3))
-    data["rotor"]["rotors_per_arm"] = rpa
-    data["arms"] = [{"gamma": rng.uniform(0.0, 2.0 * np.pi), "theta": rng.uniform(-1.5, 1.5),
-                     "beta": rng.uniform(-1.5, 1.5), "length": rng.uniform(0.1, 0.5),
-                     "spins": [s, -s][:rpa]}
-                    for s in rng.choice([-1, 1], size=int(rng.integers(3, 9)))]
-    return Morphology.from_dict(data)
-
-
 def test_array_forms_equal_the_per_arm_loops():
     # The array kernels keep the loops' arithmetic, so they agree bit for bit.
     rng = np.random.default_rng(5)
     for trial in range(300):
-        m = _random_morphology(rng)
+        m = random_morphology(rng)
         a = static_allocation(m)
         assert np.array_equal(a, static_allocation_loop(m))
         wrench = np.zeros(6) if trial % 10 == 0 else rng.normal(0.0, 20.0, 6)
@@ -188,3 +177,29 @@ def test_array_forms_equal_the_per_arm_loops():
         for got, want in zip(invert_static(a, wrench, m, alpha_hold=hold),
                              invert_static_loop(a, wrench, m, alpha_hold=hold)):
             assert np.array_equal(got, want)
+
+
+def test_stacks_equal_the_row_by_row_calls():
+    # A stack runs each row through the arithmetic of one call, so the rows
+    # agree byte for byte, rank-loss (inf) rows included.
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        m = random_morphology(rng)
+        a = static_allocation(m)
+        wrenches = rng.normal(0.0, 20.0, (2, 5, 6))
+        wrenches[0, 0] = 0.0      # no thrust anywhere: every arm holds
+        for hold in (None, rng.uniform(-3.0, 3.0, m.n_arms),
+                     rng.uniform(-3.0, 3.0, (2, 5, m.n_arms))):
+            stacked = invert_static(a, wrenches, m, alpha_hold=hold)
+            for idx in np.ndindex(2, 5):
+                row_hold = hold if hold is None or hold.ndim == 1 else hold[idx]
+                for got, want in zip(stacked, invert_static(a, wrenches[idx], m, row_hold)):
+                    assert got[idx].tobytes() == want.tobytes()
+        a_alpha = instantaneous_allocation(a, stacked[0], m.arm_of_rotor)
+        a_alpha[0, 1] = 0.0
+        a_alpha[1, 2, :, 1:] = 0.0
+        kappa = condition_number(a_alpha)
+        assert kappa.shape == (2, 5) and np.isinf(kappa[0, 1]) and np.isinf(kappa[1, 2])
+        rows = [[condition_number(mat) for mat in row] for row in a_alpha]
+        assert kappa.tobytes() == np.array(rows).tobytes()
+    assert type(condition_number(a_alpha[0, 0])) is float

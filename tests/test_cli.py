@@ -182,7 +182,7 @@ def test_divergence_exit_code(tmp_path, hover_file, capsys):
     ("envelope", _morphology_with(float("nan"), "rotor", "c_f"), "morphology: rotor: ", "c_f"),
     ("envelope", _morphology_with(float("nan"), "rotor", "c_d"), "morphology: rotor: ", "c_d"),
     ("simulate", _morphology_with(float("nan"), "tilt", "tau"), "morphology: tilt: ", "tau"),
-    ("simulate", _morphology_with(float("inf"), "body", "m"), "morphology: body: ", "mass"),
+    ("simulate", _morphology_with(float("inf"), "body", "m"), "morphology: ", "body.m must"),
     ("optimize", {"design": {"arm_length": float("inf")}}, "design: ", "arm_length"),
     ("simulate", _morphology_with([0, 0], "body", "r_com"), "morphology: body: ", "r_com"),
     # A first step below step_min skipped the search.
@@ -197,6 +197,13 @@ def test_divergence_exit_code(tmp_path, hover_file, capsys):
     # Force mode fixes no force, so hover_force there would be ignored.
     ("envelope", {"envelope": {"mode": "force", "n_dirs": 320, "hover_force": [0, 0, 40]}},
      "envelope: ", "hover_force"),
+    # A value under a renamed document key is reported under that key.
+    ("simulate", _morphology_with(-1, "body", "m"), "morphology: ", "body.m must"),
+    ("simulate", _morphology_with("x", "body", "J"), "morphology: ", "body.J must"),
+    ("simulate", _morphology_with(-2, "tilt", "rate_limits", "alpha_dot"), "morphology: ",
+     "tilt.rate_limits.alpha_dot must"),
+    ("simulate", _morphology_with(0, "tilt", "rate_limits", "omega_dot"), "morphology: ",
+     "tilt.rate_limits.omega_dot must"),
 ])
 def test_config_errors_name_the_key(tmp_path, hover_file, capsys, command, config, path, key):
     cfg = tmp_path / "cfg.json"

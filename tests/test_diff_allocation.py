@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from tiltmav.rigid_body import RigidBodyState
 from tiltmav.sim import hover_trim
 from tiltmav.vehicle import RigidBodyParams, prototype_morphology
 
-from oracles import alpha_bias_loop, omega_tilde
+from oracles import (alpha_bias_loop, condition_scan_loop, omega_tilde, random_morphology,
+                     schedule_unwinding_loop)
 
 
 def _hover_setup():
@@ -234,6 +237,25 @@ def test_alpha_bias_matches_the_pairwise_oracle():
     assert all(outcomes[kind] == {False, True} for kind in ("near", "above", "below"))
 
 
+def test_stacked_alpha_bias_equals_the_row_calls():
+    rng = np.random.default_rng(43)
+    cfg = BiasConfig(enabled=True, delta=0.15)
+    by_count = {}
+    for k in range(400):
+        dirs, mags = _bias_case(rng, ("diverse", "near", "above", "below")[k % 4], cfg)
+        by_count.setdefault(len(mags), []).append((dirs, mags))
+    for rows in by_count.values():
+        rows = rows[:2 * (len(rows) // 2)]
+        dirs = np.stack([d for d, _ in rows]).reshape(2, -1, len(rows[0][1]), 3)
+        mags = np.stack([g for _, g in rows]).reshape(2, -1, len(rows[0][1]))
+        want = np.array([alpha_bias(d, g, cfg) for d, g in rows]).reshape(mags.shape)
+        assert alpha_bias(dirs, mags, cfg).tobytes() == want.tobytes()
+        assert want.tobytes() == np.array([alpha_bias_loop(d, g, cfg) for d, g in rows]).tobytes()
+        assert np.any(want) and not np.all(want)
+        off = alpha_bias(dirs, mags, BiasConfig())
+        assert off.shape == mags.shape and not off.any()
+
+
 def test_bias_restores_conditioning_and_wrench():
     m, a, alpha, omega = _hover_setup()
     wrench = a @ omega_tilde(omega**2, alpha, m.arm_of_rotor)
@@ -343,3 +365,43 @@ def test_condition_scan_bias_on_switches_a_given_bias_config():
     assert forced_off["log_kappa"].tobytes() == off["log_kappa"].tobytes()
     default_on = condition_scan(m, bias_on=True, n_dirs=100)
     assert default_on["log_kappa"].tobytes() != on["log_kappa"].tobytes()
+
+
+def test_condition_scan_equals_the_per_direction_loop():
+    # One stacked pass through the tick's functions, byte-equal to calling
+    # them once per direction.
+    rng = np.random.default_rng(47)
+    cases = [(prototype_morphology(), {}),
+             (prototype_morphology(), {"hover_dir": (0.6, 0.0, 0.8), "extra_force_mag": 12.5})]
+    for k in range(8):
+        hover_dir = rng.normal(size=3)
+        cases.append((random_morphology(rng),
+                      {"hover_dir": hover_dir / np.linalg.norm(hover_dir),
+                       "extra_force_mag": rng.uniform(0.0, 60.0)} if k % 2 else {}))
+    for m, kwargs in cases:
+        for bias_on in (False, True):
+            scan = condition_scan(m, bias_on=bias_on, **kwargs)
+            want = condition_scan_loop(m, scan["directions"],
+                                       bias_cfg=BiasConfig(enabled=bias_on), **kwargs)
+            assert scan["log_kappa"].tobytes() == want.tobytes()
+
+
+def test_unwinding_gates_match_the_per_arm_loop():
+    rng = np.random.default_rng(53)
+    for trial in range(300):
+        m = random_morphology(rng)
+        alloc = DifferentialAllocator(m, unwind=True)
+        # Rotor speeds on both sides of the spin-down (+1) and tilt (+50) gates.
+        offsets = rng.choice([0.0, 0.9, 1.1, 45.0, 49.9, 50.1, 500.0], m.n_rotors)
+        speeds = m.rotor.omega_min + offsets
+        alloc.set_commands(rng.uniform(-3.0, 3.0, m.n_arms), speeds)
+        alloc._unwind_active[:] = rng.random(m.n_arms) < 0.4
+        gaps = rng.choice([0.0, 0.01, 0.1, 0.5, 2.0], m.n_arms) * rng.choice([-1.0, 1.0], m.n_arms)
+        u_star = rng.choice([-1.0, 0.0, 1.0], m.n_rotors + m.n_arms)
+        u_star[:m.n_rotors] *= 250.0
+        w_dot = rng.normal(0.0, 8.0 if trial % 2 else 1.0, 6)
+        oracle = copy.deepcopy(alloc)
+        want = schedule_unwinding_loop(oracle, alloc.alpha_cmd + gaps, u_star, w_dot)
+        got = alloc._schedule_unwinding(alloc.alpha_cmd + gaps, u_star, w_dot)
+        assert got.tobytes() == want.tobytes()
+        assert alloc._unwind_active.tobytes() == oracle._unwind_active.tobytes()

@@ -146,6 +146,14 @@ def test_waypoints_take_only_finite_numbers():
             Waypoint(**{"t": 0.0, "p": np.zeros(3), **bad})
 
 
+def test_waypoints_take_only_rotations():
+    # A scaled or reflecting attitude would otherwise be sampled as some other rotation.
+    for r in (2.0 * np.eye(3), -np.eye(3), np.diag([1.0, 1.0, -1.0]), np.eye(3) + 1e-6):
+        with pytest.raises(ValueError, match=r"\br_wb\b"):
+            Waypoint(t=0.0, p=np.zeros(3), r_wb=r)
+    assert Waypoint(t=0.0, p=np.zeros(3), r_wb=exp_so3([0.3, -1.2, 2.0])).r_wb.shape == (3, 3)
+
+
 def test_named_trajectory_scale():
     small = named_trajectory("a", scale=0.5)
     full = named_trajectory("a", scale=1.0)
