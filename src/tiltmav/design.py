@@ -6,11 +6,14 @@ scalarized objective min(f_min / (m g), tau_min / (m g l / 2)). Both use the
 pseudoinverse-fed envelope model and a deterministic multi-start pattern
 search with penalty handling of the hover constraint.
 
-The 2n + 4 poll points of one search iteration are independent, so each
-iteration scores its stencil as one batch: the candidates' arm frames,
-static allocations and pseudoinverses are stacked arrays, each pseudoinverse
-is factored once and feeds both the force and the torque radii, and the
-batch goes through the radii kernel in chunks that bound its temporaries.
+The objective reads only a candidate's least force radius and, for cost 2,
+its least torque radius about the hover force. Both come in closed form from
+the candidate's pseudoinverse (``_least_radius``), exact where a direction
+set would overstate them, so ``n_dirs_search`` sets only the winner's hover
+sphere. The 2n + 4 poll points of one search iteration are independent, so
+each iteration scores its stencil as one batch: the candidates' arm frames,
+static allocations and pseudoinverses are stacked arrays, and each
+pseudoinverse is factored once and feeds both radii.
 The objective scales by the weight m g of the reference (flat) vehicle and
 never reads a candidate's own mass, so no candidate gets a ``Morphology`` or
 a mass model; ``build_candidate`` builds only the reference and the winner.
@@ -25,7 +28,7 @@ import numpy as np
 from .allocation import static_allocation
 # pinv_radii is unused here: perfbench's tracer tests call it through this module.
 from .envelope import (EnvelopeMetrics, envelope, hover_sphere, pinv_radii,  # noqa: F401
-                       radii_from_pinv, sample_directions)
+                       radii_from_pinv)
 from .mass_model import MassModel, compute_mass_inertia, default_mass_model
 from .vehicle import (GRAVITY, Morphology, RigidBodyParams, RotorParams, TiltParams, arm_frames,
                       check_int, check_real, evenly_spaced_arms, layout_azimuths)
@@ -33,6 +36,9 @@ from .vehicle import (GRAVITY, Morphology, RigidBodyParams, RotorParams, TiltPar
 ANGLE_BOUND = np.pi / 2 - 1e-3
 #: Hover axis of the search: body +z.
 UP = np.array([0.0, 0.0, 1.0])
+#: Cap on the secular Newton steps of ``_least_radius``; they stop once no row
+#: moves, which takes at most about ten from its start.
+_NEWTON_STEPS = 50
 
 
 @dataclass
@@ -101,26 +107,74 @@ def build_candidate(problem: DesignProblem, theta, beta) -> Morphology:
     return Morphology(arms=arms, rotor=problem.rotor, tilt=TiltParams(), body=body)
 
 
-# Elements of one (candidate, rotor, direction) temporary of the radii
-# kernel: candidates go through it in chunks this size keeps, 8 of the
-# 12-rotor vehicle at 320 directions. A whole 28-point poll stencil at once
-# raised the search's peak RSS by about 11%.
-_CHUNK_ELEMENTS = 32 * 1024
-
-
-def _pinv_chunks(ref: Morphology, x: np.ndarray, n_dirs: int):
-    """(rows, a_inv) over chunks of the angle sets x (B, 2 n_arms) = [theta, beta].
-
-    a_inv stacks the static pseudoinverse of each angle set's vehicle: ref's
-    arms (layout, lengths, spins and rotors) turned to that set's angles.
-    """
+def _stacked_pinv(ref: Morphology, x: np.ndarray) -> np.ndarray:
+    """Static pseudoinverses (B, 2 n_r, 6) of the angle sets x (B, 2 n_arms) = [theta, beta]:
+    ref's arms (layout, lengths, spins and rotors) turned to each set's angles."""
     n = ref.n_arms
-    size = max(1, _CHUNK_ELEMENTS // (ref.n_rotors * n_dirs))
-    gammas = layout_azimuths(n)
-    for lo in range(0, len(x), size):
-        rows = slice(lo, lo + size)
-        frames = arm_frames(gammas + x[rows, :n], x[rows, n:])
-        yield rows, np.linalg.pinv(static_allocation(ref, frames))
+    frames = arm_frames(layout_azimuths(n) + x[:, :n], x[:, n:])
+    return np.linalg.pinv(static_allocation(ref, frames))
+
+
+def _least_radius(a_inv: np.ndarray, w_max2: float, hover=None) -> np.ndarray:
+    """Exact least radius of the pseudoinverse-fed envelope of each stacked a_inv.
+
+    Without ``hover`` it is the force envelope's minimum; with a hover force
+    it is the torque envelope's minimum about it. Both are the infimum over
+    all unit directions of the ``radii_from_pinv`` values, which a direction
+    set only overstates. Per rotor, with Q its 2x3 block of a_inv (force or
+    torque columns) and a its share of the hover allocation, that infimum is
+    the largest lambda for which the ellipse a + lambda Q (unit ball) stays in
+    the disc |.| <= W = w_max2; the vehicle's value is the least over rotors,
+    0 where a hover share alone leaves the disc and inf where no Q acts.
+
+    In the eigenbasis of G = Q Q^T (g1 >= g2 = r g1), the ellipse's farthest
+    point from the origin is p_i = a_i / (1 - mu g_i) with mu in [0, 1/g1),
+    and lambda^2 = sum_i (p_i - a_i)^2 / g_i at the mu where |p| = W. In
+    t = 1 - mu g1, 1/|p| is concave and increasing (the trust-region secular
+    equation: More & Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983), so
+    Newton on 1/|p| - 1/W from t0 = |a_1| / sqrt(W^2 - a_2^2) <= t* climbs
+    monotonically to the root. Where a_1 = 0 and |p| < W even at the pole,
+    t stays 0 (the hard case) and p_1 takes the rest of the disc,
+    p_1^2 = W^2 - p_2^2. A row's steps depend on that row alone.
+    """
+    q = a_inv[..., 3:] if hover is not None else a_inv[..., :3]
+    a = (np.zeros(a_inv.shape[:-1]) if hover is None
+         else (a_inv[..., :3] * np.asarray(hover, dtype=float)).sum(-1))
+    q1, q2 = q[..., 0::2, :], q[..., 1::2, :]
+    g11, g22, g12 = (q1 * q1).sum(-1), (q2 * q2).sum(-1), (q1 * q2).sum(-1)
+    half = 0.5 * (g11 - g22)
+    h = np.sqrt(half * half + g12 * g12)
+    g1 = 0.5 * (g11 + g22) + h
+    g1_safe = np.where(g1 > 0.0, g1, 1.0)
+    # det G = |q1 x q2|^2 keeps r accurate for a near rank-1 block.
+    r = np.where(h > 0.0, np.minimum((np.cross(q1, q2)**2).sum(-1) / g1_safe**2, 1.0), 1.0)
+    # g1's eigenvector, or a itself where G is round and any basis serves
+    ax, ay = a[..., 0::2], a[..., 1::2]
+    round_ = r >= 1.0
+    vx = np.where(round_, ax, np.where(half >= 0.0, half + h, g12))
+    vy = np.where(round_, ay, np.where(half >= 0.0, g12, h - half))
+    vn = np.hypot(vx, vy)
+    vn = np.where(vn > 0.0, vn, 1.0)
+    a1, a2 = np.abs(ax * vx + ay * vy) / vn, (ax * vy - ay * vx) / vn
+    w2 = w_max2 * w_max2
+    room = np.maximum(np.sqrt(np.maximum(w2 - a2 * a2, 0.0)), a1)
+    t = a1 / np.where(room > 0.0, room, 1.0)
+    for _ in range(_NEWTON_STEPS):
+        t_safe, d = np.where(t > 0.0, t, 1.0), (1.0 - r) + r * t
+        p1, p2 = a1 / t_safe, a2 / np.where(d > 0.0, d, 1.0)
+        n2 = p1 * p1 + p2 * p2
+        slope = p1 * p1 / t_safe + r * p2 * p2 / np.where(d > 0.0, d, 1.0)
+        step = np.where(slope > 0.0, n2 * (np.sqrt(n2) / w_max2 - 1.0), 0.0)
+        t_new = np.clip(t + step / np.where(slope > 0.0, slope, 1.0), t, 1.0)
+        if np.array_equal(t_new, t):
+            break
+        t = t_new
+    t_safe, d = np.where(t > 0.0, t, 1.0), (1.0 - r) + r * t
+    p2 = a2 / np.where(d > 0.0, d, 1.0)
+    y1 = np.where(t > 0.0, a1 * (1.0 - t) / t_safe, np.sqrt(np.maximum(w2 - p2 * p2, 0.0)))
+    lam = np.where(g1 > 0.0, np.sqrt((y1 * y1 + r * (p2 * (1.0 - t))**2) / g1_safe), np.inf)
+    hover_alone_fails = np.any(ax * ax + ay * ay > w2, axis=-1)
+    return np.where(hover_alone_fails, 0.0, lam.min(axis=-1))
 
 
 class _CostEvaluator:
@@ -132,7 +186,6 @@ class _CostEvaluator:
 
     def __init__(self, problem: DesignProblem):
         self.problem = problem
-        self.dirs, _, _ = sample_directions(problem.n_dirs_search)
         self.ref = build_candidate(problem, np.zeros(problem.n_arms), np.zeros(problem.n_arms))
         self.mg = self.ref.body.mass * GRAVITY
         # The published torque envelopes run about twice this model's
@@ -153,16 +206,13 @@ class _CostEvaluator:
         return [self.cache[key] for key in keys]
 
     def _score(self, x: np.ndarray) -> list[float]:
-        f_min = np.empty(len(x))
-        other = np.empty(len(x))       # cost 1: f along +z; cost 2: min torque
         rotor = self.problem.rotor
-        for rows, a_inv in _pinv_chunks(self.ref, x, len(self.dirs)):
-            f_min[rows] = radii_from_pinv(a_inv, self.dirs, rotor).min(axis=-1)
-            if self.problem.cost == 1:
-                other[rows] = radii_from_pinv(a_inv, UP[None, :], rotor)[:, 0]
-            else:
-                other[rows] = radii_from_pinv(a_inv, self.dirs, rotor, "torque",
-                                              self.mg * UP).min(axis=-1)
+        a_inv = _stacked_pinv(self.ref, x)
+        f_min = _least_radius(a_inv, rotor.omega_max**2)
+        if self.problem.cost == 1:      # other: f along +z (cost 1) or the least torque (cost 2)
+            other = radii_from_pinv(a_inv, UP[None, :], rotor)[:, 0]
+        else:
+            other = _least_radius(a_inv, rotor.omega_max**2, self.mg * UP)
         values = []
         for f, o in zip(f_min.tolist(), other.tolist()):
             value = -o if self.problem.cost == 1 else -min(f / self.mg, o / self.t_ref)
@@ -214,9 +264,9 @@ def optimize(problem: DesignProblem) -> DesignResult:
     for _ in range(problem.n_random_starts):
         starts.append(rng.uniform(-0.6, 0.6, size=2 * n))
 
-    # Equal-metric solution families (e.g. rotated octahedra for cost 2) tie
-    # up to direction-sampling noise; a 1% window keeps the earliest -- i.e.
-    # canonical theta = 0 -- representative unless a start is genuinely better.
+    # Equal-metric solution families (e.g. rotated octahedra for cost 2) tie up
+    # to where each start's pattern search stops; a 1% window keeps the earliest
+    # -- i.e. canonical theta = 0 -- representative unless a start is genuinely better.
     best_x, best_f = None, np.inf
     for x0 in starts:
         x, f = _pattern_search(evaluator, x0, ANGLE_BOUND,
@@ -241,16 +291,11 @@ def optimize(problem: DesignProblem) -> DesignResult:
     )
 
 
-def beta_sweep(problem: DesignProblem, betas,
-               n_dirs: int = 1280) -> tuple[np.ndarray, np.ndarray]:
-    """f_min of the alternating-beta family over a grid of beta magnitudes."""
+def beta_sweep(problem: DesignProblem, betas) -> tuple[np.ndarray, np.ndarray]:
+    """Exact f_min of the alternating-beta family over a grid of beta magnitudes."""
     betas = np.asarray(betas, dtype=float)
     n = problem.n_arms
     x = np.zeros((betas.size, 2 * n))
     x[:, n:] = betas[:, None] * (-1.0) ** np.arange(n)
-    dirs, _, _ = sample_directions(n_dirs)
     ref = build_candidate(problem, np.zeros(n), np.zeros(n))
-    values = np.empty(betas.size)
-    for rows, a_inv in _pinv_chunks(ref, x, len(dirs)):
-        values[rows] = radii_from_pinv(a_inv, dirs, problem.rotor).min(axis=-1)
-    return betas, values
+    return betas, _least_radius(_stacked_pinv(ref, x), problem.rotor.omega_max**2)

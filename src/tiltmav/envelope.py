@@ -327,14 +327,27 @@ def _solve(cm, k, kappa, c, d=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         keep = s > 1e-10 * s[:, :1]
         x = np.einsum("rji,rj->ri", vt, np.where(keep, 1.0 / np.maximum(s, 1e-300), 0.0)
                       * np.einsum("rji,rj->ri", u, rhs))
-        res = np.linalg.norm(np.einsum("rij,rj->ri", block, x) - rhs, axis=-1)
-        s = x[:, :-1].reshape(len(y), n, 2)
-        size = np.where(full, 1.0, kink * np.where(kappa > 0.0, np.abs(s[..., 0]),
-                                                   np.linalg.norm(s, axis=-1)))
         dual = np.maximum(t - kappa, 0.0).sum(-1) - (cr * y).sum(-1)
-        value = x[:, -1] if radial else -(size @ k)
-        ok = ((dual - value <= _GAP * np.maximum(np.abs(value), 1e-6 * arm.sum()))
-              & (res <= _RESIDUAL * arm.sum()) & (size.max(-1) <= 1.0 + 1e-9))
+
+        def check(x):
+            res = np.linalg.norm(np.einsum("rij,rj->ri", block, x) - rhs, axis=-1)
+            s = x[:, :-1].reshape(len(y), n, 2)
+            size = np.where(full, 1.0, kink * np.where(kappa > 0.0, np.abs(s[..., 0]),
+                                                       np.linalg.norm(s, axis=-1)))
+            value = x[:, -1] if radial else -(size @ k)
+            return ((dual - value <= _GAP * np.maximum(np.abs(value), 1e-6 * arm.sum()))
+                    & (res <= _RESIDUAL * arm.sum()) & (size.max(-1) <= 1.0 + 1e-9)), size
+
+        ok, size = check(x)
+        # A kink arm's least-thrust slot scales u_a = s_a vh_a, and the thrust
+        # sum_a k_a s_a = rhs.y is the same over the whole affine set of slots, so
+        # where the least-norm slots leave [0, 1] a box point of that set certifies alike.
+        outside = ~ok & (kink & ((x[:, :-1:2] < 0.0) | (x[:, :-1:2] > 1.0))).any(-1)
+        if not radial and outside.any():
+            for i in np.flatnonzero(outside):
+                arms = np.flatnonzero(kink[i])
+                x[i, 2 * arms] = _box_lsq(cvh[i][:, arms], rhs[i])
+            ok, size = check(x)
         return ok, x, size, dual, keep.sum(-1)
 
     def certify(rows, y, eps):
@@ -392,6 +405,39 @@ def _solve(cm, k, kappa, c, d=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         cols = np.repeat(free, 2)
         thrust[row] = k[~free].sum() + _min_thrusts(cm[:, cols], k[free], wrench[None])[0]
     return lam, y, thrust
+
+
+def _box_lsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x in [0, 1]^n least squares for a x = b, a (m, n) with few columns.
+
+    The bounded-variable active-set method (Stark & Parker, Comput. Stat.
+    10(2), 1995): free the bound variable whose gradient points furthest into
+    the box, solve the free variables' least-norm problem, and step back to
+    the first bound that solution crosses.
+    """
+    n = a.shape[1]
+    x, free = np.zeros(n), np.zeros(n, bool)
+    tol = 1e-13 * np.linalg.norm(a) * max(np.linalg.norm(b), 1e-300)
+    for _ in range(3 * n + 3):
+        g = a.T @ (b - a @ x)                   # descent direction of ||a x - b||^2 / 2
+        wants = ~free & np.where(x <= 0.0, g > tol, g < -tol)
+        if not wants.any():
+            break
+        free[np.argmax(np.where(wants, np.abs(g), -1.0))] = True
+        while free.any():
+            z = x.copy()
+            z[free] = np.linalg.lstsq(a[:, free], b - a[:, ~free] @ x[~free], rcond=None)[0]
+            over = free & ((z <= 0.0) | (z >= 1.0))
+            if not over.any():
+                x = z
+                break
+            bound = np.where(z <= 0.0, 0.0, 1.0)
+            frac = np.where(over, (bound - x) / np.where(over, z - x, 1.0), np.inf)
+            j = np.argmin(frac)                  # the first bound the segment x -> z meets
+            x = np.clip(x + np.clip(frac[j], 0.0, 1.0) * (z - x), 0.0, 1.0)
+            x[j] = bound[j]
+            free &= (x > 0.0) & (x < 1.0)
+    return x
 
 
 def _min_thrusts(cm, k, wrenches) -> np.ndarray:

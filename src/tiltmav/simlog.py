@@ -89,20 +89,28 @@ class SimLog:
         return arr[:, idx]
 
     def to_csv(self, path) -> None:
+        """Write the log; a diverged run's header line ends with its time and cause."""
+        header = f"# simlog schema v{SCHEMA_VERSION} diverged={int(self.diverged)}"
+        if self.diverged:
+            t, cause = self.divergence
+            header += f" t={float(t)!r} cause={cause}"
         line = ",".join(["{:.17g}"] * len(self.columns)) + "\n"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# simlog schema v{SCHEMA_VERSION} diverged={int(self.diverged)}\n")
+            fh.write(header + "\n")
             fh.write(",".join(self.columns) + "\n")
             fh.writelines(line.format(*row) for row in self._rows)
 
     @staticmethod
-    def read_csv(path) -> tuple[list[str], np.ndarray, bool]:
+    def read_csv(path) -> tuple[list[str], np.ndarray, tuple[float, str] | None]:
+        """(columns, data, divergence): divergence is the header's (t, cause), or
+        None for a run that did not diverge."""
         with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            diverged = header.endswith("diverged=1")
+            head, _, cause = fh.readline().rstrip("\n").partition(" cause=")
+            fields = dict(token.split("=", 1) for token in head.split() if "=" in token)
             columns = fh.readline().strip().split(",")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        return columns, data, diverged
+        diverged = fields.get("diverged") == "1"
+        return columns, data, (float(fields.get("t", "nan")), cause) if diverged else None
 
 
 @dataclass

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from tiltmav.allocation import condition_number, instantaneous_allocation, static_allocation
-from tiltmav.design import UP, build_candidate
+from tiltmav.design import UP, _least_radius, build_candidate
 from tiltmav.diff_allocation import AllocationConfig, BiasConfig, optimal_targets
 from tiltmav.envelope import arm_wrench_blocks
 from tiltmav.riccati import CareError, _validate
@@ -299,16 +299,19 @@ def pinv_radii_loop(m, dirs, mode="force", hover_force=None) -> np.ndarray:
     return lam.min(axis=0)
 
 
-def design_objective_loop(problem, x, dirs, mg) -> float:
+def design_objective_loop(problem, x, mg) -> float:
     """The design search's penalized objective of one angle set x = [theta, beta]:
-    its own ``build_candidate`` vehicle and mass model, and a pseudoinverse per radius."""
+    its own ``build_candidate`` vehicle and mass model, and its own pseudoinverse
+    through the search's exact least-radius kernel."""
     n = problem.n_arms
     m = build_candidate(problem, x[:n], x[n:])
-    f_min = float(pinv_radii_loop(m, dirs).min())
+    a_inv = np.linalg.pinv(static_allocation(m))[None]
+    w_max2 = m.rotor.omega_max**2
+    f_min = float(_least_radius(a_inv, w_max2)[0])
     if problem.cost == 1:
         value = -float(pinv_radii_loop(m, UP)[0])
     else:
-        t_min = float(pinv_radii_loop(m, dirs, "torque", mg * UP).min())
+        t_min = float(_least_radius(a_inv, w_max2, mg * UP)[0])
         value = -min(f_min / mg, t_min / (0.5 * mg * problem.arm_length))
     return value + 1e3 * max(0.0, (mg - f_min) / mg) ** 2
 

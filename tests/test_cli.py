@@ -104,8 +104,9 @@ def test_divergence_exit_code(tmp_path, hover_file, capsys):
                  "--out", str(tmp_path / "div")])
     assert code == 3
     lines = (tmp_path / "div" / "simlog.csv").read_text().splitlines()
-    assert lines[0] == "# simlog schema v1 diverged=1"
     t_last = float(lines[-1].split(",")[0])
+    assert lines[0].startswith("# simlog schema v1 diverged=1 t=")
+    assert lines[0].endswith(" cause=position error exceeded the divergence limit")
     err = capsys.readouterr().err
     assert f"diverged at t={t_last:.3f} s" in err
     assert "position error exceeded the divergence limit" in err

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from tiltmav import design
-from tiltmav.design import (ANGLE_BOUND, DesignProblem, _CostEvaluator, _pattern_search,
-                            beta_sweep, build_candidate)
-from tiltmav.envelope import sample_directions
+from tiltmav.design import (ANGLE_BOUND, UP, DesignProblem, _CostEvaluator, _least_radius,
+                            _pattern_search, _stacked_pinv, beta_sweep, build_candidate, optimize)
+from tiltmav.envelope import radii_from_pinv, sample_directions
+from tiltmav.vehicle import RotorParams
 
 from oracles import compare, design_objective_loop, pinv_radii_loop
 
@@ -59,7 +60,7 @@ def test_batched_objective_matches_per_candidate_oracle(cost):
         for row, value in zip(x, values):
             # The first point scored under a rounded key gives its value.
             scored = first.setdefault(tuple(np.round(row, 9)), row)
-            expected = design_objective_loop(problem, scored, evaluator.dirs, evaluator.mg)
+            expected = design_objective_loop(problem, scored, evaluator.mg)
             assert np.float64(value).tobytes() == np.float64(expected).tobytes()
         checked += size
     assert checked >= 300
@@ -98,6 +99,21 @@ def test_search_factors_each_candidate_once_and_weighs_two_vehicles(monkeypatch,
     assert sum(factored) == scored + 2
 
 
+def _covering_angle(n_dirs):
+    """The largest angle from a point of the sphere to its nearest direction of
+    ``sample_directions(n_dirs)``. Each face's spherical triangle holds its own
+    centroid direction, and the distance from it peaks at a vertex."""
+    dirs, verts, faces = sample_directions(n_dirs)
+    cos = np.einsum("fj,fkj->fk", dirs, verts[faces])
+    return float(np.arccos(np.clip(cos, -1.0, 1.0)).max())
+
+
+def _random_angle_sets(rng, count):
+    x = np.clip(rng.uniform(-1.2, 1.2, (count, 12)), -ANGLE_BOUND, ANGLE_BOUND)
+    x[count // 2:] *= 0.4                       # around the optimum as well
+    return x
+
+
 def test_beta_sweep_matches_per_candidate_oracle():
     problem = DesignProblem()
     betas = np.linspace(0.0, 1.2, 13)
@@ -105,15 +121,126 @@ def test_beta_sweep_matches_per_candidate_oracle():
     _, values = beta_sweep(problem, betas)
     pattern = (-1.0) ** np.arange(6)
     for b, value in zip(betas, values):
-        m = build_candidate(problem, np.zeros(6), b * pattern)
-        assert value.tobytes() == pinv_radii_loop(m, dirs).min().tobytes()
+        sampled = pinv_radii_loop(build_candidate(problem, np.zeros(6), b * pattern), dirs).min()
+        assert value <= sampled <= value / np.cos(_covering_angle(1280))
 
 
 def test_beta_sweep_argmax_near_octahedral_angle():
     p = DesignProblem()
-    grid, vals = beta_sweep(p, np.arange(0.45, 0.80, 0.01), n_dirs=320)
+    grid, vals = beta_sweep(p, np.arange(0.45, 0.80, 0.01))
     best = grid[int(np.argmax(vals))]
     assert abs(best - 0.6154) < 0.02
+
+
+@pytest.mark.parametrize("n_dirs", [320, 1280])
+def test_least_force_radius_brackets_the_sampled_minimum(n_dirs):
+    # A direction within delta of the worst one reads at least cos(delta) of its |P_r d|.
+    problem = DesignProblem()
+    x = _random_angle_sets(np.random.default_rng(3), 60)
+    a_inv = _stacked_pinv(_CostEvaluator(problem).ref, x)
+    dirs, _, _ = sample_directions(n_dirs)
+    exact = _least_radius(a_inv, problem.rotor.omega_max**2)
+    sampled = radii_from_pinv(a_inv, dirs, problem.rotor).min(axis=-1)
+    assert np.all(exact <= sampled)
+    assert np.all(sampled <= exact / np.cos(_covering_angle(n_dirs)))
+    assert sampled.max() > exact.max()
+
+
+def test_least_torque_radius_never_exceeds_the_sampled_minimum():
+    problem = DesignProblem(cost=2)
+    evaluator = _CostEvaluator(problem)
+    hover = evaluator.mg * UP
+    a_inv = _stacked_pinv(evaluator.ref, _random_angle_sets(np.random.default_rng(4), 16))
+    exact = _least_radius(a_inv, problem.rotor.omega_max**2, hover)
+    dirs, _, _ = sample_directions(20480)
+    sampled = np.array([radii_from_pinv(a, dirs, problem.rotor, "torque", hover).min()
+                        for a in a_inv])
+    assert np.count_nonzero(exact) >= 8 and np.array_equal(exact == 0.0, sampled == 0.0)
+    assert np.all(exact <= sampled * (1.0 + 1e-9))
+    assert np.all(sampled <= exact * (1.0 + 1e-3))
+
+
+def _one_rotor(q, a):
+    """A one-rotor a_inv (2, 6) with torque block q and hover share a for the hover +z."""
+    a_inv = np.zeros((2, 6))
+    a_inv[:, 2], a_inv[:, 3:] = a, q
+    return a_inv
+
+
+def test_least_radius_without_hover_is_w_over_sigma_max():
+    rng = np.random.default_rng(5)
+    a_inv = rng.normal(size=(7, 8, 6))
+    a_inv[0, 2:4] = 0.3 * a_inv[0, 0:2]            # a rank-1 force block
+    a_inv[1, 1] = 0.5 * a_inv[1, 0]
+    w = 4.0
+    for cols, hover in ((slice(0, 3), None), (slice(3, 6), np.zeros(3))):
+        blocks = a_inv[:, :, cols].reshape(7, 4, 2, 3)
+        sigma = np.linalg.svd(blocks, compute_uv=False)[..., 0].max(axis=-1)
+        np.testing.assert_allclose(_least_radius(a_inv, w, hover), w / sigma, rtol=1e-13)
+
+
+def test_least_radius_edge_cases_match_a_dense_scan():
+    # Torque directions spanning the row space of each block, 0.0018 deg apart.
+    phi = np.linspace(0.0, 2.0 * np.pi, 200_001)
+    circle = np.stack([np.cos(phi), np.sin(phi), 0.0 * phi], axis=1)
+    rotor = RotorParams()
+    w = rotor.omega_max**2
+    diag = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    rank1 = np.array([[1.0, 0.5, 0.0], [-2.0, -1.0, 0.0]])
+    cases = [
+        (diag, [0.0, 0.3 * w]),                    # the hard case: a on the minor axis
+        (diag, [1e-12 * w, 0.3 * w]),              # next to it
+        (diag, [0.0, 0.9 * w]),                    # on the minor axis, tangency off the pole
+        (diag, [0.6 * w, 0.0]),                    # on the major axis
+        (diag, [0.2 * w, -0.5 * w]),
+        (rank1, [0.1 * w, 0.4 * w]),               # a rank-1 block
+        (rank1, [-0.2 * w, 0.1 * w]),              # ... with a along its segment's normal
+        (np.eye(2, 3), [0.3 * w, 0.4 * w]),        # a round block
+        (np.eye(2, 3), [0.0, 0.0]),
+    ]
+    for q, a in cases:
+        a_inv = _one_rotor(q, a)
+        exact = _least_radius(a_inv[None], w, UP)[0]
+        scan = radii_from_pinv(a_inv, circle, rotor, "torque", UP).min()
+        assert 0.0 < exact <= scan * (1.0 + 1e-12)
+        assert scan <= exact * (1.0 + 1e-9)
+    # a rank-1 block's segment: |a_par| + lambda |q| reaches sqrt(W^2 - a_perp^2)
+    a = np.array([0.1, 0.4]) * w
+    u = rank1[0] / np.linalg.norm(rank1[0])
+    along = rank1 @ u                                # the segment's axis times |q|
+    a_par = abs(a @ along) / np.linalg.norm(along)
+    a_perp2 = a @ a - a_par**2
+    expected = (np.sqrt(w * w - a_perp2) - a_par) / np.linalg.norm(along)
+    np.testing.assert_allclose(_least_radius(_one_rotor(rank1, a)[None], w, UP)[0], expected,
+                               rtol=1e-12)
+
+
+def test_least_radius_saturated_hover_and_idle_blocks():
+    w = 2.0
+    saturated = _one_rotor(np.eye(2, 3), [1.5, 1.5])            # |a| > W: hover alone fails
+    minor = _one_rotor(np.diag([2.0, 1.0, 0.0])[:2], [0.0, 2.5])  # ... on the minor axis
+    idle = _one_rotor(np.zeros((2, 3)), [0.5, 0.0])             # no torque reaches the rotor
+    both = np.concatenate([saturated, _one_rotor(np.eye(2, 3), [0.1, 0.0])])
+    values = _least_radius(np.stack([saturated, minor, idle, both[2:], both[:2]]), w, UP)
+    assert values[0] == 0.0 and values[1] == 0.0 and values[2] == np.inf and values[4] == 0.0
+    np.testing.assert_allclose(values[3], 1.9, rtol=1e-14)
+    # Hover shares a rounding error outside the disc, in random directions and blocks.
+    rng = np.random.default_rng(6)
+    angle = rng.uniform(0.0, 2.0 * np.pi, 4000)
+    edge = np.zeros((4000, 2, 6))
+    edge[:, :, 2] = w * (1.0 + 2e-16) * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    edge[:, :, 3:] = rng.normal(size=(4000, 2, 3))
+    outside = (edge[:, :, 2]**2).sum(-1) > w * w
+    assert outside.sum() > 1000 and np.all(_least_radius(edge, w, UP)[outside] == 0.0)
+    assert _least_radius(both[None], w, UP)[0] == 0.0
+
+
+def test_search_outcome_does_not_depend_on_the_hover_sphere_size():
+    results = [optimize(DesignProblem(cost=2, n_dirs_search=n, n_dirs_final=320))
+               for n in (320, 1280)]
+    for field in ("theta", "beta"):
+        assert getattr(results[0], field).tobytes() == getattr(results[1], field).tobytes()
+    assert results[0].objective == results[1].objective
 
 
 def test_compare_reference_row_and_ratios():

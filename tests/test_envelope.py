@@ -326,6 +326,21 @@ def test_max_wrench_and_min_thrust_agree():
     assert abs(min_total_thrust(m, [0.0, 0.0, f_z, 0.0, 0.0, 0.0]) - f_z) < 1e-6
 
 
+def test_min_thrust_certifies_a_box_point_of_a_rank_deficient_kink_block():
+    # Half the hover force plus a torque near the edge of the torque envelope:
+    # four arms sit on their kinks with a rank-3 block, and the least-norm
+    # slots of that block leave [0, 1] although a box point of the same
+    # affine set attains the same thrust.
+    m = prototype_morphology()
+    hover = np.array([0.0, 0.0, 0.5 * m.body.mass * GRAVITY])
+    d = np.array([-0.75, 0.65, 0.0]) / np.hypot(0.75, 0.65)
+    lam = max_wrench_in_direction(m, d, mode="torque", hover_force=hover)
+    wrenches = np.array([np.r_[hover, f * lam * d] for f in (0.95, 0.99, 0.999)])
+    totals = np.array([min_total_thrust(m, w) for w in wrenches])
+    lower, upper = _thrust_bracket(m, wrenches, 128)
+    assert np.all(lower <= totals) and np.all(totals <= upper)
+
+
 def test_hover_sphere_flat_hex():
     m = hexarotor(body=prototype_morphology().body)
     sphere = hover_sphere(m, n_dirs=320)

@@ -67,6 +67,22 @@ def test_csv_roundtrip(tmp_path):
     assert np.allclose(data, log.array())
 
 
+def test_diverged_csv_header_names_time_and_cause(tmp_path):
+    log = _fake_log([np.array([0.1, -0.2, 0.3])] * 3)
+    log.divergence = (0.20600000000000002, "plant state turned non-finite")
+    path = tmp_path / "log.csv"
+    log.to_csv(path)
+    assert path.read_text().splitlines()[0] == (
+        "# simlog schema v1 diverged=1 t=0.20600000000000002 cause=plant state turned non-finite")
+    cols, data, divergence = SimLog.read_csv(path)
+    assert divergence == log.divergence
+    assert cols == log.columns and np.allclose(data, log.array())
+    log.divergence = None
+    log.to_csv(path)
+    assert path.read_text().splitlines()[0] == "# simlog schema v1 diverged=0"
+    assert SimLog.read_csv(path)[2] is None
+
+
 def test_quaternion_conversion_roundtrip():
     rng = np.random.default_rng(52)
     for _ in range(100):
