@@ -22,7 +22,9 @@ in torque mode), lambda* = max{lambda : b + lambda d in S}, has a sum of
 Euclidean norms as its dual: lambda* = min over d.y = 1 of
 sum_a |C_a^T y| - b.y. The least thrust for a wrench w, the least
 sum_a c_f R_a |u_a| with sum_a C_a u_a = w and |u_a| <= 1, is the largest
-w.y - sum_a max(0, |C_a^T y| - c_f R_a); w is reachable when the radial value
+w.y - sum_a max(0, |C_a^T y| - c_f R_a). w lies inside S when its least-norm
+allocation u = pinv(C) w reproduces it with every |u_a| < 1 - 2e-9, as
+w / max|u_a| is then reachable; any other w is reachable when the radial value
 along its own 6-D direction is at least |w|. Each direction or wrench follows
 its own damped Newton path on the smoothed dual (Andersen, Christiansen,
 Conn & Overton, SIAM J. Sci. Comput. 22(1), 2000; Boyd & Vandenberghe,
@@ -79,24 +81,18 @@ def icosphere(subdivisions: int = 3) -> tuple[np.ndarray, np.ndarray]:
         [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
     ])
     for _ in range(subdivisions):
-        edge_mid: dict[tuple[int, int], int] = {}
-        verts_list = [v for v in verts]
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in edge_mid:
-                m = verts_list[i] + verts_list[j]
-                m /= np.linalg.norm(m)
-                edge_mid[key] = len(verts_list)
-                verts_list.append(m)
-            return edge_mid[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        verts = np.array(verts_list)
-        faces = np.array(new_faces)
+        # Each face (a, b, c) splits at its edge midpoints ab, bc, ca; a new vertex
+        # per unique edge, numbered in order of the edge's first appearance.
+        edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, first, which = np.unique(edges @ [len(verts), 1], return_index=True,
+                                    return_inverse=True)
+        order = np.argsort(first)
+        number = len(verts) + np.argsort(order)
+        mids = verts[edges[first[order]]].sum(axis=1)
+        mids /= np.sqrt(mids[:, None] @ mids[..., None])[:, 0]   # np.linalg.norm's bits
+        (a, b, c), (ab, bc, ca) = faces.T, number[which].reshape(-1, 3).T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], 1).reshape(-1, 3)
+        verts = np.concatenate([verts, mids])
     return verts, faces
 
 
@@ -330,24 +326,24 @@ def _solve(cm, k, kappa, c, d=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         dual = np.maximum(t - kappa, 0.0).sum(-1) - (cr * y).sum(-1)
 
         def check(x):
-            res = np.linalg.norm(np.einsum("rij,rj->ri", block, x) - rhs, axis=-1)
+            fits = (np.linalg.norm(np.einsum("rij,rj->ri", block, x) - rhs, axis=-1)
+                    <= _RESIDUAL * arm.sum())
             s = x[:, :-1].reshape(len(y), n, 2)
             size = np.where(full, 1.0, kink * np.where(kappa > 0.0, np.abs(s[..., 0]),
                                                        np.linalg.norm(s, axis=-1)))
             value = x[:, -1] if radial else -(size @ k)
             return ((dual - value <= _GAP * np.maximum(np.abs(value), 1e-6 * arm.sum()))
-                    & (res <= _RESIDUAL * arm.sum()) & (size.max(-1) <= 1.0 + 1e-9)), size
+                    & fits & (size.max(-1) <= 1.0 + 1e-9)), size, fits
 
-        ok, size = check(x)
-        # A kink arm's least-thrust slot scales u_a = s_a vh_a, and the thrust
-        # sum_a k_a s_a = rhs.y is the same over the whole affine set of slots, so
-        # where the least-norm slots leave [0, 1] a box point of that set certifies alike.
-        outside = ~ok & (kink & ((x[:, :-1:2] < 0.0) | (x[:, :-1:2] > 1.0))).any(-1)
+        ok, size, fits = check(x)
+        # A kink arm's least-thrust slot scales u_a = s_a vh_a, and the thrust sum_a k_a s_a
+        # = rhs.y holds over the whole affine set of slots, so where the least-norm slots fit
+        # but leave [0, 1] a box point certifies alike (none fits better than least squares).
+        outside = ~ok & fits & (kink & ((x[:, :-1:2] < 0.0) | (x[:, :-1:2] > 1.0))).any(-1)
         if not radial and outside.any():
-            for i in np.flatnonzero(outside):
-                arms = np.flatnonzero(kink[i])
-                x[i, 2 * arms] = _box_lsq(cvh[i][:, arms], rhs[i])
-            ok, size = check(x)
+            i = np.flatnonzero(outside)
+            x[i, :-1:2] = np.where(kink[i], _box_lsq(cvh[i] * kink[i, None], rhs[i]), x[i, :-1:2])
+            ok, size, _ = check(x)
         return ok, x, size, dual, keep.sum(-1)
 
     def certify(rows, y, eps):
@@ -401,59 +397,72 @@ def _solve(cm, k, kappa, c, d=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         rows = rows[~done]
     if rows.size:
         raise RuntimeError(f"{rows.size} disc-set queries not certified within {_MAX_STEPS} steps")
-    for row, free, wrench in loose:
-        cols = np.repeat(free, 2)
-        thrust[row] = k[~free].sum() + _min_thrusts(cm[:, cols], k[free], wrench[None])[0]
+    if loose:                           # one least-thrust call per free-arm pattern
+        at, free, wrench = map(np.array, zip(*loose))
+        for arms in np.unique(free, axis=0):
+            same, cols = (free == arms).all(-1), np.repeat(arms, 2)
+            thrust[at[same]] = k[~arms].sum() + _min_thrusts(cm[:, cols], k[arms], wrench[same])
     return lam, y, thrust
 
 
 def _box_lsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x in [0, 1]^n least squares for a x = b, a (m, n) with few columns.
+    """x in [0, 1]^n least squares for a x = b per row, a (R, m, n); a zero column stays 0.
 
-    The bounded-variable active-set method (Stark & Parker, Comput. Stat.
-    10(2), 1995): free the bound variable whose gradient points furthest into
-    the box, solve the free variables' least-norm problem, and step back to
-    the first bound that solution crosses.
+    The bounded-variable active-set method (Stark & Parker, Comput. Stat. 10(2), 1995) on
+    every row at once: free the bound variable whose gradient points furthest into the box,
+    solve the free variables' least-norm problem, and step back to the first bound it crosses.
     """
-    n = a.shape[1]
-    x, free = np.zeros(n), np.zeros(n, bool)
-    tol = 1e-13 * np.linalg.norm(a) * max(np.linalg.norm(b), 1e-300)
+    n = a.shape[2]
+    x, free = np.zeros((len(a), n)), np.zeros((len(a), n), bool)
+    tol = 1e-13 * np.linalg.norm(a, axis=(1, 2)) * np.maximum(np.linalg.norm(b, axis=1), 1e-300)
     for _ in range(3 * n + 3):
-        g = a.T @ (b - a @ x)                   # descent direction of ||a x - b||^2 / 2
-        wants = ~free & np.where(x <= 0.0, g > tol, g < -tol)
-        if not wants.any():
+        g = np.einsum("rij,ri->rj", a, b - np.einsum("rij,rj->ri", a, x))   # descent direction
+        wants = ~free & np.where(x <= 0.0, g > tol[:, None], g < -tol[:, None])
+        i = np.flatnonzero(wants.any(-1))      # a row with none is done: nothing moves it
+        if not i.size:
             break
-        free[np.argmax(np.where(wants, np.abs(g), -1.0))] = True
-        while free.any():
-            z = x.copy()
-            z[free] = np.linalg.lstsq(a[:, free], b - a[:, ~free] @ x[~free], rcond=None)[0]
-            over = free & ((z <= 0.0) | (z >= 1.0))
-            if not over.any():
-                x = z
-                break
-            bound = np.where(z <= 0.0, 0.0, 1.0)
-            frac = np.where(over, (bound - x) / np.where(over, z - x, 1.0), np.inf)
-            j = np.argmin(frac)                  # the first bound the segment x -> z meets
-            x = np.clip(x + np.clip(frac[j], 0.0, 1.0) * (z - x), 0.0, 1.0)
-            x[j] = bound[j]
-            free &= (x > 0.0) & (x < 1.0)
+        free[i, np.argmax(np.where(wants[i], np.abs(g[i]), -1.0), -1)] = True
+        while i.size:
+            f, xi = free[i], x[i]
+            u, s, vt = np.linalg.svd(a[i] * f[:, None], full_matrices=False)
+            p = np.einsum("rji,rj->ri", u, b[i] - np.einsum("rij,rj->ri", a[i] * ~f[:, None], xi))
+            z = np.where(f, np.einsum("rji,rj->ri", vt, np.where(s > 1e-15 * s[:, :1], p, 0.0)
+                                      / np.maximum(s, 1e-300)), xi)
+            over = f & ((z <= 0.0) | (z >= 1.0))
+            inside = ~over.any(-1)
+            x[i[inside]] = z[inside]
+            i, xi, z, over = i[~inside], xi[~inside], z[~inside], over[~inside]
+            bound, r = np.where(z <= 0.0, 0.0, 1.0), np.arange(len(i))
+            frac = np.where(over, (bound - xi) / np.where(over, z - xi, 1.0), np.inf)
+            j = np.argmin(frac, -1)              # the first bound the segment x -> z meets
+            xi = np.clip(xi + np.clip(frac[r, j], 0.0, 1.0)[:, None] * (z - xi), 0.0, 1.0)
+            xi[r, j] = bound[r, j]
+            x[i], free[i] = xi, free[i] & (xi > 0.0) & (xi < 1.0)
+            i = i[free[i].any(-1)]
     return x
 
 
 def _min_thrusts(cm, k, wrenches) -> np.ndarray:
     """Least summed rotor thrust per wrench row; inf where unreachable.
 
-    w is reachable when the radial value along its own 6-D direction is at
-    least |w|; within _EDGE of it, w is on the boundary, where the radial
-    solve's own least thrust answers.
+    A row is inner when its least-norm allocation u = pinv(cm) w reproduces w
+    with every |u_a| < 1 - 2 _EDGE: w / max|u_a| is then reachable, so |w| /
+    lambda* <= max|u_a|. Any other w is reachable when the radial value along
+    its own 6-D direction is at least |w|; within _EDGE of it, w is on the
+    boundary, where the radial solve's own least thrust answers.
     """
     norm = np.linalg.norm(wrenches, axis=1)
-    totals, rows = np.where(norm > 0.0, np.inf, 0.0), np.flatnonzero(norm > 0.0)
-    lam, _, thrust = _solve(cm, k, 0.0 * k, 0.0 * wrenches[rows], wrenches[rows] / norm[rows, None])
-    ratio = norm[rows] / np.maximum(lam, 1e-300)
-    edge = np.abs(ratio - 1.0) <= _EDGE
-    totals[rows[edge]] = thrust[edge] * ratio[edge]
-    inner = rows[ratio < 1.0 - _EDGE]
+    u = np.linalg.lstsq(cm, wrenches.T, rcond=None)[0].T
+    inner = ((norm > 0.0) & (np.linalg.norm(u @ cm.T - wrenches, axis=1) <= _RESIDUAL * norm)
+             & (np.linalg.norm(u.reshape(len(u), len(k), 2), axis=-1).max(-1) < 1.0 - 2.0 * _EDGE))
+    totals, rows = np.where(norm > 0.0, np.inf, 0.0), np.flatnonzero((norm > 0.0) & ~inner)
+    if rows.size:
+        lam, _, thrust = _solve(cm, k, 0.0 * k, 0.0 * wrenches[rows],
+                                wrenches[rows] / norm[rows, None])
+        ratio = norm[rows] / np.maximum(lam, 1e-300)
+        edge = np.abs(ratio - 1.0) <= _EDGE
+        totals[rows[edge]] = thrust[edge] * ratio[edge]
+        inner[rows[ratio < 1.0 - _EDGE]] = True
     totals[inner] = _solve(cm, k, k, wrenches[inner])[2]
     return totals
 
@@ -488,15 +497,11 @@ def max_wrench_in_direction(m: Morphology, direction, mode: str = "force",
     direction = np.asarray(direction, dtype=float)
     if abs(np.linalg.norm(direction) - 1.0) > 1e-8:
         raise ValueError("direction must be a unit vector")
-    values, _ = _optimal_radii(m, direction[None, :], mode, hover_force)
-    return float(values[0])
+    return float(_optimal_radii(m, direction[None, :], mode, hover_force)[0][0])
 
 
 def min_total_thrust(m: Morphology, wrench) -> float:
-    """Least summed rotor thrust that realizes the given body wrench.
-
-    Returns inf when the wrench is unreachable.
-    """
+    """Least summed rotor thrust that realizes the given body wrench; inf if unreachable."""
     wrench = np.asarray(wrench, dtype=float)
     return float(_min_thrusts(*_disc_maps(m), wrench[None, :])[0])
 
@@ -532,16 +537,13 @@ def envelope(m: Morphology, mode: str = "force", n_dirs: int = 1280, hover_force
     check_real("n_dirs", n_dirs, 100.0)
     dirs, verts, faces = sample_directions(n_dirs)
     if allocation == "pinv":
-        values, eta = pinv_radii(m, dirs, mode=mode, hover_force=hover_force,
-                                 return_eta=True)
+        values, eta = pinv_radii(m, dirs, mode=mode, hover_force=hover_force, return_eta=True)
     elif allocation == "optimal":
         values, eta = _optimal_radii(m, dirs, mode, hover_force)
     else:
         raise ValueError(f"unknown allocation {allocation!r}")
 
-    tri = verts[faces]  # (F, 3, 3)
-    tet_vol = np.abs(np.linalg.det(tri)) / 6.0
-    volume = float((values**3 * tet_vol).sum())
+    volume = float((values**3 * (np.abs(np.linalg.det(verts[faces])) / 6.0)).sum())
     return EnvelopeMetrics(mode=mode, min=float(values.min()), max=float(values.max()),
                            mean=float(values.mean()), volume=volume,
                            directions=dirs, values=values, eta=eta)
@@ -559,9 +561,7 @@ def hover_sphere(m: Morphology, n_dirs: int = 320) -> dict:
     """
     dirs, _, _ = sample_directions(n_dirs)
     mg = m.body.mass * GRAVITY
-    totals = _min_thrusts(*_disc_maps(m),
-                          np.concatenate([mg * dirs, np.zeros((len(dirs), 3))], axis=1))
+    totals = _min_thrusts(*_disc_maps(m), np.c_[mg * dirs, np.zeros_like(dirs)])
     feasible = np.isfinite(totals) & (totals > 0.0)
-    eta = np.zeros(len(dirs))
-    eta[feasible] = mg / totals[feasible]
+    eta = np.where(feasible, mg / np.where(feasible, totals, 1.0), 0.0)
     return {"directions": dirs, "feasible": feasible, "eta_f": np.minimum(eta, 1.0)}

@@ -8,7 +8,10 @@ the algebraic Riccati equation with the matrix sign function", Linear Algebra
 Appl. 85, 1987; Kenney & Laub, IEEE TAC 40(8), 1995), converges to
 W = sign(H). The stable invariant subspace [I; P] is the -1 eigenspace of W,
 so P solves the overdetermined [W12; W22 + I] P = -[W11 + I; W21] (Higham,
-*Functions of Matrices*, ch. 5). Plain numpy: no Schur form is needed.
+*Functions of Matrices*, ch. 5). Where that P misses the residual bound
+(ill-conditioned data), a few Kleinman-Newton steps refine it: each solves the
+Lyapunov equation (A - S P)' X + X (A - S P) = -Res(P) in Kronecker form and
+takes P + X (Kleinman, IEEE TAC 13(1), 1968). Plain numpy: no Schur form is needed.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import numpy as np
 # It stops once a step moves Z by at most _SIGN_TOL relative (1-norm).
 _MAX_ITER = 100
 _SIGN_TOL = 1e-13
+_RESIDUAL_TOL = 1e-8   # relative CARE residual a solution must reach
+_REFINE = 4            # Newton refinement steps for a P that misses it
 
 
 class CareError(RuntimeError):
@@ -41,10 +46,13 @@ def _validate(a, b, q, r):
     return a, b, q, r
 
 
+def _residual(a, b, q, r, p) -> np.ndarray:
+    return a.T @ p + p @ a - p @ b @ np.linalg.solve(r, b.T @ p) + q
+
+
 def care_residual(a, b, q, r, p) -> float:
     a, b, q, r = _validate(a, b, q, r)
-    res = a.T @ p + p @ a - p @ b @ np.linalg.solve(r, b.T @ p) + q
-    return float(np.linalg.norm(res) / max(np.linalg.norm(q), 1e-30))
+    return float(np.linalg.norm(_residual(a, b, q, r, p)) / max(np.linalg.norm(q), 1e-30))
 
 
 def solve_care(a, b, q, r) -> np.ndarray:
@@ -78,7 +86,19 @@ def solve_care(a, b, q, r) -> np.ndarray:
         raise CareError("non-finite CARE solution")
     p = 0.5 * (p + p.T)
     resid = care_residual(a, b, q, r, p)
-    if resid > 1e-8:
+    for _ in range(_REFINE):
+        if resid <= _RESIDUAL_TOL:
+            break
+        acl = a - s @ p
+        try:
+            x = np.linalg.solve(np.kron(eye, acl.T) + np.kron(acl.T, eye),
+                                -_residual(a, b, q, r, p).reshape(-1, order="F"))
+        except np.linalg.LinAlgError:
+            break
+        x = x.reshape(n, n, order="F")
+        p = p + 0.5 * (x + x.T)
+        resid = care_residual(a, b, q, r, p)
+    if resid > _RESIDUAL_TOL:
         raise CareError(f"CARE residual too large: {resid:.3e}")
     max_re = np.linalg.eigvals(a - s @ p).real.max()
     if max_re >= 0.0:

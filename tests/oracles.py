@@ -10,7 +10,8 @@ from scipy.optimize import linprog
 from tiltmav.allocation import condition_number, instantaneous_allocation, static_allocation
 from tiltmav.design import UP, _least_radius, build_candidate
 from tiltmav.diff_allocation import AllocationConfig, BiasConfig, optimal_targets
-from tiltmav.envelope import arm_wrench_blocks
+from tiltmav.envelope import (_CENTRE, _EDGE, _GAP, _MAX_STEPS, _POLISH, _RESIDUAL, _SHRINK, _gram,
+                              _smoothed, arm_wrench_blocks)
 from tiltmav.riccati import CareError, _validate
 from tiltmav.rigid_body import BodyConstants, RigidBodyState, com_torque, newton_euler, tilt_step
 from tiltmav.so3 import ORTHONORMALITY_TOL, exp_so3, rot_y, rot_z
@@ -604,3 +605,247 @@ def kleinman_newton(a, b, q, r, tol: float = 1e-12, max_iter: int = 100) -> np.n
             return p
         p_prev = p
     raise CareError("Kleinman-Newton did not converge")
+
+
+
+def icosphere_loop(subdivisions: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit icosphere (vertices, faces), midpoints from a per-face edge dict."""
+    t = (1.0 + np.sqrt(5.0)) / 2.0
+    verts = np.array([
+        [-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],
+        [0, -1, t], [0, 1, t], [0, -1, -t], [0, 1, -t],
+        [t, 0, -1], [t, 0, 1], [-t, 0, -1], [-t, 0, 1],
+    ], dtype=float)
+    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+    faces = np.array([
+        [0, 11, 5], [0, 5, 1], [0, 1, 7], [0, 7, 10], [0, 10, 11],
+        [1, 5, 9], [5, 11, 4], [11, 10, 2], [10, 7, 6], [7, 1, 8],
+        [3, 9, 4], [3, 4, 2], [3, 2, 6], [3, 6, 8], [3, 8, 9],
+        [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
+    ])
+    for _ in range(subdivisions):
+        edge_mid: dict[tuple[int, int], int] = {}
+        verts_list = [v for v in verts]
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in edge_mid:
+                m = verts_list[i] + verts_list[j]
+                m /= np.linalg.norm(m)
+                edge_mid[key] = len(verts_list)
+                verts_list.append(m)
+            return edge_mid[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
+        verts = np.array(verts_list)
+        faces = np.array(new_faces)
+    return verts, faces
+
+
+# ---------------------------------------------------------------------------
+# The disc-set kernel's reference orchestration: a radial solve on every
+# wrench before the least-thrust solve, and the box and null-space fallbacks
+# one row at a time. Its Newton steps are a copy of the library's, built on
+# the library's _gram and _smoothed.
+# ---------------------------------------------------------------------------
+
+
+def solve_two_pass(cm, k, kappa, c, d=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radial values along the rows of d from c (kappa = 0), or without d the
+    least thrusts that realize the rows of c (kappa = k), each certified.
+
+    Returns (lam, y, thrust): lam is 0 without d or where no lambda >= 0 is
+    reachable, y the certifying dual point (d.y = 1), thrust the certified
+    allocation's summed thrust or, where the free arms' block has a null
+    space, the least one over it. A row's steps depend on that row alone.
+    """
+    n, radial, e1 = len(k), d is not None, np.array([1.0, 0.0])
+    arm = np.linalg.norm(cm.reshape(6, n, 2), axis=(0, 2))
+    d = d if radial else np.zeros_like(c)
+    lam, thrust, y, loose = np.zeros(len(c)), np.zeros(len(c)), d.copy(), []
+    start = 0.2 * np.linalg.norm(cm, axis=0).mean()
+    eps, rows = np.full(len(c), start), np.arange(len(c))
+
+    def local(y, kink):
+        # t = |C_a^T y|, its unit vector vh (0 where t = 0), C_a vh, and C_a P_a for
+        # a kink arm's u_a = P_a s_a: s_a itself when kappa_a = 0, s_a[0] vh_a otherwise
+        v = (y @ cm).reshape(len(y), n, 2)
+        t = np.linalg.norm(v, axis=-1)
+        vh = v / np.where(t > 0.0, t, 1.0)[..., None]
+        cvh = np.einsum("iaj,raj->ria", cm.reshape(6, n, 2), vh)
+        cp = np.where(np.repeat(kappa > 0.0, 2),
+                      np.stack([cvh, 0.0 * cvh], -1).reshape(len(y), 6, -1), cm)
+        return t, vh, cvh, cp * np.repeat(kink, 2, axis=1)[:, None, :]
+
+    def polish(y, kink, full, dr, cr):
+        # Newton on sum_full C_a vh_a + sum_kink C_a P_a s_a - lambda d = c,
+        # P_a^T C_a^T y = (kappa_a, 0) on the kink arms and d.y = 1 (or
+        # lambda = 0), the slots no arm uses held at 0. A tiny quasi-definite
+        # shift keeps a row with a non-unique solution solvable.
+        held = np.stack([~kink, ~kink | (kappa > 0.0)], -1).reshape(len(y), -1)
+        j = np.zeros((len(y), 7 + 2 * n, 7 + 2 * n))
+        j[:, :6, -1], j[:, -1, :6], j[:, -1, -1] = -dr, dr, not radial
+        j[:, 6:-1, 6:-1] = np.eye(2 * n) * held[:, None, :]
+        x = np.zeros((len(y), 2 * n + 1))
+        x[:, :-1:2] = 0.5 * (kink & (kappa > 0.0))      # sharing arms start half on
+        for _ in range(_POLISH):
+            t, vh, cvh, cp = local(y, kink)
+            bend = (np.where(full, 1.0, kink * (kappa > 0.0) * x[:, :-1:2])
+                    / np.where(t > 0.0, t, 1.0))
+            j[:, :6, :6], j[:, :6, 6:-1], j[:, 6:-1, :6] = (_gram(cm, bend, -bend, vh), cp,
+                                                            cp.transpose(0, 2, 1))
+            arms = kink[..., None] * np.where((kappa > 0.0)[:, None], (t - kappa)[..., None] * e1,
+                                              (y @ cm).reshape(len(y), n, 2))
+            r = np.concatenate([(cvh * full[:, None, :]).sum(-1) - x[:, -1:] * dr - cr
+                                + np.einsum("rij,rj->ri", cp, x[:, :-1]),
+                                arms.reshape(len(y), -1) + held * x[:, :-1],
+                                (dr * y).sum(-1, keepdims=True) - 1.0 if radial else x[:, -1:]], 1)
+            shift = (1e-12 * np.abs(j).max(axis=(1, 2))[:, None]
+                     * np.r_[np.ones(6), -np.ones(2 * n + 1)])
+            step = np.linalg.solve(j + shift[:, :, None] * np.eye(7 + 2 * n), -r[..., None])[..., 0]
+            y, x = y + step[:, :6], x + step[:, 6:]
+        return y / (dr * y).sum(-1, keepdims=True) if radial else y
+
+    def primal(y, kink, full, dr, cr):
+        # The least-norm kink slots and lambda given the full arms: ok, x, |u_a|,
+        # the dual value and the block's rank.
+        t, vh, cvh, cp = local(y, kink)
+        block, rhs = np.concatenate([cp, -dr[:, :, None]], 2), cr - (cvh * full[:, None, :]).sum(-1)
+        u, s, vt = np.linalg.svd(block, full_matrices=False)
+        keep = s > 1e-10 * s[:, :1]
+        x = np.einsum("rji,rj->ri", vt, np.where(keep, 1.0 / np.maximum(s, 1e-300), 0.0)
+                      * np.einsum("rji,rj->ri", u, rhs))
+        dual = np.maximum(t - kappa, 0.0).sum(-1) - (cr * y).sum(-1)
+
+        def check(x):
+            res = np.linalg.norm(np.einsum("rij,rj->ri", block, x) - rhs, axis=-1)
+            s = x[:, :-1].reshape(len(y), n, 2)
+            size = np.where(full, 1.0, kink * np.where(kappa > 0.0, np.abs(s[..., 0]),
+                                                       np.linalg.norm(s, axis=-1)))
+            value = x[:, -1] if radial else -(size @ k)
+            return ((dual - value <= _GAP * np.maximum(np.abs(value), 1e-6 * arm.sum()))
+                    & (res <= _RESIDUAL * arm.sum()) & (size.max(-1) <= 1.0 + 1e-9)), size
+
+        ok, size = check(x)
+        # A kink arm's least-thrust slot scales u_a = s_a vh_a, and the thrust
+        # sum_a k_a s_a = rhs.y is the same over the whole affine set of slots, so
+        # where the least-norm slots leave [0, 1] a box point of that set certifies alike.
+        outside = ~ok & (kink & ((x[:, :-1:2] < 0.0) | (x[:, :-1:2] > 1.0))).any(-1)
+        if not radial and outside.any():
+            for i in np.flatnonzero(outside):
+                arms = np.flatnonzero(kink[i])
+                x[i, 2 * arms] = box_lsq_row(cvh[i][:, arms], rhs[i])
+            ok, size = check(x)
+        return ok, x, size, dual, keep.sum(-1)
+
+    def certify(rows, y, eps):
+        dr, cr = d[rows], c[rows]
+        y = y / (dr * y).sum(-1, keepdims=True) if radial else y
+        t = np.linalg.norm((y @ cm).reshape(len(y), n, 2), axis=-1)
+        tau = np.sqrt(eps[:, None] * arm)
+        kink, full = np.abs(t - kappa) <= tau, t - kappa > tau
+        empty = radial & (t.sum(-1) - (cr * y).sum(-1) <= 0.0)
+        y_p = polish(y, kink, full, dr, cr)
+        ok, x, size, dual, rank = primal(y_p, kink, full, dr, cr)
+        i = np.flatnonzero(~ok & ~empty)    # where the polished point fails, the smoothed may hold
+        if i.size:
+            y_p[i] = y[i]
+            ok[i], x[i], size[i], dual[i], rank[i] = primal(y[i], kink[i], full[i], dr[i], cr[i])
+        ok |= empty
+        y_p[empty] = y[empty]
+        lam[rows[ok]] = np.where(empty | (not radial), 0.0, np.minimum(x[:, -1], dual))[ok]
+        thrust[rows[ok]] = np.where(empty, 0.0, size @ k)[ok]
+        for i in np.flatnonzero(ok & ~empty & radial & (rank < 2 * kink.sum(-1) + 1)):
+            cols = np.repeat(kink[i], 2)
+            loose.append((rows[i], kink[i], cm[:, cols] @ x[i, :-1][cols]))
+        return ok, y_p
+
+    for _ in range(_MAX_STEPS):
+        if not rows.size:
+            break
+        yr, er, cr = y[rows], eps[rows], c[rows]
+        f0, g, h = _smoothed(cm, kappa, cr, yr, er)
+        kkt = np.zeros((len(rows), 7, 7))      # with d, steps keep d.y = 1
+        # A vehicle whose blocks span less than R^6 leaves h singular.
+        kkt[:, :6, :6] = h + (1e-13 * np.trace(h, axis1=1, axis2=2))[:, None, None] * np.eye(6)
+        kkt[:, :6, 6] = kkt[:, 6, :6] = d[rows]
+        kkt[:, 6, 6] = not radial
+        step = np.linalg.solve(kkt, -np.concatenate([g, 0.0 * g[:, :1]], 1)[..., None])[:, :6, 0]
+        slope, t = (g * step).sum(-1), np.ones(len(rows))
+        for _ in range(40):
+            trial = _smoothed(cm, kappa, cr, yr + t[:, None] * step, er, False)
+            worse = trial > f0 + 0.25 * t * slope
+            if not worse.any():
+                break
+            t[worse] *= 0.5
+        y[rows] = yr + t[:, None] * step
+        # A negative value proves an empty ray, since F lies below its smoothing.
+        centred = np.flatnonzero((-slope <= _CENTRE * er) | ((f0 < 0.0) & radial))
+        done = np.zeros(len(rows), bool)
+        if centred.size:
+            done[centred], y_p = certify(rows[centred], y[rows[centred]], er[centred])
+            y[rows[centred[done[centred]]]] = y_p[done[centred]]
+        eps[rows[centred]] = np.maximum(_SHRINK * er[centred], 1e-12 * start)
+        rows = rows[~done]
+    if rows.size:
+        raise RuntimeError(f"{rows.size} disc-set queries not certified within {_MAX_STEPS} steps")
+    for row, free, wrench in loose:
+        cols = np.repeat(free, 2)
+        thrust[row] = k[~free].sum() + min_thrusts_two_pass(cm[:, cols], k[free], wrench[None])[0]
+    return lam, y, thrust
+
+
+def box_lsq_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x in [0, 1]^n least squares for a x = b, a (m, n) with few columns.
+
+    The bounded-variable active-set method (Stark & Parker, Comput. Stat.
+    10(2), 1995): free the bound variable whose gradient points furthest into
+    the box, solve the free variables' least-norm problem, and step back to
+    the first bound that solution crosses.
+    """
+    n = a.shape[1]
+    x, free = np.zeros(n), np.zeros(n, bool)
+    tol = 1e-13 * np.linalg.norm(a) * max(np.linalg.norm(b), 1e-300)
+    for _ in range(3 * n + 3):
+        g = a.T @ (b - a @ x)                   # descent direction of ||a x - b||^2 / 2
+        wants = ~free & np.where(x <= 0.0, g > tol, g < -tol)
+        if not wants.any():
+            break
+        free[np.argmax(np.where(wants, np.abs(g), -1.0))] = True
+        while free.any():
+            z = x.copy()
+            z[free] = np.linalg.lstsq(a[:, free], b - a[:, ~free] @ x[~free], rcond=None)[0]
+            over = free & ((z <= 0.0) | (z >= 1.0))
+            if not over.any():
+                x = z
+                break
+            bound = np.where(z <= 0.0, 0.0, 1.0)
+            frac = np.where(over, (bound - x) / np.where(over, z - x, 1.0), np.inf)
+            j = np.argmin(frac)                  # the first bound the segment x -> z meets
+            x = np.clip(x + np.clip(frac[j], 0.0, 1.0) * (z - x), 0.0, 1.0)
+            x[j] = bound[j]
+            free &= (x > 0.0) & (x < 1.0)
+    return x
+
+
+def min_thrusts_two_pass(cm, k, wrenches) -> np.ndarray:
+    """Least summed rotor thrust per wrench row; inf where unreachable: the
+    two-pass rule, a radial solve along every wrench before the least-thrust one.
+
+    w is reachable when the radial value along its own 6-D direction is at
+    least |w|; within _EDGE of it, w is on the boundary, where the radial
+    solve's own least thrust answers.
+    """
+    norm = np.linalg.norm(wrenches, axis=1)
+    totals, rows = np.where(norm > 0.0, np.inf, 0.0), np.flatnonzero(norm > 0.0)
+    lam, _, thrust = solve_two_pass(cm, k, 0.0 * k, 0.0 * wrenches[rows],
+                                    wrenches[rows] / norm[rows, None])
+    ratio = norm[rows] / np.maximum(lam, 1e-300)
+    edge = np.abs(ratio - 1.0) <= _EDGE
+    totals[rows[edge]] = thrust[edge] * ratio[edge]
+    inner = rows[ratio < 1.0 - _EDGE]
+    totals[inner] = solve_two_pass(cm, k, k, wrenches[inner])[2]
+    return totals

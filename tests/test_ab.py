@@ -1,0 +1,35 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).parents[1] / "scripts" / "ab.py"
+_spec = importlib.util.spec_from_file_location("ab", SCRIPT)
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+
+def test_summary_of_alternated_pairs():
+    base = [1.0, 1.2, 0.9, 1.1, 1.0]
+    change = [0.7, 0.8, 0.9, 0.75, 1.1]
+    s = ab.summarize(base, change, "lower")
+    assert s["base"]["median"] == 1.0 and s["change"]["median"] == 0.8
+    assert (s["base"]["q1"], s["base"]["q3"]) == (1.0, 1.1)
+    assert (s["change"]["q1"], s["change"]["q3"]) == (0.75, 0.9)
+    assert s["ratio"] == pytest.approx(0.8)
+    # pair 3 ties and pair 5 is lost: a tie counts for neither side
+    assert (s["pairs"], s["wins"], s["losses"]) == (5, 3, 1)
+    assert s["beyond_base_iqr"]                  # |0.8 - 1.0| > 1.1 - 1.0
+    assert s["base"]["values"] == base and s["change"]["values"] == change
+
+
+def test_summary_reads_the_better_direction():
+    s = ab.summarize([10.0, 10.0, 10.0], [11.0, 10.0, 9.0], "higher")
+    assert (s["wins"], s["losses"]) == (1, 1)
+    assert not s["beyond_base_iqr"]
+    one = ab.summarize([2.0], [1.0])
+    assert one["base"]["q1"] == one["base"]["q3"] == 2.0 and one["wins"] == 1
+    with pytest.raises(ValueError):
+        ab.summarize([1.0, 2.0], [1.0])
+    with pytest.raises(ValueError):
+        ab.summarize([1.0], [1.0], "faster")

@@ -15,7 +15,9 @@ from tiltmav.envelope import (arm_wrench_blocks, envelope, hover_sphere, icosphe
 from tiltmav.vehicle import (GRAVITY, ArmGeometry, Morphology, RotorParams, evenly_spaced_arms,
                              hexarotor, prototype_morphology)
 
-from oracles import max_wrench_alpha_grid, min_thrusts_linprog, optimal_radii_linprog
+import oracles
+from oracles import (box_lsq_row, icosphere_loop, max_wrench_alpha_grid, min_thrusts_linprog,
+                     min_thrusts_two_pass, optimal_radii_linprog)
 
 COS64 = np.cos(np.pi / 64)
 
@@ -422,3 +424,189 @@ def test_torque_eta_levers_on_the_longest_arm(allocation):
                        allocation=allocation)
     assert np.all(metrics.eta <= 1.0)
     assert np.any(metrics.eta < 1.0)
+
+
+@pytest.mark.parametrize("subdivisions", range(6))
+def test_icosphere_equals_the_per_face_loop(subdivisions):
+    verts, faces = icosphere_loop(subdivisions)
+    got = icosphere(subdivisions)
+    assert [a.dtype for a in got] == [verts.dtype, faces.dtype]
+    assert got[0].tobytes() == verts.tobytes() and got[1].tobytes() == faces.tobytes()
+    if subdivisions in (2, 3):
+        centroids = verts[faces].mean(axis=1)
+        centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+        dirs = envelope_module.sample_directions(20 * 4**subdivisions)[0]
+        assert dirs.tobytes() == centroids.tobytes()
+
+
+def _coincident_arms():
+    # Three pairs of coincident arms: blocks with a null space.
+    proto = prototype_morphology()
+    arms = tuple(ArmGeometry(gamma=g, beta=b, length=0.3) for g, b in
+                 [(0.3, 0.5), (2.4, -0.3), (4.4, 0.1)] * 2)
+    return Morphology(arms=arms, rotor=proto.rotor, tilt=proto.tilt, body=proto.body)
+
+
+def _screen_size(cm, wrenches):
+    """max_a |u_a| of the least-norm allocation u = pinv(cm) w, per row."""
+    u = wrenches @ np.linalg.pinv(cm).T
+    return np.linalg.norm(u.reshape(len(u), -1, 2), axis=-1).max(-1)
+
+
+SPHERES = {
+    "prototype": prototype_morphology,
+    "octahedral": lambda: build_candidate(DesignProblem(), np.zeros(6), np.arctan(
+        1.0 / np.sqrt(2.0)) * (-1.0) ** np.arange(6)),
+    "flat_hex": lambda: hexarotor(body=prototype_morphology().body),
+    "coincident": _coincident_arms,
+    "thrust_deficient": lambda: hexarotor(rotor=RotorParams(omega_max=1250.0 / 4.0),
+                                          body=prototype_morphology().body),
+}
+
+
+@pytest.mark.parametrize("name", SPHERES)
+def test_hover_sphere_totals_equal_the_two_pass_oracle(name):
+    # Screening rows by their least-norm allocation leaves the least-thrust
+    # solve the same rows in the same order, so every total keeps its bits.
+    m = SPHERES[name]()
+    cm, k = envelope_module._disc_maps(m)
+    dirs = envelope_module.sample_directions(320)[0]
+    mg = m.body.mass * GRAVITY
+    wrenches = np.concatenate([mg * dirs, np.zeros((len(dirs), 3))], axis=1)
+    totals = envelope_module._min_thrusts(cm, k, wrenches)
+    assert totals.tobytes() == min_thrusts_two_pass(cm, k, wrenches).tobytes()
+    assert np.all(np.isfinite(totals)) == (name != "thrust_deficient")
+    sphere = hover_sphere(m, 320)
+    assert np.array_equal(sphere["feasible"], np.isfinite(totals))
+    assert np.array_equal(sphere["eta_f"][sphere["feasible"]],
+                          np.minimum(mg / totals[np.isfinite(totals)], 1.0))
+
+
+def _mixed_wrenches(m):
+    """A zero row, then per direction and mode f * lambda* along it (over the half
+    hover force in torque mode) for f from well inside to just outside."""
+    hover = np.array([0.0, 0.0, 0.5 * m.body.mass * GRAVITY])
+    rows = [np.zeros(6)]
+    for mode in ("force", "torque"):
+        base = np.r_[hover, np.zeros(3)] if mode == "torque" else np.zeros(6)
+        for d in envelope_module.sample_directions(20)[0][::3]:
+            lam = max_wrench_in_direction(m, d, mode, hover if mode == "torque" else None)
+            d6 = np.r_[d, np.zeros(3)] if mode == "force" else np.r_[np.zeros(3), d]
+            rows += [base + f * lam * d6 for f in (0.3, 0.95, 0.999, 1.0 - 1e-12, 1.0 + 1e-12,
+                                                   1.001)]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("name", ["prototype", "octahedral"])
+def test_mixed_wrench_stacks_equal_the_two_pass_oracle(name):
+    m = SPHERES[name]()
+    cm, k = envelope_module._disc_maps(m)
+    wrenches = _mixed_wrenches(m)
+    totals = envelope_module._min_thrusts(cm, k, wrenches)
+    assert totals.tobytes() == min_thrusts_two_pass(cm, k, wrenches).tobytes()
+    size = _screen_size(cm, wrenches)
+    finite = np.isfinite(totals)
+    assert totals[0] == 0.0
+    assert np.sum(size < 1.0 - 2e-9) >= 10                  # screened inner rows
+    assert np.sum((size >= 1.0) & finite) >= 10             # reachable past the screen
+    assert np.all(finite[4::6]) and np.all(finite[5::6])    # within 1e-12 of the edge
+    assert np.all(np.isinf(totals[6::6]))                   # 0.1% beyond it
+
+
+def test_box_and_null_space_rows_match_the_two_pass_oracle_to_rounding():
+    # Rows a box point certifies, and edge rows of coincident arms (whose free
+    # arms have a null space), take batched fallbacks: the same rows end finite,
+    # at the oracle's totals to rounding.
+    m = prototype_morphology()
+    hover = np.array([0.0, 0.0, 0.5 * m.body.mass * GRAVITY])
+    d = np.array([-0.75, 0.65, 0.0]) / np.hypot(0.75, 0.65)
+    lam = max_wrench_in_direction(m, d, mode="torque", hover_force=hover)
+    stacks = [(m, np.array([np.r_[hover, f * lam * d] for f in (0.9, 0.95, 0.99, 0.999)])),
+              (_coincident_arms(), _mixed_wrenches(_coincident_arms()))]
+    for vehicle, wrenches in stacks:
+        cm, k = envelope_module._disc_maps(vehicle)
+        totals = envelope_module._min_thrusts(cm, k, wrenches)
+        oracle = min_thrusts_two_pass(cm, k, wrenches)
+        assert np.array_equal(np.isfinite(totals), np.isfinite(oracle))
+        finite = np.isfinite(oracle)
+        assert np.allclose(totals[finite], oracle[finite], rtol=1e-15, atol=0.0)
+
+
+def test_hover_sphere_runs_one_least_thrust_solve(monkeypatch):
+    # Every prototype hover wrench passes the least-norm screen (max |u_a|
+    # <= 0.65), so no radial pass runs.
+    calls, solve = [], envelope_module._solve
+    monkeypatch.setattr(envelope_module, "_solve",
+                        lambda *args: calls.append(len(args)) or solve(*args))
+    sphere = hover_sphere(prototype_morphology(), 320)
+    assert calls == [4] and sphere["feasible"].all()
+
+
+def test_null_space_rows_take_one_least_thrust_call_per_free_arm_pattern(monkeypatch):
+    m = _coincident_arms()
+    cm, k = envelope_module._disc_maps(m)
+    d6 = np.zeros((320, 6))
+    d6[:, :3] = envelope_module.sample_directions(320)[0]
+
+    def top_level_calls(module, name):
+        calls, depth, inner = [], [0], getattr(module, name)
+
+        def counted(cm_free, k_free, wrenches):
+            if not depth[0]:
+                calls.append((cm_free.tobytes(), len(wrenches)))
+            depth[0] += 1
+            try:
+                return inner(cm_free, k_free, wrenches)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    per_row = top_level_calls(oracles, "min_thrusts_two_pass")
+    lam_row, _, thrust_row = oracles.solve_two_pass(cm, k, 0.0 * k, 0.0 * d6, d6)
+    grouped = top_level_calls(envelope_module, "_min_thrusts")
+    lam, _, thrust = envelope_module._solve(cm, k, 0.0 * k, 0.0 * d6, d6)
+    patterns = {block for block, _ in per_row}
+    assert len(per_row) > 3 * len(patterns)
+    assert len(grouped) == len(patterns) == len({block for block, _ in grouped})
+    assert {block for block, _ in grouped} == patterns
+    assert sum(rows for _, rows in grouped) == len(per_row)
+    assert lam.tobytes() == lam_row.tobytes()
+    assert np.allclose(thrust, thrust_row, rtol=1e-15, atol=0.0)
+
+
+def test_batched_box_matches_the_per_row_oracle():
+    # Rank-deficient blocks over a varying set of columns (the rest zero), with
+    # right-hand sides some box point reaches and others no box point reaches.
+    rng = np.random.default_rng(5)
+    a, b, cols = np.zeros((200, 6, 8)), np.zeros((200, 6)), []
+    for i in range(200):
+        used = np.sort(rng.choice(8, size=rng.integers(2, 9), replace=False))
+        rank = rng.integers(1, len(used))
+        a[i][:, used] = rng.normal(size=(6, rank)) @ rng.normal(size=(rank, len(used)))
+        x = rng.uniform(0.0, 1.0, 8) if i % 2 else rng.uniform(-1.5, 2.5, 8)
+        b[i] = a[i] @ x + (0.0 if i % 2 else 0.1 * rng.normal(size=6))
+        cols.append(used)
+    x = envelope_module._box_lsq(a, b)
+    assert np.all((x >= 0.0) & (x <= 1.0))
+    res = np.linalg.norm(np.einsum("rij,rj->ri", a, x) - b, axis=1)
+    res_row = np.array([np.linalg.norm(a[i][:, c] @ box_lsq_row(a[i][:, c], b[i]) - b[i])
+                        for i, c in enumerate(cols)])
+    scale = np.linalg.norm(b, axis=1)
+    certified, certified_row = res <= 1e-9 * scale, res_row <= 1e-9 * scale
+    assert np.array_equal(certified, certified_row)
+    assert 50 <= certified.sum() <= 150
+    assert np.all(np.abs(res - res_row) <= 1e-12 * scale)
+
+
+def test_wrenches_outside_a_rank_deficient_range_are_unreachable():
+    # Without the yaw row the blocks span five dimensions: a wrench with a yaw
+    # torque has no allocation, although its least-squares allocation is small.
+    cm, k = envelope_module._disc_maps(prototype_morphology())
+    cm[5] = 0.0
+    wrenches = np.array([[0.0, 0.0, 40.0, 0.0, 0.0, 0.0], [0.0, 0.0, 40.0, 0.0, 0.0, 1e-3],
+                         [5.0, -3.0, 30.0, 0.5, 0.2, 0.0], [5.0, -3.0, 30.0, 0.5, 0.2, -2.0]])
+    totals = envelope_module._min_thrusts(cm, k, wrenches)
+    assert np.all(np.isfinite(totals[0::2])) and np.all(np.isinf(totals[1::2]))
+    assert np.all(_screen_size(cm, wrenches) < 0.5)
+    assert totals.tobytes() == min_thrusts_two_pass(cm, k, wrenches).tobytes()

@@ -95,3 +95,29 @@ def test_non_stabilizing_solution_is_rejected():
         solve_care([[1.0]], [[0.0]], [[0.0]], [[1.0]])
     with pytest.raises(CareError, match="does not stabilize"):
         solve_care(np.diag([1.0, -1.0]), [[0.0], [1.0]], np.diag([0.0, 1.0]), [[1.0]])
+
+
+def _random_care_draws(count):
+    """Random systems: n in [1, 8], m in [1, n], A = N(0, 1) U(0.1, 10),
+    Q = H H' + 0.1 I, R = diag U(0.5, 2), all from default_rng(0)."""
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(1, n + 1))
+        a = rng.normal(size=(n, n)) * rng.uniform(0.1, 10.0)
+        b = rng.normal(size=(n, m))
+        h = rng.normal(size=(n, n))
+        yield a, b, h @ h.T + 0.1 * np.eye(n), np.diag(rng.uniform(0.5, 2.0, m))
+
+
+@pytest.mark.parametrize("draw", [23, 157])
+def test_ill_conditioned_single_input_systems_refine_to_the_residual_bound(draw):
+    # The sign-function P of these draws (|P| ~ 7e4) misses the 1e-8 residual
+    # (8.0e-7 and 2.7e-8); Newton refinement reaches it and Kleinman-Newton's P.
+    a, b, q, r = list(_random_care_draws(draw + 1))[draw]
+    assert b.shape[1] == 1 and a.shape[0] == (3 if draw == 23 else 6)
+    p = solve_care(a, b, q, r)
+    assert care_residual(a, b, q, r, p) <= 1e-8
+    p_kn = kleinman_newton(a, b, q, r)
+    assert np.linalg.norm(p - p_kn) / np.linalg.norm(p_kn) < 1e-8
+    assert np.linalg.eigvals(a - b @ lqr_gain(p, b, r)).real.max() < 0.0
