@@ -6,14 +6,16 @@
 
 Checks ``--base`` out with ``git worktree`` into ``.bench_build/`` and runs
 ``perfbench/run.py --trace 0`` there and in this checkout, one run of each per
-pair, swapping which side runs first from pair to pair. For every workload
-(at this seed) and end-to-end metric it writes each side's median and
-quartiles, the change/base ratio of the medians, the pairs the change won and
-lost (ties count for neither) and whether the medians differ by more than the
-base's interquartile range, along with each side's first-pass output digests
-and the machine facts. An existing ``--out`` file keeps its other entries, so
-several seeds or workloads can share one file. The worktree is removed at the
-end.
+pair, swapping which side runs first from pair to pair. A run that exits
+non-zero or reports ``"correct": false`` stops the comparison with an error
+naming its workload, side and pair, so no failed pass reaches a median. For
+every workload (at this seed) and end-to-end metric it writes each side's
+median and quartiles, the change/base ratio of the medians, the pairs the
+change won and lost (ties count for neither) and whether the medians differ
+by more than the base's interquartile range, along with each side's
+first-pass output digests and the machine facts. An existing ``--out`` file
+keeps its other entries, so several seeds or workloads can share one file.
+The worktree is removed at the end.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def machine() -> dict:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run in ``checkout``: its result line and first-pass digest."""
+    """One untraced perfbench run in ``checkout``: result line, exit code, first-pass digest."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=checkout, capture_output=True, text=True)
@@ -72,6 +74,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if not lines:
         raise RuntimeError(f"{checkout}: {workload} printed no result\n{proc.stderr}")
     result = json.loads(lines[-1])
+    result["exit_code"] = proc.returncode
     record = json.loads((checkout / "perfbench" / "out" / f"{workload}.trace0.json").read_text())
     result["digest"] = record["passes"][0]["digest"]
     return result
@@ -82,11 +85,17 @@ def compare(workload: str, seed: int, pairs: int, seconds: float, base_dir: Path
     for i in range(pairs):
         order = [("base", base_dir), ("change", ROOT)]
         for side, checkout in order[::-1] if i % 2 else order:
-            runs[side].append(run_once(checkout, workload, seed, seconds))
-            wall = runs[side][-1]["metrics"]["wall_s"]["value"]
+            result = run_once(checkout, workload, seed, seconds)
+            if result["exit_code"] or not result["correct"]:
+                raise RuntimeError(
+                    f"{workload} seed {seed} pair {i + 1}/{pairs}: the {side} run failed "
+                    f"(exit code {result['exit_code']}, {result['failed']} of "
+                    f"{result['attempted']} passes failed their checks); nothing is compared")
+            runs[side].append(result)
+            wall = result["metrics"]["wall_s"]["value"]
             sys.stderr.write(f"{workload} seed {seed} pair {i + 1}/{pairs} {side} {wall:.4f}s\n")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    out = {"metrics": {}, "digests": {}, "failed": {}}
+    out = {"metrics": {}, "digests": {}}
     for metric in spec["end_to_end"]:
         name = metric["name"]
         out["metrics"][name] = summarize(
@@ -94,7 +103,6 @@ def compare(workload: str, seed: int, pairs: int, seconds: float, base_dir: Path
             [r["metrics"][name]["value"] for r in runs["change"]], metric["better"])
     for side in runs:
         out["digests"][side] = sorted({r["digest"] for r in runs[side]})
-        out["failed"][side] = sum(r["failed"] for r in runs[side])
     return out
 
 

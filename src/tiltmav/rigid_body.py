@@ -1,4 +1,4 @@
-"""Newton-Euler rigid-body dynamics and first-order tilt response."""
+"""Newton-Euler rigid-body dynamics."""
 
 from __future__ import annotations
 
@@ -80,10 +80,3 @@ def newton_euler(r, omega, force_b, torque_c, k: BodyConstants) -> tuple[tuple, 
            i20 * cx + i21 * cy + i22 * cz)
     return a_w, psi
 
-
-def tilt_step(alpha: np.ndarray, alpha_ref: np.ndarray, tau: float, dt) -> np.ndarray:
-    """Exact step of the first-order tilt dynamics alphadot = (ref - alpha)/tau, a row per dt."""
-    if not np.all(np.asarray(dt) > 0.0):
-        raise ValueError("dt must be positive")
-    decay = np.exp(-np.asarray(dt) / tau)[..., None]
-    return alpha_ref + (np.asarray(alpha, dtype=float) - alpha_ref) * decay

@@ -3,15 +3,17 @@
 The controller and differential allocation run at dt_control. The plant
 advances each control period at once under the held commands: tilt angles
 follow their exact first-order response and rotor speeds slew toward the
-references, both in closed form, one batched product gives the actuator
+references, both in closed form from decay factors and slew reaches formed
+once per (dt, n, tau, rotor_slew), one batched product gives the actuator
 wrench at every physics step's midpoint, and the rigid body takes classical
-RK4 steps of dt_physics (exponential-map attitude) on plain Python floats,
-where numpy's per-call overhead would dwarf the arithmetic on one 3-vector.
-Accelerations are formed once per period, at its end, where the controller
-reads them. The wrench acts about the body origin; p is the center of mass,
-which sits at r_com in the body frame, and the inertia is taken about it. A
-step that would make the state non-finite raises NonFiniteState; ``run``
-ends such a run as diverged with its partial log (exit code 3 on the CLI).
+RK4 steps of dt_physics (exponential-map attitude) on named float locals,
+building no list or slice per stage: numpy's per-call overhead, and Python's
+list traffic, would dwarf the arithmetic on one 3-vector. Accelerations
+are formed once per period, at its end, where the controller reads them. The
+wrench acts about the body origin; p is the center of mass, which sits at
+r_com in the body frame, and the inertia is taken about it. A step that
+would make the state non-finite raises NonFiniteState; ``run`` ends such a
+run as diverged with its partial log (exit code 3 on the CLI).
 
 Either controller emits a world jerk and a body angular-acceleration rate,
 ``exact_wrench_rate`` maps them to body wrench rates, and the allocator
@@ -32,7 +34,7 @@ from .diff_allocation import (AllocationConfig, BiasConfig, DifferentialAllocato
                               exact_wrench_rate)
 from .lqri import LqriController, LqriGains
 from .pid import PidController, PidGains
-from .rigid_body import BodyConstants, RigidBodyState, com_torque, newton_euler, tilt_step
+from .rigid_body import BodyConstants, RigidBodyState, com_torque, newton_euler
 from .sgfilter import SavitzkyGolay
 from .simlog import SimLog
 from .so3 import matmul3, rodrigues
@@ -97,12 +99,16 @@ class Plant:
 
     def __post_init__(self):
         m = self.morphology
-        if self.alpha is None:
-            self.alpha = np.zeros(m.n_arms)
-        if self.omega is None:
-            self.omega = np.zeros(m.n_rotors)
+        check_real("rotor_slew", self.rotor_slew, 0.0, strict=True)
+        self.alpha = (np.zeros(m.n_arms) if self.alpha is None
+                      else check_vector("alpha", self.alpha, (m.n_arms,)))
+        self.omega = (np.zeros(m.n_rotors) if self.omega is None
+                      else check_vector("omega", self.omega, (m.n_rotors,)))
+        if (self.omega < 0.0).any():
+            raise ValueError(f"omega must have entries >= 0 (rotor speeds), got {self.omega!r}")
         self._a = static_allocation(m)
         self._body = BodyConstants.of(m.body)
+        self._tick_key = self._tick = None   # the last tick constants and their key (step)
 
     def _wrench_at(self, alpha: np.ndarray, omega: np.ndarray) -> np.ndarray:
         """[f; tau] about the body origin at tilt angles alpha, rotor speeds omega (or rows)."""
@@ -123,53 +129,94 @@ class Plant:
     def step(self, alpha_ref: np.ndarray, omega_ref: np.ndarray, dt: float, n: int = 1) -> None:
         """Advance actuators and rigid body by n steps of dt under held references.
 
-        Each RK4 step (exp-map attitude) holds its midpoint actuator wrench;
-        accelerations are formed once, at the end. Raises NonFiniteState,
+        Each RK4 step (exp-map attitude) holds its midpoint actuator wrench.
+        Its four stages run on named float locals, 3 each of velocity,
+        rotation increment phi and body rate (position enters no derivative),
+        through ``rodrigues`` and ``newton_euler``, with the arithmetic of
+        the list form in the same order, so every bit matches it. The tilt
+        decay factors, slew reach and step fractions are formed, and dt and
+        ``rotor_slew`` checked, once per (dt, n, tau, rotor_slew).
+        Accelerations are formed once, at the end. Raises NonFiniteState,
         leaving the state as it was, when a step would make it non-finite.
         """
         check_int("n", n, 1)
+        key = (dt, n, self.morphology.tilt.tau, self.rotor_slew)
+        if key != self._tick_key:
+            self._tick_key, self._tick = key, _tick_constants(*key)
+        decay, reach, neg_reach, half, sixth = self._tick
         # Tilt angles at every half step and rotor speeds at every step end
         # in closed form; a step's midpoint speeds are the mean of its ends.
-        times = np.arange(1, 2 * n + 1) * (0.5 * dt)
-        alpha = tilt_step(self.alpha, alpha_ref, self.morphology.tilt.tau, times)
-        reach = np.arange(n + 1)[:, None] * (self.rotor_slew * dt)
-        ends = self.omega + np.minimum(np.maximum(omega_ref - self.omega, -reach), reach)
+        alpha = alpha_ref + (self.alpha - alpha_ref) * decay
+        ends = self.omega + np.minimum(np.maximum(omega_ref - self.omega, neg_reach), reach)
         forces, torques = self._force_and_com_torque(
             self._wrench_at(alpha[0::2], 0.5 * (ends[:-1] + ends[1:])))
-        r0 = self.state.r_wb.ravel().tolist()
-        y0 = [*self.state.p.tolist(), *self.state.v.tolist(), 0.0, 0.0, 0.0,
-              *self.state.omega.tolist()]
+        body = self._body
+        r = self.state.r_wb.ravel().tolist()
+        px, py, pz = self.state.p.tolist()
+        vx, vy, vz = self.state.v.tolist()
+        wx, wy, wz = self.state.omega.tolist()
 
-        def deriv(y):
-            # y = [p, v, phi, omega], R = r0 exp(phi); R f = r0 (exp(phi) f) skips a 3x3 product.
-            e00, e01, e02, e10, e11, e12, e20, e21, e22 = rodrigues(y[6], y[7], y[8])
-            f_inc = (e00 * fx + e01 * fy + e02 * fz,
-                     e10 * fx + e11 * fy + e12 * fz,
-                     e20 * fx + e21 * fy + e22 * fz)
-            acc, omega_dot = newton_euler(r0, y[9:12], f_inc, torque_c, self._body)
-            return (*y[3:6], *acc, *y[9:12], *omega_dot)
+        def deriv(e, ox, oy, oz):
+            # (a_W, psi) at rotation r e, e = exp(phi), and body rate (ox, oy, oz);
+            # R f = r (e f) skips a 3x3 product.
+            e00, e01, e02, e10, e11, e12, e20, e21, e22 = e
+            return newton_euler(r, (ox, oy, oz), (e00 * fx + e01 * fy + e02 * fz,
+                                                  e10 * fx + e11 * fy + e12 * fz,
+                                                  e20 * fx + e21 * fy + e22 * fz), torque, body)
 
-        half, sixth = 0.5 * dt, dt / 6.0
+        unit = rodrigues(0.0, 0.0, 0.0)   # exp(phi) of every step's first stage
         try:
-            for k, ((fx, fy, fz), torque_c) in enumerate(zip(forces, torques), 1):
-                k1 = deriv(y0)
-                k2 = deriv([a + half * b for a, b in zip(y0, k1)])
-                k3 = deriv([a + half * b for a, b in zip(y0, k2)])
-                k4 = deriv([a + dt * b for a, b in zip(y0, k3)])
-                y0 = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                      for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
-                if not math.isfinite(sum(y0)):
-                    raise FloatingPointError(f"non-finite plant state: {y0}")
+            for k in range(n):
+                (fx, fy, fz), torque = forces[k], torques[k]
+                # Stage i holds v_i, phi_i and w_i; its derivative is (v_i, a_i, w_i, d_i).
+                (a1x, a1y, a1z), (d1x, d1y, d1z) = deriv(unit, wx, wy, wz)
+                v2x, v2y, v2z = vx + half * a1x, vy + half * a1y, vz + half * a1z
+                w2x, w2y, w2z = wx + half * d1x, wy + half * d1y, wz + half * d1z
+                (a2x, a2y, a2z), (d2x, d2y, d2z) = deriv(
+                    rodrigues(0.0 + half * wx, 0.0 + half * wy, 0.0 + half * wz), w2x, w2y, w2z)
+                v3x, v3y, v3z = vx + half * a2x, vy + half * a2y, vz + half * a2z
+                w3x, w3y, w3z = wx + half * d2x, wy + half * d2y, wz + half * d2z
+                (a3x, a3y, a3z), (d3x, d3y, d3z) = deriv(
+                    rodrigues(0.0 + half * w2x, 0.0 + half * w2y, 0.0 + half * w2z), w3x, w3y, w3z)
+                v4x, v4y, v4z = vx + dt * a3x, vy + dt * a3y, vz + dt * a3z
+                w4x, w4y, w4z = wx + dt * d3x, wy + dt * d3y, wz + dt * d3z
+                (a4x, a4y, a4z), (d4x, d4y, d4z) = deriv(
+                    rodrigues(0.0 + dt * w3x, 0.0 + dt * w3y, 0.0 + dt * w3z), w4x, w4y, w4z)
+                px += sixth * (vx + 2.0 * v2x + 2.0 * v3x + v4x)
+                py += sixth * (vy + 2.0 * v2y + 2.0 * v3y + v4y)
+                pz += sixth * (vz + 2.0 * v2z + 2.0 * v3z + v4z)
+                vx += sixth * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
+                vy += sixth * (a1y + 2.0 * a2y + 2.0 * a3y + a4y)
+                vz += sixth * (a1z + 2.0 * a2z + 2.0 * a3z + a4z)
+                qx = 0.0 + sixth * (wx + 2.0 * w2x + 2.0 * w3x + w4x)
+                qy = 0.0 + sixth * (wy + 2.0 * w2y + 2.0 * w3y + w4y)
+                qz = 0.0 + sixth * (wz + 2.0 * w2z + 2.0 * w3z + w4z)
+                wx += sixth * (d1x + 2.0 * d2x + 2.0 * d3x + d4x)
+                wy += sixth * (d1y + 2.0 * d2y + 2.0 * d3y + d4y)
+                wz += sixth * (d1z + 2.0 * d2z + 2.0 * d3z + d4z)
+                if not math.isfinite(px + py + pz + vx + vy + vz + qx + qy + qz + wx + wy + wz):
+                    raise FloatingPointError("non-finite plant state")
                 # The exp-map update keeps R orthonormal (drift < 1e-13 in 100k steps).
-                r0 = matmul3(r0, rodrigues(*y0[6:9]))
-                y0[6:9] = 0.0, 0.0, 0.0
+                r = matmul3(r, rodrigues(qx, qy, qz))
         except FloatingPointError as err:
-            raise NonFiniteState(k) from err
+            raise NonFiniteState(k + 1) from err
 
-        self.state.r_wb = np.array(r0).reshape(3, 3)
-        self.state.p, self.state.v, self.state.omega = (np.array(y0[i:i + 3]) for i in (0, 3, 9))
+        self.state.r_wb = np.array(r).reshape(3, 3)
+        self.state.p, self.state.v = np.array([px, py, pz]), np.array([vx, vy, vz])
+        self.state.omega = np.array([wx, wy, wz])
         self.alpha, self.omega = alpha[-1], ends[-1]
         self.refresh_accelerations()
+
+
+def _tick_constants(dt: float, n: int, tau: float, rotor_slew: float) -> tuple:
+    """What a tick of n steps of dt reads besides its state: the tilt decay
+    factors at its 2n half steps and the rotor slew reach (and its negative)
+    at its n + 1 step ends, as (rows, 1) columns, then dt/2 and dt/6."""
+    check_real("dt", dt, 0.0, strict=True)
+    check_real("rotor_slew", rotor_slew, 0.0, strict=True)
+    decay = np.exp(-(np.arange(1, 2 * n + 1) * (0.5 * dt)) / tau)[:, None]
+    reach = np.arange(n + 1)[:, None] * (rotor_slew * dt)
+    return decay, reach, -reach, 0.5 * dt, dt / 6.0
 
 
 def hover_trim(m: Morphology, r_wb=None) -> tuple[np.ndarray, np.ndarray]:
@@ -218,8 +265,7 @@ def run(
     if alpha0 is not None:
         alpha_trim = check_vector("alpha0", alpha0, (morphology.n_arms,))
 
-    plant = Plant(morphology, alpha=alpha_trim.copy(), omega=omega_trim.copy(),
-                  rotor_slew=config.rotor_slew)
+    plant = Plant(morphology, alpha=alpha_trim, omega=omega_trim, rotor_slew=config.rotor_slew)
     plant.state.p = ref0.p + (0.0 if p_offset is None
                               else check_vector("p_offset", p_offset, (3,)))
     plant.state.r_wb = ref0.r_wb.copy()

@@ -33,3 +33,22 @@ def test_summary_reads_the_better_direction():
         ab.summarize([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
         ab.summarize([1.0], [1.0], "faster")
+
+
+def test_a_failed_run_stops_the_comparison(monkeypatch):
+    # Pair 1 runs base then change, pair 2 change then base: the third run,
+    # pair 2's change, prints "correct": false and exits 1.
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append(checkout)
+        ok = len(calls) != 3
+        return {"correct": ok, "attempted": 4, "failed": 0 if ok else 1,
+                "exit_code": 0 if ok else 1, "digest": "d",
+                "metrics": {name: {"value": 1.0} for name in ("wall_s", "setup_s", "peak_rss_mb")}}
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    with pytest.raises(RuntimeError, match=r"^sim_flip seed 7 pair 2/3: the change run failed "
+                                           r"\(exit code 1, 1 of 4 passes"):
+        ab.compare("sim_flip", 7, 3, 1.0, Path("base"))
+    assert calls == [Path("base"), ab.ROOT, ab.ROOT]

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from tiltmav.rigid_body import RigidBodyState, com_torque, tilt_step
+from tiltmav.rigid_body import RigidBodyState, com_torque
 from tiltmav.vehicle import GRAVITY, RigidBodyParams
 
-from oracles import accelerations, kinetic_energy
+from oracles import accelerations, kinetic_energy, tilt_step
 
 
 def _params(mass=2.0, j=(1.0, 2.0, 3.0)):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -355,6 +356,112 @@ def test_step_count_must_be_a_positive_integer(n):
     plant = Plant(m, alpha=alpha, omega=omega)
     with pytest.raises(ValueError, match="^n must be an integer >= 1"):
         plant.step(alpha, omega, 1e-3, n)
+
+
+def _random_plant(rng, r_com):
+    q = random_rotation(rng)
+    inertia = q @ np.diag(rng.uniform(0.05, 0.3, 3)) @ q.T
+    m = hexarotor(body=RigidBodyParams(mass=rng.uniform(2.0, 6.0), inertia=inertia, r_com=r_com))
+    plant = Plant(m, alpha=rng.uniform(-np.pi, np.pi, m.n_arms),
+                  omega=rng.uniform(0.0, m.rotor.omega_max, m.n_rotors),
+                  rotor_slew=rng.choice([1e4, 1e5]))
+    plant.state.p = rng.normal(size=3)
+    plant.state.v = rng.normal(size=3)
+    plant.state.r_wb = random_rotation(rng)
+    w = rng.normal(size=3)
+    plant.state.omega = w / np.linalg.norm(w) * rng.uniform(0.0, 20.0)
+    plant.refresh_accelerations()
+    return plant
+
+
+@pytest.mark.parametrize("centred", [True, False], ids=["centred_com", "offset_com"])
+@pytest.mark.parametrize("n", [1, 10])
+def test_tick_equals_the_list_based_kernel_byte_for_byte(n, centred):
+    # Each plant takes four calls: as built, then after rotor_slew, dt and the
+    # tilt time constant change in turn, so a tick constant kept past a
+    # change of what it was formed from shows in the bits.
+    from oracles import plant_step_lists
+
+    rng = np.random.default_rng(40 + n + centred)
+    slewing = reaching = 0
+    for _ in range(40):
+        plant = _random_plant(rng, np.zeros(3) if centred else rng.normal(0.0, 0.02, 3))
+        twin = copy.deepcopy(plant)
+        m, dt = plant.morphology, rng.choice([1e-3, 5e-4])
+        alpha_ref = rng.uniform(-np.pi, np.pi, m.n_arms)
+        for change in (None, "rotor_slew", "dt", "tau"):
+            if change == "rotor_slew":
+                plant.rotor_slew = twin.rotor_slew = plant.rotor_slew * rng.uniform(0.2, 5.0)
+            elif change == "dt":
+                dt *= 2.0
+            elif change == "tau":
+                tilt = dataclasses.replace(m.tilt, tau=m.tilt.tau * rng.uniform(0.2, 5.0))
+                plant.morphology = twin.morphology = dataclasses.replace(m, tilt=tilt)
+            # Up to three ticks' worth of slew away: some rotors get there, some do not.
+            reach = n * dt * plant.rotor_slew
+            gap = rng.uniform(-3.0, 3.0, m.n_rotors) * reach
+            slewing += np.sum(np.abs(gap) > reach)
+            reaching += np.sum(np.abs(gap) < reach)
+            plant.step(alpha_ref, plant.omega + gap, dt, n)
+            plant_step_lists(twin, alpha_ref, twin.omega + gap, dt, n)
+            for name in ("p", "v", "r_wb", "omega", "a", "psi"):
+                got, want = getattr(plant.state, name), getattr(twin.state, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (change, name)
+            for got, want in ((plant.alpha, twin.alpha), (plant.omega, twin.omega)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), change
+    assert slewing > 100 and reaching > 100
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"rotor_slew": -5.0}, r"^rotor_slew must be a finite number > 0"),
+    ({"rotor_slew": 0.0}, r"^rotor_slew must be a finite number > 0"),
+    ({"rotor_slew": np.nan}, r"^rotor_slew must be a finite number > 0"),
+    ({"rotor_slew": np.inf}, r"^rotor_slew must be a finite number > 0"),
+    ({"alpha": np.zeros(5)}, r"^alpha must have shape \(6,\)"),
+    ({"alpha": np.zeros((1, 6))}, r"^alpha must have shape \(6,\)"),
+    ({"alpha": [0.0] * 5 + [np.nan]}, r"^each entry of alpha must be a finite number"),
+    ({"omega": np.zeros(13)}, r"^omega must have shape \(12,\)"),
+    ({"omega": [500.0] * 11 + [np.inf]}, r"^each entry of omega must be a finite number"),
+    ({"omega": [500.0] * 11 + [-1.0]}, r"^omega must have entries >= 0"),
+], ids=["slew_negative", "slew_zero", "slew_nan", "slew_inf", "alpha_short", "alpha_2d",
+        "alpha_nan", "omega_long", "omega_inf", "omega_negative"])
+def test_plant_rejects_bad_actuator_states_and_slew(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        Plant(prototype_morphology(), **kwargs)
+
+
+def _stepped_hover_plant():
+    m = prototype_morphology()
+    alpha, omega = hover_trim(m)
+    plant = Plant(m, alpha=alpha, omega=omega)
+    plant.refresh_accelerations()
+    plant.step(alpha, omega, 1e-3, 10)   # a formed tick must not let a later bad value through
+    return plant, alpha, omega
+
+
+def _assert_plant_unchanged(plant, before, actuators):
+    for name in ("p", "v", "a", "r_wb", "omega", "psi"):
+        assert np.array_equal(getattr(plant.state, name), getattr(before, name)), name
+    assert plant.alpha is actuators[0] and plant.omega is actuators[1]
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.inf, np.nan, True])
+def test_step_rejects_a_bad_time_step_and_keeps_the_state(dt):
+    plant, alpha, omega = _stepped_hover_plant()
+    before, actuators = plant.state.copy(), (plant.alpha, plant.omega)
+    with pytest.raises(ValueError, match=r"^dt must be a finite number > 0"):
+        plant.step(alpha, omega, dt, 10)
+    _assert_plant_unchanged(plant, before, actuators)
+
+
+@pytest.mark.parametrize("slew", [-5.0, 0.0, np.nan, np.inf])
+def test_step_rejects_a_rotor_slew_set_after_construction(slew):
+    plant, alpha, omega = _stepped_hover_plant()
+    before, actuators = plant.state.copy(), (plant.alpha, plant.omega)
+    plant.rotor_slew = slew
+    with pytest.raises(ValueError, match=r"^rotor_slew must be a finite number > 0"):
+        plant.step(alpha, omega, 1e-3, 10)
+    _assert_plant_unchanged(plant, before, actuators)
 
 
 def test_step_from_infinite_spin_raises_floating_point_error():
