@@ -13,7 +13,9 @@ every workload (at this seed) and end-to-end metric it writes each side's
 median and quartiles, the change/base ratio of the medians, the pairs the
 change won and lost (ties count for neither) and whether the medians differ
 by more than the base's interquartile range, along with each side's
-first-pass output digests and the machine facts. An existing ``--out`` file
+first-pass output digests, each run's pass count (``attempted``: a faster side
+runs more passes in the same ``--seconds``, which moves its peak memory) and
+the machine facts. An existing ``--out`` file
 keeps its other entries, so several seeds or workloads can share one file.
 The worktree is removed at the end.
 """
@@ -103,7 +105,21 @@ def compare(workload: str, seed: int, pairs: int, seconds: float, base_dir: Path
             [r["metrics"][name]["value"] for r in runs["change"]], metric["better"])
     for side in runs:
         out["digests"][side] = sorted({r["digest"] for r in runs[side]})
+    out["passes"] = {side: [r["attempted"] for r in runs[side]] for side in runs}
     return out
+
+
+def summary(results: dict) -> list[str]:
+    """One line per workload with both sides' median pass counts, then one per metric."""
+    lines = []
+    for key, res in results.items():
+        base, change = (statistics.median(res["passes"][side]) for side in ("base", "change"))
+        lines.append(f"{key} passes: base median {base:g} change median {change:g}")
+        for name, s in res["metrics"].items():
+            lines.append(f"{key} {name}: base {s['base']['median']:.4g} change "
+                         f"{s['change']['median']:.4g} ratio {s['ratio']:.3f} "
+                         f"wins {s['wins']}/{s['pairs']}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -130,11 +146,7 @@ def main(argv=None) -> int:
     doc.update({"base": base, "machine": machine()})
     doc.setdefault("runs", {}).update(results)
     out_path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    for key, res in results.items():
-        for name, s in res["metrics"].items():
-            sys.stderr.write(f"{key} {name}: base {s['base']['median']:.4g} change "
-                             f"{s['change']['median']:.4g} ratio {s['ratio']:.3f} "
-                             f"wins {s['wins']}/{s['pairs']}\n")
+    sys.stderr.writelines(line + "\n" for line in summary(results))
     return 0
 
 

@@ -19,6 +19,8 @@ from .vehicle import Morphology
 
 #: Relative sigma_min threshold below which the condition number saturates.
 RANK_EPS = 1e-12
+#: Least lambda_min / lambda_max of A_alpha A_alpha' for invert_static's normal equations.
+GRAM_EPS = 1e-6
 
 
 def static_allocation(m: Morphology, frames: tuple | None = None) -> np.ndarray:
@@ -76,11 +78,12 @@ def invert_static(a: np.ndarray, wrench: np.ndarray, m: Morphology,
     pseudoinverse solution; arms whose demanded thrust is negligible keep
     alpha_hold (or 0). Rotor speeds are then re-solved at the shared tilt
     angles, which restores wrench exactness the per-rotor pairs lose to the
-    drag-sign asymmetry within an arm. A caller inverting many wrenches
-    through one ``a`` may pass ``a_pinv``, which must equal ``np.linalg.pinv(a)``.
-    A stack of wrenches (..., 6) is inverted row by row into alpha (..., n_arms),
-    omega (..., n_rotors) and omega_tilde_star (..., 2 n_rotors); ``alpha_hold``
-    broadcasts to alpha.
+    drag-sign asymmetry within an arm: omega**2 = A_alpha' V L^-1 V' w, A_alpha A_alpha' =
+    V L V', where L clears ``GRAM_EPS`` (kappa < 1e3: a kappa^2 eps error far under 1e-9),
+    else pinv(A_alpha) w by the rank rule. A caller inverting many wrenches through one
+    ``a`` may pass ``a_pinv``, which must equal ``np.linalg.pinv(a)``. A stack of wrenches
+    (..., 6) is inverted row by row into alpha (..., n_arms), omega (..., n_rotors) and
+    omega_tilde_star (..., 2 n_rotors); ``alpha_hold`` broadcasts to alpha.
     """
     wrench = np.asarray(wrench, dtype=float)[..., None]
     wt = ((np.linalg.pinv(a) if a_pinv is None else a_pinv) @ wrench)[..., 0]
@@ -90,6 +93,11 @@ def invert_static(a: np.ndarray, wrench: np.ndarray, m: Morphology,
     alpha = np.where(thrusting, np.arctan2(lat, vert), 0.0 if alpha_hold is None else alpha_hold)
 
     a_inst = instantaneous_allocation(a, alpha, m.arm_of_rotor)
-    omega_sq = (np.linalg.pinv(a_inst, rcond=RANK_EPS) @ wrench)[..., 0]
-    omega = np.sqrt(np.clip(omega_sq, 0.0, None))
+    a_t = np.swapaxes(a_inst, -1, -2)
+    lam, v = np.linalg.eigh(a_inst @ a_t)
+    ok = lam[..., :1] > GRAM_EPS * lam[..., -1:]
+    a_plus = a_t @ v / np.where(ok, lam, 1.0)[..., None, :] @ np.swapaxes(v, -1, -2)
+    if not ok.all():
+        a_plus[~ok[..., 0]] = np.linalg.pinv(a_inst[~ok[..., 0]], rcond=RANK_EPS)
+    omega = np.sqrt(np.maximum((a_plus @ wrench)[..., 0], 0.0))
     return alpha, omega, wt

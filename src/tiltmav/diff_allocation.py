@@ -1,8 +1,8 @@
 """Differential actuator allocation with null-space task prioritization.
 
 Wrench-rate commands map to the 18 differential actuator commands
-u_tilde = [omega_dot; alpha_dot] through the Jacobian of the static
-allocation chain, A_tilde = A * d(omega_tilde)/d[omega; alpha]. The solve
+u_tilde = [omega_dot; alpha_dot] through A_tilde = d(A_alpha omega^2)/d[omega;
+alpha], read off the columns of A_alpha and dA_alpha/dalpha. The solve
 satisfies the wrench-rate equality exactly while staying closest to a
 preferred command u_tilde* in the weighted norm
 
@@ -72,28 +72,29 @@ class BiasConfig:
 
 def build_diff_allocation(a: np.ndarray, omega_c: np.ndarray, alpha_c: np.ndarray,
                           arm_of_rotor: np.ndarray) -> np.ndarray:
-    """A_tilde = A @ dA, the chain-rule Jacobian of A @ omega_tilde at the commands.
+    """A_tilde, the chain-rule Jacobian of A @ omega_tilde at the commands.
 
-    Rows of dA per rotor r on arm a:
-        d(w^2 sin a) = 2 w sin(a) dw + w^2 cos(a) da
-        d(w^2 cos a) = 2 w cos(a) dw - w^2 sin(a) da
+    With A_alpha = A_lat sin(a) + A_vert cos(a) from A's rotor column pairs, rotor r's
+    column is 2 w_r A_alpha[:, r] and arm k's column sums w_r^2 dA_alpha[:, r]/da_k =
+    w_r^2 (A_lat cos(a_k) - A_vert sin(a_k)) over its rotors.
     """
     omega_c = np.asarray(omega_c, dtype=float)
     alpha_c = np.asarray(alpha_c, dtype=float)
     if np.any(omega_c < 0.0):
         raise ValueError("rotor speed commands must be non-negative")
     arm_of_rotor = np.asarray(arm_of_rotor)
-    n_r = omega_c.size
-    n_arms = alpha_c.size
-    d_a = np.zeros((2 * n_r, n_r + n_arms))
-    a_r = alpha_c[arm_of_rotor]
-    sin_a, cos_a = np.sin(a_r), np.cos(a_r)
-    rows = np.arange(n_r)
-    d_a[2 * rows, rows] = 2.0 * omega_c * sin_a
-    d_a[2 * rows + 1, rows] = 2.0 * omega_c * cos_a
-    d_a[2 * rows, n_r + arm_of_rotor] = omega_c**2 * cos_a
-    d_a[2 * rows + 1, n_r + arm_of_rotor] = -(omega_c**2) * sin_a
-    return a @ d_a
+    pair = instantaneous_allocation(_with_tilt_derivative(a), alpha_c, arm_of_rotor)
+    return _a_tilde(pair[:6], pair[6:], omega_c, arm_of_rotor[:, None] == np.arange(alpha_c.size))
+
+
+def _with_tilt_derivative(a: np.ndarray) -> np.ndarray:
+    """[A; A'], A' = (-A_vert, A_lat): its instantaneous allocation is [A_alpha; dA_alpha/da]."""
+    return np.concatenate([a, np.stack([-a[:, 1::2], a[:, 0::2]], axis=-1).reshape(a.shape)])
+
+
+def _a_tilde(a_alpha, da_alpha, omega, arm_sum) -> np.ndarray:
+    """A_tilde from A_alpha, dA_alpha/da, rotor speeds and the rotor-to-arm incidence matrix."""
+    return np.concatenate([a_alpha * (2.0 * omega), (da_alpha * omega**2) @ arm_sum], axis=1)
 
 
 def exact_wrench_rate(j_w_des: np.ndarray, psi_dot_des_b: np.ndarray, state,
@@ -190,19 +191,18 @@ def solve(a_tilde: np.ndarray, w_inv_diag: np.ndarray, u_star: np.ndarray,
           w_dot_cmd: np.ndarray) -> tuple[np.ndarray, bool]:
     """Weighted minimum-deviation exact solve of A~ u = w_dot.
 
-    Returns (u_tilde, regularized). Near rank loss of A~ W^-1 A~' the inverse
-    is Tikhonov-regularized (trace-scaled) and flagged.
+    Returns (u_tilde, regularized). The rank test and lambda = V L^-1 V' (w_dot - A~ u*)
+    read one eigendecomposition V L V' of G = A~ W^-1 A~'; near rank loss of G the
+    inverse is Tikhonov-regularized (a trace-scaled shift of L) and flagged.
     """
-    awt = a_tilde * w_inv_diag[None, :]
+    awt = a_tilde * w_inv_diag
     gram = awt @ a_tilde.T
-    gram = 0.5 * (gram + gram.T)
-    eigvals = np.linalg.eigvalsh(gram)
-    regularized = bool(eigvals[0] <= eigvals[-1] / REGULARIZATION_CONDITION)
+    lam, v = np.linalg.eigh(gram)
+    regularized = bool(lam[0] <= lam[-1] / REGULARIZATION_CONDITION)
     if regularized:
-        gram = gram + 1e-9 * max(np.trace(gram), 1e-30) / gram.shape[0] * np.eye(gram.shape[0])
+        lam = lam + 1e-9 * max(np.trace(gram), 1e-30) / lam.size
     resid = w_dot_cmd - a_tilde @ u_star
-    lam = np.linalg.solve(gram, resid)
-    return u_star + awt.T @ lam, regularized
+    return u_star + (v @ ((resid @ v) / lam)) @ awt, regularized
 
 
 @dataclass
@@ -228,10 +228,11 @@ def saturate_integrate(
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     n_r = m.n_rotors
-    sat = u_tilde.copy()
-    sat[:n_r] = np.clip(sat[:n_r], -m.tilt.omega_accel_max, m.tilt.omega_accel_max)
-    sat[n_r:] = np.clip(sat[n_r:], -m.tilt.alpha_rate_max, m.tilt.alpha_rate_max)
-    omega_ref = np.clip(omega_prev + dt * sat[:n_r], m.rotor.omega_min, m.rotor.omega_max)
+    bound = np.full(u_tilde.shape, m.tilt.alpha_rate_max)
+    bound[:n_r] = m.tilt.omega_accel_max
+    sat = np.minimum(np.maximum(u_tilde, -bound), bound)
+    omega_ref = np.minimum(np.maximum(omega_prev + dt * sat[:n_r], m.rotor.omega_min),
+                           m.rotor.omega_max)
     alpha_ref = alpha_prev + dt * sat[n_r:]
     return ActuatorCommand(alpha_ref=alpha_ref, omega_ref=omega_ref,
                            u_tilde_raw=u_tilde, u_tilde_sat=sat)
@@ -239,7 +240,7 @@ def saturate_integrate(
 
 @dataclass
 class DifferentialAllocator:
-    """Allocation pipeline; ``set_commands`` holds the commands, their A_alpha and wrench."""
+    """Allocation pipeline; ``set_commands`` holds the commands, A_alpha, dA_alpha/da, wrench."""
 
     morphology: Morphology
     alloc: AllocationConfig = field(default_factory=AllocationConfig)
@@ -250,6 +251,8 @@ class DifferentialAllocator:
         self.a = static_allocation(self.morphology)
         self._a_pinv = np.linalg.pinv(self.a)
         m = self.morphology
+        self._a_pair = _with_tilt_derivative(self.a)
+        self._arm_sum = (m.arm_of_rotor[:, None] == np.arange(m.n_arms)).astype(float)
         self._w_inv = np.concatenate([
             np.ones(m.n_rotors), np.full(m.n_arms, 1.0 / self.alloc.k_alpha)
         ])
@@ -259,8 +262,8 @@ class DifferentialAllocator:
     def set_commands(self, alpha: np.ndarray, omega: np.ndarray) -> None:
         self.alpha_cmd = np.array(alpha, dtype=float)
         self.omega_cmd = np.array(omega, dtype=float)
-        self.a_alpha = instantaneous_allocation(self.a, self.alpha_cmd,
-                                                self.morphology.arm_of_rotor)
+        pair = instantaneous_allocation(self._a_pair, self.alpha_cmd, self.morphology.arm_of_rotor)
+        self.a_alpha, self._da_alpha = pair[:6], pair[6:]
         self.wrench = self.a_alpha @ self.omega_cmd**2
 
     def _schedule_unwinding(self, alpha_star: np.ndarray, u_star: np.ndarray,
@@ -279,10 +282,10 @@ class DifferentialAllocator:
         active = self._unwind_active
         active &= gap > self.alloc.unwind_release
         need = gap > self.alloc.unwind_engage
-        calm = np.linalg.norm(w_dot_cmd[:3]) < 15.0 and np.linalg.norm(w_dot_cmd[3:]) < 5.0
-        free = self.alloc.max_unwind_arms - int(active.sum())
-        if free > 0 and calm:
-            waiting = np.flatnonzero(need & ~active)
+        calm = math.hypot(*w_dot_cmd[:3]) < 15.0 and math.hypot(*w_dot_cmd[3:]) < 5.0
+        free = self.alloc.max_unwind_arms - np.count_nonzero(active)
+        waiting = np.flatnonzero(need & ~active) if free > 0 and calm else ()
+        if len(waiting):
             order = waiting[np.lexsort((waiting, -np.round(gap[waiting], 6)))]
             for arm in order:
                 if free <= 0:
@@ -294,24 +297,23 @@ class DifferentialAllocator:
                     continue
                 active[arm] = True
                 free -= 1
-        omega_pref = u_star[:n_r]
-        if active.any():
-            # The equal-speed pull-down on carrier rotors would fight the
-            # thrust redistribution, but spin-up preferences must survive: a
-            # stopped rotor has no differential authority and can only be
-            # restarted by its preference.
-            omega_pref = np.maximum(omega_pref, 0.0)
-        # Active arms spin their rotors down and unwind thrust-free only, so
-        # their tilt waits for the ramp-down; waiting arms park until scheduled.
+        omega_pref, alpha_pref = u_star[:n_r], u_star[n_r:]
+        if not active.any():
+            # Waiting arms park until scheduled.
+            return np.concatenate([omega_pref, np.where(need, 0.0, alpha_pref)])
+        # The equal-speed pull-down on carrier rotors would fight the thrust
+        # redistribution, but spin-up preferences must survive: a stopped rotor
+        # has no differential authority and can only be restarted by its
+        # preference. Active arms spin their rotors down and unwind thrust-free
+        # only, so their tilt waits for the ramp-down.
         spin_down = np.where(self.omega_cmd > m.rotor.omega_min + 1.0, -self.alloc.v_omega_dot, 0.0)
-        omega_pref = np.where(active[m.arm_of_rotor], spin_down, omega_pref)
+        omega_pref = np.where(active[m.arm_of_rotor], spin_down, np.maximum(omega_pref, 0.0))
         hot = (self.omega_cmd > m.rotor.omega_min + 50.0).reshape(m.n_arms, -1).any(axis=1)
-        alpha_pref = np.where(np.where(active, hot, need), 0.0, u_star[n_r:])
-        return np.concatenate([omega_pref, alpha_pref])
+        return np.concatenate([omega_pref, np.where(np.where(active, hot, need), 0.0, alpha_pref)])
 
     def step(self, w_dot_cmd: np.ndarray, dt: float) -> dict:
         m = self.morphology
-        a_tilde = build_diff_allocation(self.a, self.omega_cmd, self.alpha_cmd, m.arm_of_rotor)
+        a_tilde = _a_tilde(self.a_alpha, self._da_alpha, self.omega_cmd, self._arm_sum)
         if self.unwind or self.bias.enabled:
             alpha_star, _, u_star = optimal_targets(
                 m, self.a, self.alpha_cmd, self.omega_cmd, self.wrench,
@@ -328,7 +330,7 @@ class DifferentialAllocator:
         self.set_commands(cmd.alpha_ref, cmd.omega_ref)
         return {
             "command": cmd,
-            "residual": float(np.linalg.norm(a_tilde @ u_tilde - w_dot_cmd)),
+            "residual": math.sqrt((r := a_tilde @ u_tilde - w_dot_cmd) @ r),
             "regularized": regularized,
             "kappa": condition_number(self.a_alpha),
         }

@@ -30,13 +30,14 @@ def sg_coefficients(window: int, order: int = 1) -> tuple[np.ndarray, np.ndarray
 
 
 class SavitzkyGolay:
-    """Streaming filter over a fixed-size trailing buffer."""
+    """Streaming filter; samples go in twice, so the trailing window is one buffer slice."""
 
     def __init__(self, window: int = 21, order: int = 1, dim: int = 3):
         self.window = window
         self.order = order
         self.value_w, self.deriv_w = sg_coefficients(window, order)
-        self._buf = np.zeros((window, dim))
+        self._buf = np.zeros((2 * window, dim))
+        self._recent = self._buf[:window]
         self._count = 0
 
     @property
@@ -44,18 +45,19 @@ class SavitzkyGolay:
         return self._count >= self.window
 
     def push(self, sample) -> None:
-        self._buf = np.roll(self._buf, -1, axis=0)
-        self._buf[-1] = np.asarray(sample, dtype=float)
+        k = self._count % self.window
+        self._buf[k] = self._buf[k + self.window] = sample
+        self._recent = self._buf[k + 1:k + 1 + self.window]
         self._count += 1
 
     def value(self):
         """Smoothed value at the newest sample; pass-through until primed."""
         if not self.primed:
-            return self._buf[-1].copy()
-        return self.value_w @ self._buf
+            return self._recent[-1].copy()
+        return self.value_w @ self._recent
 
     def derivative(self, dt: float):
         """Fit slope at the newest sample, per second; zero until primed."""
         if not self.primed:
             return np.zeros(self._buf.shape[1])
-        return (self.deriv_w @ self._buf) / dt
+        return (self.deriv_w @ self._recent) / dt

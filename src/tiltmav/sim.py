@@ -136,10 +136,18 @@ class Plant:
         the list form in the same order, so every bit matches it. The tilt
         decay factors, slew reach and step fractions are formed, and dt and
         ``rotor_slew`` checked, once per (dt, n, tau, rotor_slew).
-        Accelerations are formed once, at the end. Raises NonFiniteState,
-        leaving the state as it was, when a step would make it non-finite.
+        Accelerations are formed once, at the end. Raises ValueError for a
+        reference of the wrong shape, not finite or < 0, and NonFiniteState when a
+        step would make the state non-finite, both leaving the state as it was.
         """
         check_int("n", n, 1)
+        alpha_ref, omega_ref = np.asarray(alpha_ref, float), np.asarray(omega_ref, float)
+        for name, ref, held in (("alpha_ref", alpha_ref, self.alpha),
+                                ("omega_ref", omega_ref, self.omega)):
+            if ref.shape != held.shape or not np.isfinite(ref).all():
+                raise ValueError(f"{name} must be finite with shape {held.shape}, got {ref!r}")
+        if omega_ref.min() < 0.0:
+            raise ValueError(f"omega_ref must have entries >= 0 (rotor speeds), got {omega_ref!r}")
         key = (dt, n, self.morphology.tilt.tau, self.rotor_slew)
         if key != self._tick_key:
             self._tick_key, self._tick = key, _tick_constants(*key)

@@ -8,13 +8,16 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from tiltmav.allocation import condition_number, instantaneous_allocation, static_allocation
+from tiltmav.allocation import (GRAM_EPS, RANK_EPS, condition_number, instantaneous_allocation,
+                                static_allocation)
 from tiltmav.design import UP, _least_radius, build_candidate
-from tiltmav.diff_allocation import AllocationConfig, BiasConfig, optimal_targets
+from tiltmav.diff_allocation import (REGULARIZATION_CONDITION, AllocationConfig, BiasConfig,
+                                     optimal_targets)
 from tiltmav.envelope import (_CENTRE, _EDGE, _GAP, _MAX_STEPS, _POLISH, _RESIDUAL, _SHRINK, _gram,
                               _smoothed, arm_wrench_blocks)
 from tiltmav.riccati import CareError, _validate
 from tiltmav.rigid_body import BodyConstants, RigidBodyState, com_torque, newton_euler
+from tiltmav.sgfilter import sg_coefficients
 from tiltmav.sim import NonFiniteState
 from tiltmav.so3 import ORTHONORMALITY_TOL, exp_so3, matmul3, rodrigues, rot_y, rot_z
 from tiltmav.trajectory import TrajectorySample
@@ -114,8 +117,90 @@ def invert_static_loop(a, wrench, m, alpha_hold=None):
         if np.hypot(lat_sum, vert_sum) > 1e-12 * scale:
             alpha[arm] = np.arctan2(lat_sum, vert_sum)
     a_inst = instantaneous_allocation(a, alpha, m.arm_of_rotor)
-    omega = np.sqrt(np.clip(np.linalg.pinv(a_inst) @ wrench, 0.0, None))
-    return alpha, omega, wt
+    lam, v = np.linalg.eigh(a_inst @ a_inst.T)
+    if lam[0] > GRAM_EPS * lam[-1]:
+        omega_sq = (a_inst.T @ v / lam @ v.T) @ wrench
+    else:
+        omega_sq = np.linalg.pinv(a_inst, rcond=RANK_EPS) @ wrench
+    return alpha, np.sqrt(np.clip(omega_sq, 0.0, None)), wt
+
+
+def invert_static_pinv(a, wrench, m, alpha_hold=None):
+    """``allocation.invert_static`` with its rotor speeds re-solved by
+    ``pinv(A_alpha, rcond=RANK_EPS)`` on every row, the SVD form the
+    normal-equation re-solve replaced."""
+    wrench = np.asarray(wrench, dtype=float)[..., None]
+    wt = (np.linalg.pinv(a) @ wrench)[..., 0]
+    per_arm = wt.reshape(wt.shape[:-1] + (m.n_arms, m.rotor.rotors_per_arm, 2)).sum(axis=-2)
+    lat, vert = per_arm[..., 0], per_arm[..., 1]
+    thrusting = np.hypot(lat, vert) > 1e-12 * np.abs(wt).max(axis=-1, keepdims=True)
+    alpha = np.where(thrusting, np.arctan2(lat, vert), 0.0 if alpha_hold is None else alpha_hold)
+    a_inst = instantaneous_allocation(a, alpha, m.arm_of_rotor)
+    omega_sq = (np.linalg.pinv(a_inst, rcond=RANK_EPS) @ wrench)[..., 0]
+    return alpha, np.sqrt(np.clip(omega_sq, 0.0, None)), wt
+
+
+def build_diff_allocation_dense(a, omega_c, alpha_c, arm_of_rotor) -> np.ndarray:
+    """A_tilde = A @ dA through the dense (2 n_rotors, n_rotors + n_arms)
+    chain-rule matrix dA, the form ``diff_allocation.build_diff_allocation``
+    replaced. Rows of dA per rotor r on arm a:
+        d(w^2 sin a) = 2 w sin(a) dw + w^2 cos(a) da
+        d(w^2 cos a) = 2 w cos(a) dw - w^2 sin(a) da
+    """
+    omega_c = np.asarray(omega_c, dtype=float)
+    alpha_c = np.asarray(alpha_c, dtype=float)
+    arm_of_rotor = np.asarray(arm_of_rotor)
+    n_r = omega_c.size
+    d_a = np.zeros((2 * n_r, n_r + alpha_c.size))
+    a_r = alpha_c[arm_of_rotor]
+    sin_a, cos_a = np.sin(a_r), np.cos(a_r)
+    rows = np.arange(n_r)
+    d_a[2 * rows, rows] = 2.0 * omega_c * sin_a
+    d_a[2 * rows + 1, rows] = 2.0 * omega_c * cos_a
+    d_a[2 * rows, n_r + arm_of_rotor] = omega_c**2 * cos_a
+    d_a[2 * rows + 1, n_r + arm_of_rotor] = -(omega_c**2) * sin_a
+    return a @ d_a
+
+
+def solve_lu(a_tilde, w_inv_diag, u_star, w_dot_cmd) -> tuple[np.ndarray, bool]:
+    """``diff_allocation.solve`` through ``eigvalsh`` for the regularization
+    test and an LU ``solve`` of the symmetrized Gram matrix, the pair the one
+    eigendecomposition replaced."""
+    awt = a_tilde * w_inv_diag[None, :]
+    gram = awt @ a_tilde.T
+    gram = 0.5 * (gram + gram.T)
+    eigvals = np.linalg.eigvalsh(gram)
+    regularized = bool(eigvals[0] <= eigvals[-1] / REGULARIZATION_CONDITION)
+    if regularized:
+        gram = gram + 1e-9 * max(np.trace(gram), 1e-30) / gram.shape[0] * np.eye(gram.shape[0])
+    lam = np.linalg.solve(gram, w_dot_cmd - a_tilde @ u_star)
+    return u_star + awt.T @ lam, regularized
+
+
+class SavitzkyGolayRoll:
+    """``sgfilter.SavitzkyGolay`` on a (window, dim) buffer that ``np.roll``
+    shifts by one row per sample, newest last."""
+
+    def __init__(self, window: int = 21, order: int = 1, dim: int = 3):
+        self.window = window
+        self.value_w, self.deriv_w = sg_coefficients(window, order)
+        self._buf = np.zeros((window, dim))
+        self._count = 0
+
+    def push(self, sample) -> None:
+        self._buf = np.roll(self._buf, -1, axis=0)
+        self._buf[-1] = np.asarray(sample, dtype=float)
+        self._count += 1
+
+    def value(self):
+        if self._count < self.window:
+            return self._buf[-1].copy()
+        return self.value_w @ self._buf
+
+    def derivative(self, dt: float):
+        if self._count < self.window:
+            return np.zeros(self._buf.shape[1])
+        return (self.deriv_w @ self._buf) / dt
 
 
 def alpha_bias_loop(thrust_dirs, magnitudes, cfg) -> np.ndarray:

@@ -52,3 +52,23 @@ def test_a_failed_run_stops_the_comparison(monkeypatch):
                                            r"\(exit code 1, 1 of 4 passes"):
         ab.compare("sim_flip", 7, 3, 1.0, Path("base"))
     assert calls == [Path("base"), ab.ROOT, ab.ROOT]
+
+
+def test_pass_counts_are_recorded_per_side_and_summarized(monkeypatch):
+    # Pair 1 runs base then change, pair 2 change then base, pair 3 base then change.
+    attempted = iter([10, 14, 15, 11, 12, 13])
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append(checkout)
+        return {"correct": True, "attempted": next(attempted), "failed": 0, "exit_code": 0,
+                "digest": "d", "metrics": {name: {"value": 1.0}
+                                           for name in ("wall_s", "setup_s", "peak_rss_mb")}}
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    res = ab.compare("sim_unwind", 1, 3, 1.0, Path("base"))
+    assert calls == [Path("base"), ab.ROOT, ab.ROOT, Path("base"), Path("base"), ab.ROOT]
+    assert res["passes"] == {"base": [10, 11, 12], "change": [14, 15, 13]}
+    lines = ab.summary({"sim_unwind@seed1": res})
+    assert lines[0] == "sim_unwind@seed1 passes: base median 11 change median 14"
+    assert lines[1].startswith("sim_unwind@seed1 wall_s: base 1 change 1 ratio 1.000 wins 0/3")

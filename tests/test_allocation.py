@@ -3,12 +3,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tiltmav.allocation import (condition_number, instantaneous_allocation,
+from tiltmav.allocation import (GRAM_EPS, condition_number, instantaneous_allocation,
                                 invert_static, static_allocation)
 from tiltmav.vehicle import (Morphology, RigidBodyParams, RotorParams, TiltParams,
                              evenly_spaced_arms, hexarotor, prototype_morphology)
 
-from oracles import invert_static_loop, omega_tilde, random_morphology, static_allocation_loop
+from oracles import (invert_static_loop, invert_static_pinv, omega_tilde, random_morphology,
+                     static_allocation_loop)
+
+
+def _gram_ratio(a, alpha, m):
+    """lambda_min / lambda_max of A_alpha A_alpha' at tilt angles alpha (or rows)."""
+    a_alpha = instantaneous_allocation(a, alpha, m.arm_of_rotor)
+    lam = np.linalg.eigvalsh(a_alpha @ np.swapaxes(a_alpha, -1, -2))
+    return lam[..., 0] / lam[..., -1]
 
 
 def test_rotor_wrench_table_values():
@@ -156,6 +164,40 @@ def test_invert_static_round_trip(vehicle):
         assert np.linalg.norm(a_alpha @ omega**2 - wrench) <= 1e-9 * np.linalg.norm(wrench)
 
 
+def test_flat_octorotor_takes_the_svd_fallback():
+    # sigma_min/sigma_max ~ 7e-15 at the re-solve's tilt angles: the normal
+    # equations would square that, so the rank rule's SVD decides the speeds.
+    m, alpha_set, omega_sq_set = _flat_octorotor_last_rotor()
+    a = static_allocation(m)
+    wrench = a @ omega_tilde(omega_sq_set, alpha_set, m.arm_of_rotor)
+    got = invert_static(a, wrench, m)
+    assert _gram_ratio(a, got[0], m) <= GRAM_EPS
+    for got_part, want in zip(got, invert_static_pinv(a, wrench, m)):
+        assert got_part.tobytes() == want.tobytes()
+
+
+def test_gated_resolve_matches_the_svd_form():
+    # Where the Gram eigenvalues clear GRAM_EPS the normal equations give the
+    # pinv speeds to 1e-9 of the largest; elsewhere the SVD form itself runs.
+    rng = np.random.default_rng(59)
+    sides = set()
+    for _ in range(200):
+        m = random_morphology(rng)
+        a = static_allocation(m)
+        wrenches = rng.normal(0.0, 20.0, (4, 6))
+        hold = rng.uniform(-3.0, 3.0, m.n_arms)
+        got, want = invert_static(a, wrenches, m, hold), invert_static_pinv(a, wrenches, m, hold)
+        assert got[0].tobytes() == want[0].tobytes() and got[2].tobytes() == want[2].tobytes()
+        omega_sq, want_sq = got[1] ** 2, want[1] ** 2
+        for row, ratio in enumerate(_gram_ratio(a, got[0], m)):
+            sides.add(bool(ratio > GRAM_EPS))
+            if ratio > GRAM_EPS:
+                assert np.abs(omega_sq[row] - want_sq[row]).max() <= 1e-9 * want_sq[row].max()
+            else:
+                assert got[1][row].tobytes() == want[1][row].tobytes()
+    assert sides == {False, True}
+
+
 def test_invert_static_holds_degenerate_arm():
     m = prototype_morphology()
     a = static_allocation(m)
@@ -181,8 +223,10 @@ def test_array_forms_equal_the_per_arm_loops():
 
 def test_stacks_equal_the_row_by_row_calls():
     # A stack runs each row through the arithmetic of one call, so the rows
-    # agree byte for byte, rank-loss (inf) rows included.
+    # agree byte for byte, rank-loss (inf) rows and rows on both sides of the
+    # re-solve's GRAM_EPS gate included.
     rng = np.random.default_rng(41)
+    sides = set()
     for _ in range(40):
         m = random_morphology(rng)
         a = static_allocation(m)
@@ -191,6 +235,7 @@ def test_stacks_equal_the_row_by_row_calls():
         for hold in (None, rng.uniform(-3.0, 3.0, m.n_arms),
                      rng.uniform(-3.0, 3.0, (2, 5, m.n_arms))):
             stacked = invert_static(a, wrenches, m, alpha_hold=hold)
+            sides.update((_gram_ratio(a, stacked[0], m) > GRAM_EPS).flat)
             for idx in np.ndindex(2, 5):
                 row_hold = hold if hold is None or hold.ndim == 1 else hold[idx]
                 for got, want in zip(stacked, invert_static(a, wrenches[idx], m, row_hold)):
@@ -203,3 +248,4 @@ def test_stacks_equal_the_row_by_row_calls():
         rows = [[condition_number(mat) for mat in row] for row in a_alpha]
         assert kappa.tobytes() == np.array(rows).tobytes()
     assert type(condition_number(a_alpha[0, 0])) is float
+    assert sides == {False, True}

@@ -14,8 +14,8 @@ from tiltmav.rigid_body import RigidBodyState
 from tiltmav.sim import hover_trim
 from tiltmav.vehicle import RigidBodyParams, prototype_morphology
 
-from oracles import (alpha_bias_loop, condition_scan_loop, omega_tilde, random_morphology,
-                     schedule_unwinding_loop)
+from oracles import (alpha_bias_loop, build_diff_allocation_dense, condition_scan_loop,
+                     omega_tilde, random_morphology, schedule_unwinding_loop, solve_lu)
 
 
 def _hover_setup():
@@ -43,6 +43,43 @@ def test_jacobian_finite_difference():
         fd = (wrench(omega_c + eps * d_omega, alpha_c + eps * d_alpha) - w0) / eps
         rel = np.linalg.norm(fd - a_tilde @ du) / np.linalg.norm(a_tilde @ du)
         assert rel < 1e-4
+
+
+def test_a_tilde_and_solve_match_the_dense_forms():
+    # A~ from A_alpha's columns against A @ dA, and the one-eigh solve against
+    # eigvalsh + LU, on random layouts and commands. Both solves carry a forward
+    # error of order eps kappa(G), so u~ agrees to 1e-12 relative where the
+    # solved Gram is well conditioned (kappa(G) ~ 5e3 on the unwinding run) and
+    # to a few eps kappa(G) elsewhere. Regularized rows stop all arms but one,
+    # with a reachable rate: an unreachable one is amplified by 1/shift in both.
+    rng = np.random.default_rng(67)
+    eps = np.finfo(float).eps
+    flags = []
+    for trial in range(300):
+        m = random_morphology(rng)
+        a = static_allocation(m)
+        omega = rng.uniform(0.0, m.rotor.omega_max, m.n_rotors)
+        alpha = rng.uniform(-7.0, 7.0, m.n_arms)
+        stopped = trial % 3 == 1
+        if stopped:
+            omega[m.arm_of_rotor != rng.integers(m.n_arms)] = 0.0
+        a_tilde = build_diff_allocation(a, omega, alpha, m.arm_of_rotor)
+        dense = build_diff_allocation_dense(a, omega, alpha, m.arm_of_rotor)
+        assert np.abs(a_tilde - dense).max() <= 1e-15 * np.abs(dense).max()
+        w_inv = np.concatenate([np.ones(m.n_rotors),
+                                np.full(m.n_arms, 10.0 ** rng.uniform(-4.0, 0.0))])
+        u_star = rng.choice([-250.0, 0.0, 250.0], m.n_rotors + m.n_arms)
+        w_dot = (a_tilde @ rng.normal(0.0, 100.0, a_tilde.shape[1]) if stopped
+                 else rng.normal(0.0, 10.0, 6))
+        u_tilde, regularized = solve(a_tilde, w_inv, u_star, w_dot)
+        want, want_regularized = solve_lu(dense, w_inv, u_star, w_dot)
+        assert regularized == want_regularized
+        flags.append(regularized)
+        gram = (dense * w_inv) @ dense.T
+        lam = np.linalg.eigvalsh(gram) + (1e-9 * np.trace(gram) / 6 if regularized else 0.0)
+        tol = max(1e-12, 4.0 * eps * lam[-1] / lam[0])
+        assert np.abs(u_tilde - want).max() <= tol * np.abs(want).max()
+    assert any(flags) and not all(flags)
 
 
 def test_omega_zero_columns_vanish():

@@ -3,6 +3,8 @@ import pytest
 
 from tiltmav.sgfilter import SavitzkyGolay, sg_coefficients
 
+from oracles import SavitzkyGolayRoll
+
 
 def test_constant_signal_identity():
     f = SavitzkyGolay(window=21, order=1, dim=1)
@@ -60,3 +62,19 @@ def test_coefficients_sum():
     # derivative weights recover a unit slope: sum(w_i * x_i) = 1
     x = np.arange(21.0) - 20.0
     assert np.isclose(deriv_w @ x, 1.0)
+
+
+@pytest.mark.parametrize("window, order, dim", [(21, 1, 3), (5, 1, 2), (3, 0, 1), (7, 2, 4)])
+def test_doubled_buffer_equals_the_rolled_buffer_byte_for_byte(window, order, dim):
+    # Before priming and over several wraps of the buffer, the contiguous
+    # window multiplies the same rows in the same order as the rolled one.
+    rng = np.random.default_rng(window + dim)
+    f, oracle = SavitzkyGolay(window, order, dim), SavitzkyGolayRoll(window, order, dim)
+    assert f.value().tobytes() == oracle.value().tobytes()
+    for k in range(5 * window + 2):
+        sample = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), dim)
+        f.push(sample if k % 2 else sample.tolist())
+        oracle.push(sample)
+        assert f.primed == (k + 1 >= window)
+        assert f.value().tobytes() == oracle.value().tobytes()
+        assert f.derivative(0.01).tobytes() == oracle.derivative(0.01).tobytes()

@@ -315,8 +315,10 @@ def test_tick_matches_the_per_step_reference():
         plant.omega = rng.uniform(0.0, m.rotor.omega_max, m.n_rotors)
         alpha_ref = rng.uniform(-np.pi, np.pi, m.n_arms)
         # Up to three ticks' worth of slew away: some rotors get there, some do not.
-        gap = rng.uniform(-3.0, 3.0, m.n_rotors) * n * dt * plant.rotor_slew
-        omega_ref = plant.omega + gap
+        # Rotor speed references are non-negative.
+        omega_ref = np.maximum(
+            plant.omega + rng.uniform(-3.0, 3.0, m.n_rotors) * n * dt * plant.rotor_slew, 0.0)
+        gap = omega_ref - plant.omega
         saturated += np.sum(np.abs(gap) > n * dt * plant.rotor_slew)
         reached += np.sum(np.abs(gap) < n * dt * plant.rotor_slew)
         ref, alpha, omega = plant.state.copy(), plant.alpha, plant.omega
@@ -397,13 +399,15 @@ def test_tick_equals_the_list_based_kernel_byte_for_byte(n, centred):
             elif change == "tau":
                 tilt = dataclasses.replace(m.tilt, tau=m.tilt.tau * rng.uniform(0.2, 5.0))
                 plant.morphology = twin.morphology = dataclasses.replace(m, tilt=tilt)
-            # Up to three ticks' worth of slew away: some rotors get there, some do not.
+            # Up to three ticks' worth of slew away: some rotors get there, some do
+            # not. Rotor speed references are non-negative.
             reach = n * dt * plant.rotor_slew
-            gap = rng.uniform(-3.0, 3.0, m.n_rotors) * reach
+            omega_ref = np.maximum(plant.omega + rng.uniform(-3.0, 3.0, m.n_rotors) * reach, 0.0)
+            gap = omega_ref - plant.omega
             slewing += np.sum(np.abs(gap) > reach)
             reaching += np.sum(np.abs(gap) < reach)
-            plant.step(alpha_ref, plant.omega + gap, dt, n)
-            plant_step_lists(twin, alpha_ref, twin.omega + gap, dt, n)
+            plant.step(alpha_ref, omega_ref, dt, n)
+            plant_step_lists(twin, alpha_ref, omega_ref, dt, n)
             for name in ("p", "v", "r_wb", "omega", "a", "psi"):
                 got, want = getattr(plant.state, name), getattr(twin.state, name)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (change, name)
@@ -451,6 +455,25 @@ def test_step_rejects_a_bad_time_step_and_keeps_the_state(dt):
     before, actuators = plant.state.copy(), (plant.alpha, plant.omega)
     with pytest.raises(ValueError, match=r"^dt must be a finite number > 0"):
         plant.step(alpha, omega, dt, 10)
+    _assert_plant_unchanged(plant, before, actuators)
+
+
+@pytest.mark.parametrize("refs, match", [
+    ({"alpha_ref": np.zeros(5)}, r"^alpha_ref must be finite with shape \(6,\)"),
+    ({"alpha_ref": np.zeros((1, 6))}, r"^alpha_ref must be finite with shape \(6,\)"),
+    ({"alpha_ref": [0.0] * 5 + [np.nan]}, r"^alpha_ref must be finite with shape \(6,\)"),
+    ({"omega_ref": np.full(11, 700.0)}, r"^omega_ref must be finite with shape \(12,\)"),
+    ({"omega_ref": [700.0] * 11 + [np.inf]}, r"^omega_ref must be finite with shape \(12,\)"),
+    ({"omega_ref": np.full(12, -700.0)}, r"^omega_ref must have entries >= 0"),
+    ({"omega_ref": [700.0] * 11 + [-1.0]}, r"^omega_ref must have entries >= 0"),
+], ids=["alpha_short", "alpha_2d", "alpha_nan", "omega_short", "omega_inf", "omega_negated",
+        "omega_one_negative"])
+def test_step_rejects_bad_reference_commands_and_keeps_the_state(refs, match):
+    plant, alpha, omega = _stepped_hover_plant()
+    before, actuators = plant.state.copy(), (plant.alpha, plant.omega)
+    refs = {"alpha_ref": alpha, "omega_ref": omega, **refs}
+    with pytest.raises(ValueError, match=match):
+        plant.step(refs["alpha_ref"], refs["omega_ref"], 1e-3, 10)
     _assert_plant_unchanged(plant, before, actuators)
 
 
