@@ -4,7 +4,7 @@
     python3 scripts/ab.py --base HEAD --workloads design_oct --seed 1 --pairs 10 \\
         --seconds 5 --out BENCH_<n>.json
 
-Checks ``--base`` out with ``git worktree`` into ``.bench_build/`` and runs
+Extracts ``git archive`` of ``--base`` into ``.bench_build/`` and runs
 ``perfbench/run.py --trace 0`` there and in this checkout, one run of each per
 pair, swapping which side runs first from pair to pair. A run that exits
 non-zero or reports ``"correct": false`` stops the comparison with an error
@@ -15,9 +15,10 @@ change won and lost (ties count for neither) and whether the medians differ
 by more than the base's interquartile range, along with each side's
 first-pass output digests, each run's pass count (``attempted``: a faster side
 runs more passes in the same ``--seconds``, which moves its peak memory) and
-the machine facts. An existing ``--out`` file
-keeps its other entries, so several seeds or workloads can share one file.
-The worktree is removed at the end.
+the machine facts; the stderr summary says per workload whether both sides'
+first-pass digests agree. An existing ``--out`` file keeps its other entries,
+so several seeds or workloads can share one file. ``.bench_build/`` is removed
+at the end.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -110,7 +112,8 @@ def compare(workload: str, seed: int, pairs: int, seconds: float, base_dir: Path
 
 
 def summary(results: dict) -> list[str]:
-    """One line per workload with both sides' median pass counts, then one per metric."""
+    """Per workload: both sides' median pass counts, one line per metric, and
+    whether the sides' first-pass digests agree (one digest, the same on both)."""
     lines = []
     for key, res in results.items():
         base, change = (statistics.median(res["passes"][side]) for side in ("base", "change"))
@@ -119,6 +122,12 @@ def summary(results: dict) -> list[str]:
             lines.append(f"{key} {name}: base {s['base']['median']:.4g} change "
                          f"{s['change']['median']:.4g} ratio {s['ratio']:.3f} "
                          f"wins {s['wins']}/{s['pairs']}")
+        digests = res["digests"]
+        if len(digests["base"]) == 1 and digests["base"] == digests["change"]:
+            lines.append(f"{key} digests: agree {digests['base'][0]}")
+        else:
+            lines.append(f"{key} digests: DIFFER base {' '.join(digests['base'])} "
+                         f"change {' '.join(digests['change'])}")
     return lines
 
 
@@ -134,14 +143,15 @@ def main(argv=None) -> int:
     out_path = args.out if args.out.is_absolute() else ROOT / args.out
     base = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
-    subprocess.run(["git", "worktree", "add", "--detach", str(BUILD), base], cwd=ROOT,
-                   check=True, capture_output=True)
+    BUILD.mkdir()
     try:
+        archive = subprocess.run(["git", "archive", base], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(BUILD)], input=archive, check=True)
         results = {f"{w}@seed{args.seed}": compare(w, args.seed, args.pairs, args.seconds, BUILD)
                    for w in args.workloads}
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(BUILD)], cwd=ROOT,
-                       check=True, capture_output=True)
+        shutil.rmtree(BUILD)
     doc = json.loads(out_path.read_text()) if out_path.exists() else {}
     doc.update({"base": base, "machine": machine()})
     doc.setdefault("runs", {}).update(results)

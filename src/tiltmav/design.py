@@ -39,6 +39,8 @@ UP = np.array([0.0, 0.0, 1.0])
 #: Cap on the secular Newton steps of ``_least_radius``; they stop once no row
 #: moves, which takes at most about ten from its start.
 _NEWTON_STEPS = 50
+#: Cap on the poll iterations of one pattern-search start.
+_PATTERN_MAX_ITER = 400
 
 
 @dataclass
@@ -221,7 +223,7 @@ class _CostEvaluator:
 
 
 def _pattern_search(fun, x0: np.ndarray, bound: float, step: float, step_min: float,
-                    max_iter: int = 400, decrease_tol: float = 1e-3) -> tuple[np.ndarray, float]:
+                    decrease_tol: float = 1e-3) -> tuple[np.ndarray, float]:
     """Coordinate pattern search with composite all-beta poll directions.
 
     ``fun`` maps a (B, n) batch of points to their B values. Each iteration
@@ -237,7 +239,7 @@ def _pattern_search(fun, x0: np.ndarray, bound: float, step: float, step_min: fl
                      + [alt, -alt, uni, -uni])
     x = np.clip(x0.copy(), -bound, bound)
     f = fun(x[None, :])[0]
-    for _ in range(max_iter):
+    for _ in range(_PATTERN_MAX_ITER):
         if step < step_min:
             break
         best_x, best_f = None, f

@@ -70,33 +70,6 @@ class BiasConfig:
             raise ValueError(f"colinearity_tol must be in (0, pi/2], got {self.colinearity_tol!r}")
 
 
-def build_diff_allocation(a: np.ndarray, omega_c: np.ndarray, alpha_c: np.ndarray,
-                          arm_of_rotor: np.ndarray) -> np.ndarray:
-    """A_tilde, the chain-rule Jacobian of A @ omega_tilde at the commands.
-
-    With A_alpha = A_lat sin(a) + A_vert cos(a) from A's rotor column pairs, rotor r's
-    column is 2 w_r A_alpha[:, r] and arm k's column sums w_r^2 dA_alpha[:, r]/da_k =
-    w_r^2 (A_lat cos(a_k) - A_vert sin(a_k)) over its rotors.
-    """
-    omega_c = np.asarray(omega_c, dtype=float)
-    alpha_c = np.asarray(alpha_c, dtype=float)
-    if np.any(omega_c < 0.0):
-        raise ValueError("rotor speed commands must be non-negative")
-    arm_of_rotor = np.asarray(arm_of_rotor)
-    pair = instantaneous_allocation(_with_tilt_derivative(a), alpha_c, arm_of_rotor)
-    return _a_tilde(pair[:6], pair[6:], omega_c, arm_of_rotor[:, None] == np.arange(alpha_c.size))
-
-
-def _with_tilt_derivative(a: np.ndarray) -> np.ndarray:
-    """[A; A'], A' = (-A_vert, A_lat): its instantaneous allocation is [A_alpha; dA_alpha/da]."""
-    return np.concatenate([a, np.stack([-a[:, 1::2], a[:, 0::2]], axis=-1).reshape(a.shape)])
-
-
-def _a_tilde(a_alpha, da_alpha, omega, arm_sum) -> np.ndarray:
-    """A_tilde from A_alpha, dA_alpha/da, rotor speeds and the rotor-to-arm incidence matrix."""
-    return np.concatenate([a_alpha * (2.0 * omega), (da_alpha * omega**2) @ arm_sum], axis=1)
-
-
 def exact_wrench_rate(j_w_des: np.ndarray, psi_dot_des_b: np.ndarray, state,
                       params: RigidBodyParams, wrench: np.ndarray) -> np.ndarray:
     """Coordinate body-wrench rates realizing the desired jerks exactly.
@@ -251,7 +224,9 @@ class DifferentialAllocator:
         self.a = static_allocation(self.morphology)
         self._a_pinv = np.linalg.pinv(self.a)
         m = self.morphology
-        self._a_pair = _with_tilt_derivative(self.a)
+        # [A; A'], A' = (-A_vert, A_lat): its instantaneous allocation is [A_alpha; dA_alpha/da].
+        self._a_pair = np.concatenate([self.a, np.stack([-self.a[:, 1::2], self.a[:, 0::2]],
+                                                        axis=-1).reshape(self.a.shape)])
         self._arm_sum = (m.arm_of_rotor[:, None] == np.arange(m.n_arms)).astype(float)
         self._w_inv = np.concatenate([
             np.ones(m.n_rotors), np.full(m.n_arms, 1.0 / self.alloc.k_alpha)
@@ -260,11 +235,25 @@ class DifferentialAllocator:
         self.set_commands(np.zeros(m.n_arms), np.zeros(m.n_rotors))
 
     def set_commands(self, alpha: np.ndarray, omega: np.ndarray) -> None:
+        omega = np.array(omega, dtype=float)
+        if np.any(omega < 0.0):
+            raise ValueError("rotor speed commands must be non-negative")
         self.alpha_cmd = np.array(alpha, dtype=float)
-        self.omega_cmd = np.array(omega, dtype=float)
+        self.omega_cmd = omega
         pair = instantaneous_allocation(self._a_pair, self.alpha_cmd, self.morphology.arm_of_rotor)
         self.a_alpha, self._da_alpha = pair[:6], pair[6:]
         self.wrench = self.a_alpha @ self.omega_cmd**2
+
+    @property
+    def a_tilde(self) -> np.ndarray:
+        """A_tilde, the chain-rule Jacobian of A @ omega_tilde at the held commands.
+
+        With A_alpha = A_lat sin(a) + A_vert cos(a) from A's rotor column pairs, rotor r's
+        column is 2 w_r A_alpha[:, r] and arm k's column sums w_r^2 dA_alpha[:, r]/da_k =
+        w_r^2 (A_lat cos(a_k) - A_vert sin(a_k)) over its rotors.
+        """
+        return np.concatenate([self.a_alpha * (2.0 * self.omega_cmd),
+                               (self._da_alpha * self.omega_cmd**2) @ self._arm_sum], axis=1)
 
     def _schedule_unwinding(self, alpha_star: np.ndarray, u_star: np.ndarray,
                             w_dot_cmd: np.ndarray) -> np.ndarray:
@@ -313,7 +302,7 @@ class DifferentialAllocator:
 
     def step(self, w_dot_cmd: np.ndarray, dt: float) -> dict:
         m = self.morphology
-        a_tilde = _a_tilde(self.a_alpha, self._da_alpha, self.omega_cmd, self._arm_sum)
+        a_tilde = self.a_tilde
         if self.unwind or self.bias.enabled:
             alpha_star, _, u_star = optimal_targets(
                 m, self.a, self.alpha_cmd, self.omega_cmd, self.wrench,

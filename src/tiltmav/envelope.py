@@ -258,7 +258,7 @@ def _smoothed(cm, kappa, c, y, eps, derivatives=True):
     return f, grad, _gram(cm, d1 / rho, 0.5 * e * e / q**3 - d1 / rho, v / rho[..., None])
 
 
-def _solve(cm, k, kappa, c, d=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve(cm, k, c, d=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Radial values along the rows of d from c (kappa = 0), or without d the
     least thrusts that realize the rows of c (kappa = k), each certified.
 
@@ -268,6 +268,7 @@ def _solve(cm, k, kappa, c, d=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     space, the least one over it. A row's steps depend on that row alone.
     """
     n, radial, e1 = len(k), d is not None, np.array([1.0, 0.0])
+    kappa = 0.0 if radial else k
     arm = np.linalg.norm(cm.reshape(6, n, 2), axis=(0, 2))
     d = d if radial else np.zeros_like(c)
     lam, thrust, y, loose = np.zeros(len(c)), np.zeros(len(c)), d.copy(), []
@@ -281,8 +282,7 @@ def _solve(cm, k, kappa, c, d=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         t = np.linalg.norm(v, axis=-1)
         vh = v / np.where(t > 0.0, t, 1.0)[..., None]
         cvh = np.einsum("iaj,raj->ria", cm.reshape(6, n, 2), vh)
-        cp = np.where(np.repeat(kappa > 0.0, 2),
-                      np.stack([cvh, 0.0 * cvh], -1).reshape(len(y), 6, -1), cm)
+        cp = cm if radial else np.stack([cvh, 0.0 * cvh], -1).reshape(len(y), 6, -1)
         return t, vh, cvh, cp * np.repeat(kink, 2, axis=1)[:, None, :]
 
     def polish(y, kink, full, dr, cr):
@@ -290,20 +290,20 @@ def _solve(cm, k, kappa, c, d=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         # P_a^T C_a^T y = (kappa_a, 0) on the kink arms and d.y = 1 (or
         # lambda = 0), the slots no arm uses held at 0. A tiny quasi-definite
         # shift keeps a row with a non-unique solution solvable.
-        held = np.stack([~kink, ~kink | (kappa > 0.0)], -1).reshape(len(y), -1)
+        held = np.stack([~kink, ~kink | (not radial)], -1).reshape(len(y), -1)
         j = np.zeros((len(y), 7 + 2 * n, 7 + 2 * n))
         j[:, :6, -1], j[:, -1, :6], j[:, -1, -1] = -dr, dr, not radial
         j[:, 6:-1, 6:-1] = np.eye(2 * n) * held[:, None, :]
         x = np.zeros((len(y), 2 * n + 1))
-        x[:, :-1:2] = 0.5 * (kink & (kappa > 0.0))      # sharing arms start half on
+        x[:, :-1:2] = 0.5 * (kink & (not radial))       # sharing arms start half on
         for _ in range(_POLISH):
             t, vh, cvh, cp = local(y, kink)
-            bend = (np.where(full, 1.0, kink * (kappa > 0.0) * x[:, :-1:2])
+            bend = (np.where(full, 1.0, kink * (not radial) * x[:, :-1:2])
                     / np.where(t > 0.0, t, 1.0))
             j[:, :6, :6], j[:, :6, 6:-1], j[:, 6:-1, :6] = (_gram(cm, bend, -bend, vh), cp,
                                                             cp.transpose(0, 2, 1))
-            arms = kink[..., None] * np.where((kappa > 0.0)[:, None], (t - kappa)[..., None] * e1,
-                                              (y @ cm).reshape(len(y), n, 2))
+            arms = kink[..., None] * ((y @ cm).reshape(len(y), n, 2) if radial
+                                      else (t - kappa)[..., None] * e1)
             r = np.concatenate([(cvh * full[:, None, :]).sum(-1) - x[:, -1:] * dr - cr
                                 + np.einsum("rij,rj->ri", cp, x[:, :-1]),
                                 arms.reshape(len(y), -1) + held * x[:, :-1],
@@ -329,8 +329,8 @@ def _solve(cm, k, kappa, c, d=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             fits = (np.linalg.norm(np.einsum("rij,rj->ri", block, x) - rhs, axis=-1)
                     <= _RESIDUAL * arm.sum())
             s = x[:, :-1].reshape(len(y), n, 2)
-            size = np.where(full, 1.0, kink * np.where(kappa > 0.0, np.abs(s[..., 0]),
-                                                       np.linalg.norm(s, axis=-1)))
+            size = np.where(full, 1.0, kink * (np.linalg.norm(s, axis=-1) if radial
+                                               else np.abs(s[..., 0])))
             value = x[:, -1] if radial else -(size @ k)
             return ((dual - value <= _GAP * np.maximum(np.abs(value), 1e-6 * arm.sum()))
                     & fits & (size.max(-1) <= 1.0 + 1e-9)), size, fits
@@ -457,13 +457,12 @@ def _min_thrusts(cm, k, wrenches) -> np.ndarray:
              & (np.linalg.norm(u.reshape(len(u), len(k), 2), axis=-1).max(-1) < 1.0 - 2.0 * _EDGE))
     totals, rows = np.where(norm > 0.0, np.inf, 0.0), np.flatnonzero((norm > 0.0) & ~inner)
     if rows.size:
-        lam, _, thrust = _solve(cm, k, 0.0 * k, 0.0 * wrenches[rows],
-                                wrenches[rows] / norm[rows, None])
+        lam, _, thrust = _solve(cm, k, 0.0 * wrenches[rows], wrenches[rows] / norm[rows, None])
         ratio = norm[rows] / np.maximum(lam, 1e-300)
         edge = np.abs(ratio - 1.0) <= _EDGE
         totals[rows[edge]] = thrust[edge] * ratio[edge]
         inner[rows[ratio < 1.0 - _EDGE]] = True
-    totals[inner] = _solve(cm, k, k, wrenches[inner])[2]
+    totals[inner] = _solve(cm, k, wrenches[inner])[2]
     return totals
 
 
@@ -482,7 +481,7 @@ def _optimal_radii(m: Morphology, dirs: np.ndarray, mode: str,
     else:
         d6[:, 3:], lever = dirs, _torque_lever(m)
     cm, k = _disc_maps(m)
-    values, _, thrust = _solve(cm, k, 0.0 * k, base, d6)
+    values, _, thrust = _solve(cm, k, base, d6)
     eta = np.where(values > 0.0, values / (lever * np.where(values > 0.0, thrust, 1.0)), 0.0)
     return values, np.minimum(eta, 1.0)
 

@@ -34,13 +34,11 @@ class CareError(RuntimeError):
 def _validate(a, b, q, r):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        b = b[:, None]
     q = np.atleast_2d(np.asarray(q, dtype=float))
     r = np.atleast_2d(np.asarray(r, dtype=float))
     n = a.shape[0]
-    if a.shape != (n, n) or b.shape[0] != n or q.shape != (n, n):
-        raise ValueError("inconsistent CARE dimensions")
+    if a.shape != (n, n) or b.ndim != 2 or b.shape[0] != n or q.shape != (n, n):
+        raise ValueError(f"inconsistent CARE dimensions: A {a.shape}, B {b.shape}, Q {q.shape}")
     if np.any(np.linalg.eigvalsh(0.5 * (r + r.T)) <= 0.0):
         raise CareError("R must be positive definite")
     return a, b, q, r
@@ -108,7 +106,5 @@ def solve_care(a, b, q, r) -> np.ndarray:
 
 def lqr_gain(p, b, r) -> np.ndarray:
     """K = R^-1 B' P."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        b = b[:, None]
-    return np.linalg.solve(np.atleast_2d(np.asarray(r, dtype=float)), b.T @ p)
+    return np.linalg.solve(np.atleast_2d(np.asarray(r, dtype=float)),
+                           np.asarray(b, dtype=float).T @ p)

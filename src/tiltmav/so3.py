@@ -1,4 +1,5 @@
-"""Rotation utilities: the vee map, axis rotations, exponential/log maps.
+"""Rotation utilities: float-tuple cross and matrix products, axis rotations,
+exponential/log maps and the geometric attitude error.
 
 All rotation matrices are body-to-world ("R_WB" style): for a vector x
 expressed in the body frame, R @ x gives its world-frame coordinates.
@@ -26,17 +27,6 @@ def matmul3(a, b) -> tuple:
     return (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
             a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
             a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8)
-
-
-def vee(m, tol: float = ORTHONORMALITY_TOL) -> np.ndarray:
-    """The 3-vector v of an antisymmetric matrix [v]x. Raises ValueError otherwise."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"vee expects a 3x3 matrix, got {m.shape}")
-    asym = np.abs(m + m.T).max()
-    if asym > tol * max(1.0, np.abs(m).max()):
-        raise ValueError(f"vee: input not antisymmetric (residual {asym:.3e})")
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
 def rot_x(a: float) -> np.ndarray:

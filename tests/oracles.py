@@ -142,8 +142,8 @@ def invert_static_pinv(a, wrench, m, alpha_hold=None):
 
 def build_diff_allocation_dense(a, omega_c, alpha_c, arm_of_rotor) -> np.ndarray:
     """A_tilde = A @ dA through the dense (2 n_rotors, n_rotors + n_arms)
-    chain-rule matrix dA, the form ``diff_allocation.build_diff_allocation``
-    replaced. Rows of dA per rotor r on arm a:
+    chain-rule matrix dA, the form ``DifferentialAllocator.a_tilde``'s
+    column rule replaced. Rows of dA per rotor r on arm a:
         d(w^2 sin a) = 2 w sin(a) dw + w^2 cos(a) da
         d(w^2 cos a) = 2 w cos(a) dw - w^2 sin(a) da
     """

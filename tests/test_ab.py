@@ -72,3 +72,26 @@ def test_pass_counts_are_recorded_per_side_and_summarized(monkeypatch):
     lines = ab.summary({"sim_unwind@seed1": res})
     assert lines[0] == "sim_unwind@seed1 passes: base median 11 change median 14"
     assert lines[1].startswith("sim_unwind@seed1 wall_s: base 1 change 1 ratio 1.000 wins 0/3")
+
+
+def test_summary_says_whether_the_first_pass_digests_agree(monkeypatch):
+    # Pair 1 runs base then change, pair 2 change then base: the third run,
+    # pair 2's change, reports another digest than the other three.
+    digests = iter(["aa", "aa", "bb", "aa"])
+
+    def run_once(checkout, workload, seed, seconds):
+        return {"correct": True, "attempted": 3, "failed": 0, "exit_code": 0,
+                "digest": next(digests),
+                "metrics": {name: {"value": 1.0} for name in ("wall_s", "setup_s", "peak_rss_mb")}}
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    differ = ab.compare("design_oct", 1, 2, 1.0, Path("base"))
+    assert differ["digests"] == {"base": ["aa"], "change": ["aa", "bb"]}
+    same = {**differ, "digests": {"base": ["aa"], "change": ["aa"]}}
+    other = {**differ, "digests": {"base": ["aa"], "change": ["bb"]}}
+    lines = ab.summary({"design_oct@seed1": differ, "design_oct@seed29": same,
+                        "reach_optimal@seed1": other})
+    digest_lines = [line for line in lines if " digests: " in line]
+    assert digest_lines == ["design_oct@seed1 digests: DIFFER base aa change aa bb",
+                            "design_oct@seed29 digests: agree aa",
+                            "reach_optimal@seed1 digests: DIFFER base aa change bb"]

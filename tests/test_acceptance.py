@@ -12,7 +12,7 @@ import pytest
 from tiltmav.allocation import instantaneous_allocation, static_allocation
 from tiltmav.cli import main as cli_main
 from tiltmav.design import DesignProblem, beta_sweep, optimize
-from tiltmav.diff_allocation import (build_diff_allocation, condition_scan,
+from tiltmav.diff_allocation import (DifferentialAllocator, condition_scan,
                                      exact_wrench_rate, solve)
 from tiltmav.envelope import max_wrench_in_direction
 from tiltmav.lqri import LqriController, LqriGains, linearized_system
@@ -22,7 +22,8 @@ from tiltmav.sim import SimConfig, hover_trim, run
 from tiltmav.trajectory import TrajectorySample, Trajectory, Waypoint, named_trajectory
 from tiltmav.vehicle import RigidBodyParams, prototype_morphology
 
-from oracles import kleinman_newton, lqri_error_rates, omega_tilde, random_rotation
+from oracles import (build_diff_allocation_dense, kleinman_newton, lqri_error_rates, omega_tilde,
+                     random_rotation)
 
 _results = []
 
@@ -166,14 +167,18 @@ def test_criterion_07_differential_allocation():
     t0 = time.perf_counter()
     m = prototype_morphology()
     a = static_allocation(m)
+    alloc = DifferentialAllocator(m)
     rng = np.random.default_rng(107)
     w_inv = np.concatenate([np.ones(m.n_rotors), np.full(m.n_arms, 1e-3)])
     w_cost = 1.0 / w_inv
-    worst_resid, worst_opt, worst_fd = 0.0, 0.0, 0.0
+    worst_resid, worst_opt, worst_fd, worst_dense = 0.0, 0.0, 0.0, 0.0
     for i in range(1000):
         omega_c = rng.uniform(200, 1200, m.n_rotors)
         alpha_c = rng.uniform(-np.pi, np.pi, m.n_arms)
-        a_tilde = build_diff_allocation(a, omega_c, alpha_c, m.arm_of_rotor)
+        alloc.set_commands(alpha_c, omega_c)
+        a_tilde = alloc.a_tilde
+        dense = build_diff_allocation_dense(a, omega_c, alpha_c, m.arm_of_rotor)
+        worst_dense = max(worst_dense, np.abs(a_tilde - dense).max() / np.abs(dense).max())
         u_star = rng.normal(0, 10, 18)
         w_dot = rng.normal(0, 30, 6)
         u, reg = solve(a_tilde, w_inv, u_star, w_dot)
@@ -194,9 +199,11 @@ def test_criterion_07_differential_allocation():
             ref = a_tilde @ du
             worst_fd = max(worst_fd, np.linalg.norm(fd - ref) / np.linalg.norm(ref))
     elapsed = time.perf_counter() - t0
-    ok = worst_resid < 1e-9 and worst_opt <= 1e-9 and worst_fd < 1e-4 and elapsed < 30.0
+    ok = (worst_resid < 1e-9 and worst_opt <= 1e-9 and worst_fd < 1e-4 and worst_dense <= 1e-15
+          and elapsed < 30.0)
     _report("7 differential-allocation", bool(ok),
-            f"residual {worst_resid:.1e}, opt slack {worst_opt:.1e}, FD err {worst_fd:.1e}, {elapsed:.1f}s")
+            f"residual {worst_resid:.1e}, opt slack {worst_opt:.1e}, FD err {worst_fd:.1e}, "
+            f"dense A~ err {worst_dense:.1e}, {elapsed:.1f}s")
 
 
 def test_criterion_08_singularity_handling():

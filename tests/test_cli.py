@@ -308,6 +308,14 @@ def test_trajectory_scale_is_checked(tmp_path, hover_file, capsys):
     assert "trajectory_scale applies to the named trajectories" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trajectory", [7, ["a"], None, {"name": "a"}])
+def test_a_non_string_trajectory_is_a_config_error(tmp_path, capsys, trajectory):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trajectory": trajectory}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "trajectory must be a-g or a waypoint file" in capsys.readouterr().err
+
+
 def test_internal_faults_are_not_config_errors(tmp_path, hover_file, monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")

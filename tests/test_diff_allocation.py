@@ -6,8 +6,7 @@ import pytest
 from tiltmav.allocation import (condition_number, instantaneous_allocation,
                                 static_allocation)
 from tiltmav.diff_allocation import (AllocationConfig, BiasConfig,
-                                     DifferentialAllocator, alpha_bias,
-                                     build_diff_allocation, condition_scan,
+                                     DifferentialAllocator, alpha_bias, condition_scan,
                                      exact_wrench_rate, optimal_targets,
                                      saturate_integrate, solve)
 from tiltmav.rigid_body import RigidBodyState
@@ -25,12 +24,19 @@ def _hover_setup():
     return m, a, alpha, omega
 
 
+def _a_tilde(m, omega, alpha):
+    """The allocator's A~ at commanded tilts ``alpha`` and speeds ``omega``."""
+    alloc = DifferentialAllocator(m)
+    alloc.set_commands(alpha, omega)
+    return alloc.a_tilde
+
+
 def test_jacobian_finite_difference():
     m, a, _, _ = _hover_setup()
     rng = np.random.default_rng(21)
     omega_c = rng.uniform(300, 1000, m.n_rotors)
     alpha_c = rng.uniform(-1, 1, m.n_arms)
-    a_tilde = build_diff_allocation(a, omega_c, alpha_c, m.arm_of_rotor)
+    a_tilde = _a_tilde(m, omega_c, alpha_c)
     d_omega = rng.normal(size=m.n_rotors)
     d_alpha = rng.normal(size=m.n_arms)
     du = np.concatenate([d_omega, d_alpha])
@@ -63,7 +69,7 @@ def test_a_tilde_and_solve_match_the_dense_forms():
         stopped = trial % 3 == 1
         if stopped:
             omega[m.arm_of_rotor != rng.integers(m.n_arms)] = 0.0
-        a_tilde = build_diff_allocation(a, omega, alpha, m.arm_of_rotor)
+        a_tilde = _a_tilde(m, omega, alpha)
         dense = build_diff_allocation_dense(a, omega, alpha, m.arm_of_rotor)
         assert np.abs(a_tilde - dense).max() <= 1e-15 * np.abs(dense).max()
         w_inv = np.concatenate([np.ones(m.n_rotors),
@@ -84,22 +90,27 @@ def test_a_tilde_and_solve_match_the_dense_forms():
 
 def test_omega_zero_columns_vanish():
     m, a, alpha, _ = _hover_setup()
-    a_tilde = build_diff_allocation(a, np.zeros(m.n_rotors), alpha, m.arm_of_rotor)
+    a_tilde = _a_tilde(m, np.zeros(m.n_rotors), alpha)
     assert np.abs(a_tilde[:, :m.n_rotors]).max() == 0.0
 
 
 def test_alpha_column_at_hover_is_lateral_only():
     m, a, alpha, omega = _hover_setup()
-    a_tilde = build_diff_allocation(a, omega, alpha, m.arm_of_rotor)
+    a_tilde = _a_tilde(m, omega, alpha)
     col = a_tilde[:, m.n_rotors]    # first arm's tilt-rate column
     assert abs(col[2]) < 1e-12      # no f_z coupling at alpha = 0
     assert np.linalg.norm(col[:2]) > 0.0
 
 
-def test_build_rejects_negative_speed():
-    m, a, alpha, _ = _hover_setup()
-    with pytest.raises(ValueError):
-        build_diff_allocation(a, -np.ones(m.n_rotors), alpha, m.arm_of_rotor)
+def test_set_commands_rejects_negative_speed():
+    m, _, alpha, omega = _hover_setup()
+    alloc = DifferentialAllocator(m)
+    alloc.set_commands(alpha, omega)
+    before = alloc.a_tilde
+    with pytest.raises(ValueError, match="non-negative"):
+        alloc.set_commands(alpha + 0.1, -np.ones(m.n_rotors))
+    assert np.array_equal(alloc.a_tilde, before)
+    assert np.array_equal(alloc.alpha_cmd, alpha) and np.array_equal(alloc.omega_cmd, omega)
 
 
 def test_exact_wrench_rate_block_diagonal_at_rest():
@@ -117,7 +128,7 @@ def test_exact_wrench_rate_block_diagonal_at_rest():
 
 def test_solve_consistency_and_residual():
     m, a, alpha, omega = _hover_setup()
-    a_tilde = build_diff_allocation(a, omega, alpha, m.arm_of_rotor)
+    a_tilde = _a_tilde(m, omega, alpha)
     w_inv = np.concatenate([np.ones(m.n_rotors), np.full(m.n_arms, 1e-3)])
     rng = np.random.default_rng(22)
     u_star = rng.normal(size=18)
@@ -132,7 +143,7 @@ def test_solve_consistency_and_residual():
 
 def test_weighted_optimality_null_space():
     m, a, alpha, omega = _hover_setup()
-    a_tilde = build_diff_allocation(a, omega, alpha, m.arm_of_rotor)
+    a_tilde = _a_tilde(m, omega, alpha)
     w_inv = np.concatenate([np.ones(m.n_rotors), np.full(m.n_arms, 1e-3)])
     w_cost = 1.0 / w_inv
     rng = np.random.default_rng(23)
@@ -152,7 +163,7 @@ def test_weighted_optimality_null_space():
 
 def test_k_alpha_monotonicity():
     m, a, alpha, omega = _hover_setup()
-    a_tilde = build_diff_allocation(a, omega, alpha, m.arm_of_rotor)
+    a_tilde = _a_tilde(m, omega, alpha)
     rng = np.random.default_rng(24)
     w_dots = rng.normal(0, 20, (20, 6))
     for w_dot in w_dots:
@@ -167,8 +178,7 @@ def test_k_alpha_monotonicity():
 def test_regularized_flag_near_rank_loss():
     m, a, _, _ = _hover_setup()
     # all rotors stopped and all tilts identical: the Jacobian loses rank
-    a_tilde = build_diff_allocation(a, np.zeros(m.n_rotors), np.zeros(m.n_arms),
-                                    m.arm_of_rotor)
+    a_tilde = _a_tilde(m, np.zeros(m.n_rotors), np.zeros(m.n_arms))
     w_inv = np.ones(18)
     u, reg = solve(a_tilde, w_inv, np.zeros(18), np.array([1.0, 0, 0, 0, 0, 0]))
     assert reg
@@ -179,7 +189,7 @@ def test_kinematic_singularity_finite_rates():
     # zero lateral demand: tilt angles not uniquely defined statically, but
     # the differential solve stays finite
     m, a, alpha, omega = _hover_setup()
-    a_tilde = build_diff_allocation(a, omega, alpha, m.arm_of_rotor)
+    a_tilde = _a_tilde(m, omega, alpha)
     w_inv = np.concatenate([np.ones(m.n_rotors), np.full(m.n_arms, 1e-3)])
     u, _ = solve(a_tilde, w_inv, np.zeros(18), np.array([0, 0, 5.0, 0, 0, 0]))
     assert np.all(np.isfinite(u))

@@ -64,6 +64,13 @@ def test_thrust_budget_along_z():
     assert abs(val_down - expected) < 1e-6
 
 
+def test_max_wrench_rejects_a_non_unit_direction():
+    m = prototype_morphology()
+    for direction in ([0.0, 0.0, 2.0], [1e-3, 0.0, 1.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="direction must be a unit vector"):
+            max_wrench_in_direction(m, direction)
+
+
 def test_rotational_symmetry_of_radial_values():
     m = prototype_morphology()
     from tiltmav.so3 import rot_z
@@ -146,7 +153,7 @@ def test_radial_values_carry_their_duality_certificate(name, mode):
         d6[:, 3:] = dirs
         base[2] = m.body.mass * GRAVITY
     cm, k = envelope_module._disc_maps(m)
-    values, y, _ = envelope_module._solve(cm, k, 0.0 * k, np.tile(base, (len(dirs), 1)), d6)
+    values, y, _ = envelope_module._solve(cm, k, np.tile(base, (len(dirs), 1)), d6)
     assert np.all(values > 0.0)
     assert np.allclose((d6 * y).sum(-1), 1.0, rtol=0.0, atol=1e-12)
     assert np.all(_radial_certificate_gap(m, y, base, values) <= 1e-10 * values)
@@ -238,7 +245,7 @@ def test_disc_kernel_on_random_layouts(n_arms, rotors_per_arm, betas, direction,
     base = np.zeros(6) if hover is None else np.r_[hover, np.zeros(3)]
     d6 = np.r_[d, np.zeros(3)] if mode == "force" else np.r_[np.zeros(3), d]
     cm, k = envelope_module._disc_maps(m)
-    values, y, _ = envelope_module._solve(cm, k, 0.0 * k, base[None], d6[None])
+    values, y, _ = envelope_module._solve(cm, k, base[None], d6[None])
     lam = values[0]
     assume(lam > 0.0)
     assert _radial_certificate_gap(m, y, base, values)[0] <= 1e-10 * lam
@@ -539,7 +546,7 @@ def test_hover_sphere_runs_one_least_thrust_solve(monkeypatch):
     monkeypatch.setattr(envelope_module, "_solve",
                         lambda *args: calls.append(len(args)) or solve(*args))
     sphere = hover_sphere(prototype_morphology(), 320)
-    assert calls == [4] and sphere["feasible"].all()
+    assert calls == [3] and sphere["feasible"].all()
 
 
 def test_null_space_rows_take_one_least_thrust_call_per_free_arm_pattern(monkeypatch):
@@ -565,7 +572,7 @@ def test_null_space_rows_take_one_least_thrust_call_per_free_arm_pattern(monkeyp
     per_row = top_level_calls(oracles, "min_thrusts_two_pass")
     lam_row, _, thrust_row = oracles.solve_two_pass(cm, k, 0.0 * k, 0.0 * d6, d6)
     grouped = top_level_calls(envelope_module, "_min_thrusts")
-    lam, _, thrust = envelope_module._solve(cm, k, 0.0 * k, 0.0 * d6, d6)
+    lam, _, thrust = envelope_module._solve(cm, k, 0.0 * d6, d6)
     patterns = {block for block, _ in per_row}
     assert len(per_row) > 3 * len(patterns)
     assert len(grouped) == len(patterns) == len({block for block, _ in grouped})

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from tiltmav.pid import PidController, PidGains
 from tiltmav.rigid_body import RigidBodyState
@@ -83,6 +84,28 @@ def test_slew_limit_preserves_command_level():
         assert np.abs(out["u"][:3]).max() <= 10.0 + 1e-12
         applied.append(out["a_cmd"][0])
     assert np.isclose(applied[-1], -5.0, atol=1e-9)
+
+
+def test_angular_slew_limit_preserves_command_level():
+    # A body yawed by +0.5 rad asks for psi = -k_r sin(0.5) z, about -1.68 rad/s^2:
+    # reached in 17 clamped steps of at most j_max_ang dt = 0.1, with no linear jerk.
+    ctrl = PidController(PidGains(k_p=0.0, k_p_i=0.0, k_v=0.0, k_r=3.5, k_r_i=0.0,
+                                  k_omega=0.0, j_max_ang=10.0))
+    st = RigidBodyState(r_wb=rot_z(0.5))
+    steps = [ctrl.step(st, _ref(), 0.01) for _ in range(40)]
+    assert all(np.abs(out["u"][3:]).max() <= 10.0 + 1e-12 for out in steps)
+    assert all(np.array_equal(out["u"][:3], np.zeros(3)) for out in steps)
+    assert np.abs(steps[0]["u"][3:]).max() == 10.0
+    assert np.allclose(steps[-1]["psi_cmd"], [0.0, 0.0, -3.5 * np.sin(0.5)], atol=1e-12)
+    assert np.array_equal(steps[-1]["u"][3:], np.zeros(3))
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01])
+def test_step_rejects_a_non_positive_time_step(dt):
+    ctrl = PidController()
+    with pytest.raises(ValueError, match="dt must be positive"):
+        ctrl.step(RigidBodyState(), _ref(), dt)
+    assert np.array_equal(ctrl.e_p_i, np.zeros(3))
 
 
 def test_reference_feedforward():

@@ -58,6 +58,18 @@ def test_non_stabilizable_raises():
         solve_care(a, b, np.eye(2), [[1.0]])
 
 
+def test_inconsistent_dimensions_are_rejected():
+    a, q, r = np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), [[1.0]]
+    for args in ((a, [[0.0], [1.0], [0.0]], q, r), (a, [[0.0], [1.0]], np.eye(3), r),
+                 (np.ones((2, 3)), [[0.0], [1.0]], q, r),
+                 # B is an (n, m) matrix: a 1-D B is not read as one column.
+                 (a, [0.0, 1.0], q, r), ([[0.0]], [1.0], [[1.0]], [[1.0]])):
+        with pytest.raises(ValueError, match="inconsistent CARE dimensions"):
+            solve_care(*args)
+        with pytest.raises(ValueError, match="inconsistent CARE dimensions"):
+            care_residual(*args, np.eye(len(args[0])))
+
+
 def test_indefinite_r_rejected():
     with pytest.raises(CareError):
         solve_care([[0.0]], [[1.0]], [[1.0]], [[-1.0]])

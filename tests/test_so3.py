@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tiltmav.so3 import attitude_error, cross3, exp_so3, log_so3, rot_x, rot_z, vee
+from tiltmav.so3 import attitude_error, cross3, exp_so3, log_so3, rot_x, rot_z
 
 from oracles import is_rotation, random_rotation, skew
 
@@ -16,17 +16,8 @@ def test_skew_cross_product():
         assert np.allclose(skew(v) @ w, np.cross(v, w))
 
 
-def test_vee_skew_roundtrip():
-    assert np.array_equal(vee(skew([2, -3, 5])), [2.0, -3.0, 5.0])
-
-
 def test_skew_zero():
     assert np.array_equal(skew([0, 0, 0]), np.zeros((3, 3)))
-
-
-def test_vee_rejects_non_antisymmetric():
-    with pytest.raises(ValueError):
-        vee(np.eye(3))
 
 
 def test_exp_log_roundtrip():

@@ -49,6 +49,8 @@ def test_body_params_validation():
         RigidBodyParams(mass=1.0, inertia=np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError):
         RigidBodyParams(mass=1.0, inertia=np.ones((3, 3)))
+    with pytest.raises(ValueError, match="inertia must be a symmetric 3x3 matrix"):
+        RigidBodyParams(mass=1.0, inertia=[[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     for value in (math.nan, math.inf, True, "1.0"):
         with pytest.raises(ValueError, match="mass"):
             RigidBodyParams(mass=value, inertia=np.eye(3))
@@ -82,6 +84,18 @@ def test_min_arms():
     m = prototype_morphology()
     with pytest.raises(ValueError):
         Morphology(arms=m.arms[:2], rotor=m.rotor, tilt=m.tilt, body=m.body)
+
+
+def test_arm_spin_count_must_match_rotors_per_arm():
+    m = prototype_morphology()
+    arms = list(m.arms)
+    arms[3] = dataclasses.replace(arms[3], spins=(1,))
+    with pytest.raises(ValueError, match=r"arms\[3\]\.spins has 1 spin\(s\), but "
+                                         r"rotor\.rotors_per_arm is 2"):
+        Morphology(arms=arms, rotor=m.rotor, tilt=m.tilt, body=m.body)
+    single = dataclasses.replace(m.rotor, rotors_per_arm=1)
+    with pytest.raises(ValueError, match=r"arms\[0\]\.spins has 2 spin\(s\)"):
+        Morphology(arms=m.arms, rotor=single, tilt=m.tilt, body=m.body)
 
 
 def test_arm_frame_geometry():
