@@ -4,9 +4,11 @@
     python3 scripts/ab.py --base HEAD --workloads design_oct --seed 1 --pairs 10 \\
         --seconds 5 --out BENCH_<n>.json
 
-Extracts ``git archive`` of ``--base`` into ``.bench_build/`` and runs
-``perfbench/run.py --trace 0`` there and in this checkout, one run of each per
-pair, swapping which side runs first from pair to pair. A run that exits
+Extracts ``git archive`` of ``--base`` into ``.bench_build/base/`` and the
+working tree's tracked files into ``.bench_build/change/``, so both sides run
+from sibling directories and the checkout's own path stays out of the
+comparison, and runs ``perfbench/run.py --trace 0`` in each, one run of each
+per pair, swapping which side runs first from pair to pair. A run that exits
 non-zero or reports ``"correct": false`` stops the comparison with an error
 naming its workload, side and pair, so no failed pass reaches a median. For
 every workload (at this seed) and end-to-end metric it writes each side's
@@ -84,10 +86,28 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
-def compare(workload: str, seed: int, pairs: int, seconds: float, base_dir: Path) -> dict:
+def extract(base: str) -> tuple[Path, Path]:
+    """``git archive`` of ``base`` into BUILD/base and copies of the working tree's
+    tracked files (as they stand, edits included) into BUILD/change."""
+    base_dir, change_dir = BUILD / "base", BUILD / "change"
+    base_dir.mkdir()
+    archive = subprocess.run(["git", "archive", base], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(base_dir)], input=archive, check=True)
+    tracked = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, check=True,
+                             capture_output=True).stdout.decode().split("\0")
+    for name in tracked:
+        if name and (ROOT / name).is_file():       # a tracked file deleted in the tree is gone
+            (change_dir / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, change_dir / name)
+    return base_dir, change_dir
+
+
+def compare(workload: str, seed: int, pairs: int, seconds: float, base_dir: Path,
+            change_dir: Path) -> dict:
     runs = {"base": [], "change": []}
     for i in range(pairs):
-        order = [("base", base_dir), ("change", ROOT)]
+        order = [("base", base_dir), ("change", change_dir)]
         for side, checkout in order[::-1] if i % 2 else order:
             result = run_once(checkout, workload, seed, seconds)
             if result["exit_code"] or not result["correct"]:
@@ -145,10 +165,9 @@ def main(argv=None) -> int:
                           capture_output=True, text=True).stdout.strip()
     BUILD.mkdir()
     try:
-        archive = subprocess.run(["git", "archive", base], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(BUILD)], input=archive, check=True)
-        results = {f"{w}@seed{args.seed}": compare(w, args.seed, args.pairs, args.seconds, BUILD)
+        base_dir, change_dir = extract(base)
+        results = {f"{w}@seed{args.seed}": compare(w, args.seed, args.pairs, args.seconds,
+                                                   base_dir, change_dir)
                    for w in args.workloads}
     finally:
         shutil.rmtree(BUILD)

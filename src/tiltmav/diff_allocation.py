@@ -198,8 +198,7 @@ def saturate_integrate(
     Rotor speed references clip to [omega_min, omega_max]; tilt references
     integrate unbounded (windup is tracked, not clamped).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    check_real("dt", dt, 0.0, strict=True)
     n_r = m.n_rotors
     bound = np.full(u_tilde.shape, m.tilt.alpha_rate_max)
     bound[:n_r] = m.tilt.omega_accel_max

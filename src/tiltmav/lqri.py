@@ -168,6 +168,7 @@ class LqriController:
         The targets render e_a_dot = u_bar[:3] (world frame) and
         e_psi_dot = u_bar[3:] with e_psi = psi - R' psi_d_world (body frame).
         """
+        check_real("dt", dt, 0.0, strict=True)
         err, self.e_p_i, self.e_r_i = compute_error_state(
             state, ref, self.e_p_i, self.e_r_i, self._prev_e_p, self._prev_e_r, dt)
         self._prev_e_p = err.e_p

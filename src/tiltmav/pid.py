@@ -70,8 +70,7 @@ class PidController:
         self._applied_psi = np.zeros(3)
 
     def step(self, state: RigidBodyState, ref: TrajectorySample, dt: float) -> dict:
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+        check_real("dt", dt, 0.0, strict=True)
         g = self.gains
         e_p = ref.p - state.p
         e_v = ref.v - state.v

@@ -810,6 +810,10 @@ def solve_two_pass(cm, k, kappa, c, d=None) -> tuple[np.ndarray, np.ndarray, np.
     reachable, y the certifying dual point (d.y = 1), thrust the certified
     allocation's summed thrust or, where the free arms' block has a null
     space, the least one over it. A row's steps depend on that row alone.
+    It carries the library's attempt rule: a centred row polishes only once
+    its kink set is the same at the next smoothing level (or eps is at its
+    floor), an empty ray is certified without one, and the smoothed point is
+    retried only where the polish ran off.
     """
     n, radial, e1 = len(k), d is not None, np.array([1.0, 0.0])
     arm = np.linalg.norm(cm.reshape(6, n, 2), axis=(0, 2))
@@ -896,18 +900,28 @@ def solve_two_pass(cm, k, kappa, c, d=None) -> tuple[np.ndarray, np.ndarray, np.
         t = np.linalg.norm((y @ cm).reshape(len(y), n, 2), axis=-1)
         tau = np.sqrt(eps[:, None] * arm)
         kink, full = np.abs(t - kappa) <= tau, t - kappa > tau
+        # An empty ray is certified as it stands. Any other row attempts a certificate
+        # once its kink set is the same at the next smoothing level, or eps is at its floor.
         empty = radial & (t.sum(-1) - (cr * y).sum(-1) <= 0.0)
-        y_p = polish(y, kink, full, dr, cr)
-        ok, x, size, dual, rank = primal(y_p, kink, full, dr, cr)
-        i = np.flatnonzero(~ok & ~empty)    # where the polished point fails, the smoothed may hold
+        moving = (kink & (np.abs(t - kappa) > np.sqrt(_SHRINK * eps[:, None] * arm))).any(-1)
+        a = np.flatnonzero(~empty & (~moving | (eps <= 1e-12 * start)))
+        ok, y_p = empty.copy(), y.copy()
+        if not a.size:
+            return ok, y_p
+        rows, y, kink, full, dr, cr = rows[a], y[a], kink[a], full[a], dr[a], cr[a]
+        y_a = polish(y, kink, full, dr, cr)
+        ok_a, x, size, dual, rank = primal(y_a, kink, full, dr, cr)
+        # Where the polish ran off (a degenerate dual), the smoothed point may hold.
+        i = np.flatnonzero(~ok_a & (np.linalg.norm(y_a - y, axis=-1)
+                                    > 1e3 * np.linalg.norm(y, axis=-1)))
         if i.size:
-            y_p[i] = y[i]
-            ok[i], x[i], size[i], dual[i], rank[i] = primal(y[i], kink[i], full[i], dr[i], cr[i])
-        ok |= empty
-        y_p[empty] = y[empty]
-        lam[rows[ok]] = np.where(empty | (not radial), 0.0, np.minimum(x[:, -1], dual))[ok]
-        thrust[rows[ok]] = np.where(empty, 0.0, size @ k)[ok]
-        for i in np.flatnonzero(ok & ~empty & radial & (rank < 2 * kink.sum(-1) + 1)):
+            y_a[i] = y[i]
+            ok_a[i], x[i], size[i], dual[i], rank[i] = primal(y[i], kink[i], full[i], dr[i], cr[i])
+        ok[a], y_p[a] = ok_a, y_a
+        thrust[rows[ok_a]] = (size @ k)[ok_a]
+        if radial:
+            lam[rows[ok_a]] = np.minimum(x[:, -1], dual)[ok_a]
+        for i in np.flatnonzero(ok_a & radial & (rank < 2 * kink.sum(-1) + 1)):
             cols = np.repeat(kink[i], 2)
             loose.append((rows[i], kink[i], cm[:, cols] @ x[i, :-1][cols]))
         return ok, y_p

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -50,8 +52,8 @@ def test_a_failed_run_stops_the_comparison(monkeypatch):
     monkeypatch.setattr(ab, "run_once", run_once)
     with pytest.raises(RuntimeError, match=r"^sim_flip seed 7 pair 2/3: the change run failed "
                                            r"\(exit code 1, 1 of 4 passes"):
-        ab.compare("sim_flip", 7, 3, 1.0, Path("base"))
-    assert calls == [Path("base"), ab.ROOT, ab.ROOT]
+        ab.compare("sim_flip", 7, 3, 1.0, Path("base"), Path("change"))
+    assert calls == [Path("base"), Path("change"), Path("change")]
 
 
 def test_pass_counts_are_recorded_per_side_and_summarized(monkeypatch):
@@ -66,8 +68,8 @@ def test_pass_counts_are_recorded_per_side_and_summarized(monkeypatch):
                                            for name in ("wall_s", "setup_s", "peak_rss_mb")}}
 
     monkeypatch.setattr(ab, "run_once", run_once)
-    res = ab.compare("sim_unwind", 1, 3, 1.0, Path("base"))
-    assert calls == [Path("base"), ab.ROOT, ab.ROOT, Path("base"), Path("base"), ab.ROOT]
+    res = ab.compare("sim_unwind", 1, 3, 1.0, Path("base"), Path("change"))
+    assert calls == [Path("base"), Path("change"), Path("change"), Path("base"), Path("base"), Path("change")]
     assert res["passes"] == {"base": [10, 11, 12], "change": [14, 15, 13]}
     lines = ab.summary({"sim_unwind@seed1": res})
     assert lines[0] == "sim_unwind@seed1 passes: base median 11 change median 14"
@@ -85,7 +87,7 @@ def test_summary_says_whether_the_first_pass_digests_agree(monkeypatch):
                 "metrics": {name: {"value": 1.0} for name in ("wall_s", "setup_s", "peak_rss_mb")}}
 
     monkeypatch.setattr(ab, "run_once", run_once)
-    differ = ab.compare("design_oct", 1, 2, 1.0, Path("base"))
+    differ = ab.compare("design_oct", 1, 2, 1.0, Path("base"), Path("change"))
     assert differ["digests"] == {"base": ["aa"], "change": ["aa", "bb"]}
     same = {**differ, "digests": {"base": ["aa"], "change": ["aa"]}}
     other = {**differ, "digests": {"base": ["aa"], "change": ["bb"]}}
@@ -95,3 +97,43 @@ def test_summary_says_whether_the_first_pass_digests_agree(monkeypatch):
     assert digest_lines == ["design_oct@seed1 digests: DIFFER base aa change aa bb",
                             "design_oct@seed29 digests: agree aa",
                             "reach_optimal@seed1 digests: DIFFER base aa change bb"]
+
+
+def test_both_sides_run_from_sibling_directories(tmp_path, monkeypatch):
+    # A small repository whose working tree edits a committed file, deletes
+    # another and holds an untracked one: the base side is the commit, the
+    # change side the tracked files as they stand, both under .bench_build/.
+    root = tmp_path / "repo"
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text("committed\n")
+    (root / "gone.txt").write_text("committed\n")
+    (root / "BENCHMARK.json").write_text((SCRIPT.parents[1] / "BENCHMARK.json").read_text())
+    git = ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "base"], check=True)
+    (root / "perfbench" / "run.py").write_text("edited\n")
+    (root / "gone.txt").unlink()
+    (root / "untracked.txt").write_text("untracked\n")
+    monkeypatch.setattr(ab, "ROOT", root)
+    monkeypatch.setattr(ab, "BUILD", root / ".bench_build")
+    seen = {}
+
+    def run_once(checkout, workload, seed, seconds):
+        seen.setdefault(checkout, sorted(str(p.relative_to(checkout))
+                                         for p in checkout.rglob("*") if p.is_file()))
+        assert (checkout / "perfbench" / "run.py").read_text() == (
+            "committed\n" if checkout.name == "base" else "edited\n")
+        return {"correct": True, "attempted": 2, "failed": 0, "exit_code": 0, "digest": "d",
+                "metrics": {name: {"value": 1.0} for name in ("wall_s", "setup_s", "peak_rss_mb")}}
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    assert ab.main(["--base", "HEAD", "--workloads", "sim_flip", "--seed", "1", "--pairs", "2",
+                    "--seconds", "1", "--out", "ab.json"]) == 0
+    build = root / ".bench_build"
+    assert set(seen) == {build / "base", build / "change"}
+    assert seen[build / "base"] == ["BENCHMARK.json", "gone.txt", "perfbench/run.py"]
+    assert seen[build / "change"] == ["BENCHMARK.json", "perfbench/run.py"]
+    assert not build.exists()
+    assert json.loads((root / "ab.json").read_text())["runs"]["sim_flip@seed1"]["passes"] == {
+        "base": [2, 2], "change": [2, 2]}

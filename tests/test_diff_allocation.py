@@ -346,8 +346,9 @@ def test_saturate_integrate():
 
 def test_saturate_integrate_rejects_bad_dt():
     m = prototype_morphology()
-    with pytest.raises(ValueError):
-        saturate_integrate(np.zeros(18), m, 0.0, np.zeros(6), np.zeros(12))
+    for dt in (0.0, -0.01, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"^dt must be a finite number > 0"):
+            saturate_integrate(np.zeros(18), m, dt, np.zeros(6), np.zeros(12))
 
 
 def test_condition_scan_targets():

@@ -221,6 +221,30 @@ def test_disc_lp_status_handling(monkeypatch):
         envelope(m, "force", n_dirs=320, allocation="optimal")
 
 
+def test_a_row_attempts_a_certificate_once_its_kink_set_has_settled(monkeypatch):
+    # The prototype's torque sweep about the hover force: every row is certified,
+    # and primal (whose blocks have 2 n_arms + 1 columns) runs on at most 1.25 rows
+    # per direction, against 3.35 (1,072 first attempts and 752 retries) when every
+    # centred row polishes and every failed polish is retried at the smoothed point.
+    m = prototype_morphology()
+    cm, k = envelope_module._disc_maps(m)
+    dirs = envelope_module.sample_directions(320)[0]
+    d6, base = np.zeros((len(dirs), 6)), np.zeros((len(dirs), 6))
+    d6[:, 3:], base[:, 2] = dirs, m.body.mass * GRAVITY
+    attempts, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if a.ndim == 3 and a.shape[-1] == cm.shape[1] + 1:
+            attempts.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    values, y, _ = envelope_module._solve(cm, k, base, d6)
+    assert np.all(values > 0.0)
+    assert np.all(_radial_certificate_gap(m, y, base[0], values) <= 1e-10 * values)
+    assert len(dirs) <= sum(attempts) <= 1.25 * len(dirs)
+
+
 @settings(max_examples=25, deadline=None)
 @given(n_arms=st.integers(3, 8), rotors_per_arm=st.integers(1, 2),
        betas=st.lists(st.floats(-1.2, 1.2), min_size=8, max_size=8),

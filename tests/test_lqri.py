@@ -202,6 +202,18 @@ def test_gains_accept_exactly_the_solvable_zero_patterns():
         assert accepted == solvable, pattern
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), float("inf")])
+def test_controller_step_rejects_a_bad_time_step_and_keeps_its_integrators(dt):
+    ctrl = LqriController()
+    st = RigidBodyState(p=np.array([0.1, 0.0, 1.3]))
+    ref = _ref(p=np.array([0.0, 0.0, 1.3]))
+    with pytest.raises(ValueError, match=r"^dt must be a finite number > 0"):
+        ctrl.step(st, ref, dt)
+    assert np.array_equal(ctrl.e_p_i, np.zeros(3)) and np.array_equal(ctrl.e_r_i, np.zeros(3))
+    out = ctrl.step(st, ref, 0.01)
+    assert np.all(np.isfinite(out["j_w"])) and np.all(np.isfinite(ctrl.e_p_i))
+
+
 def test_controller_step_at_hover_outputs_zero():
     ctrl = LqriController()
     st = RigidBodyState(p=np.array([0.0, 0.0, 1.3]))

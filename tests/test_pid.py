@@ -100,12 +100,16 @@ def test_angular_slew_limit_preserves_command_level():
     assert np.array_equal(steps[-1]["u"][3:], np.zeros(3))
 
 
-@pytest.mark.parametrize("dt", [0.0, -0.01])
+@pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), float("inf")])
 def test_step_rejects_a_non_positive_time_step(dt):
+    # From a position offset, a NaN step would leave NaN in the integrators
+    # and so in every later step of this controller.
     ctrl = PidController()
-    with pytest.raises(ValueError, match="dt must be positive"):
-        ctrl.step(RigidBodyState(), _ref(), dt)
-    assert np.array_equal(ctrl.e_p_i, np.zeros(3))
+    state = RigidBodyState(p=np.array([0.1, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=r"^dt must be a finite number > 0"):
+        ctrl.step(state, _ref(), dt)
+    assert np.array_equal(ctrl.e_p_i, np.zeros(3)) and np.array_equal(ctrl.e_r_i, np.zeros(3))
+    assert np.all(np.isfinite(ctrl.step(state, _ref(), 0.01)["j_w"]))
 
 
 def test_reference_feedforward():
